@@ -7,7 +7,8 @@ computes exact marginals, ``generate`` writes one synthetic instance,
 ``report`` aggregates such a TSV. Exit codes: 0 on success, 2 for input
 problems (unparseable or invalid files, bad flags), 3 for algorithmic
 failures (unresolved unknowns under --strict, inconsistent evidence,
-infeasible generation).
+infeasible generation); ``evaluate`` instead counts a failed instance in
+its summary and goes on.
 """
 from __future__ import annotations
 
@@ -168,8 +169,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                         seed=seed,
                         standard_grids=not args.free_mode,
                     )
-                    result = run_experiment(cfg)
                     instances += 1
+                    try:
+                        result = run_experiment(cfg)
+                    except _ALGO_ERRORS as e:
+                        failed += 1
+                        print(
+                            f"error: instance d={d} p={p:g} unknown_frac={uf:g} seed={seed}: {e}",
+                            file=sys.stderr,
+                        )
+                        continue
                     if result.failed:
                         failed += 1
                     for qr in result.queries:
@@ -252,7 +261,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-queries", required=True)
     p_gen.set_defaults(func=_cmd_generate)
 
-    p_eval = sub.add_parser("evaluate", help="sweep configurations, write per-query divergences")
+    p_eval = sub.add_parser(
+        "evaluate",
+        help="sweep configurations, write per-query divergences",
+        description=(
+            "Sweep configurations and write one TSV row per query. An instance that "
+            "fails (unresolved unknowns, infeasible generation or inconsistent "
+            "evidence) adds no rows and counts in the summary's failed=; the sweep "
+            "goes on and the TSV is still written."
+        ),
+    )
     p_eval.add_argument("--d", required=True, help="comma-separated list")
     p_eval.add_argument("--p", required=True, help="comma-separated list")
     p_eval.add_argument("--unknown-frac", required=True, dest="unknown_frac", help="comma-separated list")

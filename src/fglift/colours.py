@@ -28,9 +28,10 @@ from .tables import (
     PotentialTable,
     alignment_axes,
     canonical_info,
-    canonical_table,
+    canonical_table,  # noqa: F401  (wrapped by name in bench/tracing.py)
+    first_match_groups,
     invert_axes,
-    tables_equal,
+    tables_equal,  # noqa: F401  (wrapped by name in bench/tracing.py)
 )
 
 
@@ -59,23 +60,9 @@ def _group_known_factors(
     factors: list[Factor], rtol: float
 ) -> list[tuple[tuple, list[str]]]:
     """Group known factors by canonical table; returns (sort key, member ids)."""
-    if rtol == 0.0:
-        by_key: dict[tuple, list[str]] = {}
-        for f in factors:
-            assert f.table is not None
-            by_key.setdefault(canonical_info(f.table).key, []).append(f.id)
-        return sorted(by_key.items())
-    reps: list[tuple[tuple, PotentialTable, list[str]]] = []
-    for f in factors:
-        assert f.table is not None
-        canon = canonical_table(f.table)
-        for key, rep, members in reps:
-            if tables_equal(rep, canon, rtol):
-                members.append(f.id)
-                break
-        else:
-            reps.append((canonical_info(f.table).key, canon, [f.id]))
-    return sorted((key, members) for key, _, members in reps)
+    keys = [canonical_info(f.table).key for f in factors]  # type: ignore[arg-type]
+    groups = first_match_groups(keys, rtol)
+    return sorted((keys[g[0]], [factors[i].id for i in g]) for g in groups)
 
 
 def initial_colouring(

@@ -106,6 +106,41 @@ def tables_equal(a: PotentialTable, b: PotentialTable, rtol: float = 0.0) -> boo
     return bool(np.all(np.abs(x - y) <= rtol * np.maximum(np.abs(x), np.abs(y))))
 
 
+CanonicalKey = tuple[tuple[int, ...], tuple[float, ...]]
+
+
+def first_match_groups(keys: Sequence[CanonicalKey], rtol: float) -> list[list[int]]:
+    """Positions of canonical ``keys`` grouped as a first-match scan groups them.
+
+    The scan puts each key into the first group whose representative (its
+    first key) it matches, as ``tables_equal`` decides within ``rtol`` on
+    the canonical tables, and opens a new group otherwise. Equal keys always
+    land in the same group, so the scan runs over distinct keys only; at
+    ``rtol == 0`` the groups are the classes of equal keys. Groups come in
+    order of first appearance, positions ascending within each. Raises
+    ValueError for a negative or NaN ``rtol``, under which no table equals itself.
+    """
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be non-negative, got {rtol}")
+    group_of: dict[CanonicalKey, int] = {}
+    if rtol > 0.0:
+        reps: list[PotentialTable] = []
+        for key in dict.fromkeys(keys):
+            table = PotentialTable(*key)
+            group_of[key] = next(
+                (g for g, rep in enumerate(reps) if tables_equal(rep, table, rtol)), len(reps)
+            )
+            if group_of[key] == len(reps):
+                reps.append(table)
+    groups: list[list[int]] = []
+    for pos, key in enumerate(keys):
+        g = group_of.setdefault(key, len(groups))
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(pos)
+    return groups
+
+
 def invert_axes(perm: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
@@ -129,7 +164,7 @@ class CanonicalInfo:
     make interchangeable (label = smallest slot in the orbit).
     """
 
-    key: tuple[tuple[int, ...], tuple[float, ...]]
+    key: CanonicalKey
     perm: tuple[int, ...]
     slot_of_position: tuple[int, ...]
     orbit_of_slot: tuple[int, ...]

@@ -1,26 +1,45 @@
 """Completing unknown factors by transferring structurally matching potentials.
 
 An unknown factor's potentials are recovered from known factors that the
-graph structure cannot tell apart from it: identical argument count and the
-same multiset of (evidence, range, degree) profiles over their neighbour
-variables. Candidates split into classes of factors that are also mutually
-identical in their potentials; the largest class wins, optionally filtered
-by background knowledge about which factors describe the same individual,
-and its table is copied onto the unknown factor whenever the class covers
-at least a ``theta`` fraction of all candidates. The completed graph is
-then grouped by colour passing, with still-unresolved unknown factors
-pre-coloured (uniquely, except that mutually indistinguishable unknowns
-share a colour).
+graph structure cannot tell apart from it: the same multiset of (evidence,
+range, degree) profiles over their neighbour variables, which also fixes
+the argument count. Candidates split into classes of factors that are also
+mutually identical in their potentials; the largest class wins, optionally
+filtered by background knowledge about which factors describe the same
+individual, and its table is copied onto the unknown factor whenever the
+class covers at least a ``theta`` fraction of all candidates. The completed
+graph is then grouped by colour passing, with still-unresolved unknown
+factors pre-coloured (uniquely, except that mutually indistinguishable
+unknowns share a colour).
+
+Nothing is compared pair by pair. Indistinguishability is an equivalence
+whose key is the sorted neighbour profile, so every known factor is
+bucketed once by that key and each unknown factor reads its bucket. A
+bucket's classes come from one canonical key per known table
+(``tables.first_match_groups``), computed once per bucket. A mirror
+individual is found by set tests on each individual's set of known
+canonical keys, built once. Completion therefore costs O(factors +
+unknowns) profile and key computations, plus one set test per individual
+for each individual that holds an unknown factor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
 from .colours import Grouping, run_colour_passing
 from .model import BackgroundKnowledge, FactorGraph
-from .tables import PotentialTable, canonical_info, canonical_table, tables_equal
+from .tables import (
+    CanonicalKey,
+    PotentialTable,
+    canonical_info,
+    canonical_table,
+    first_match_groups,
+    tables_equal,
+)
 
 
 def two_step_neighbourhood(fg: FactorGraph, factor_id: str) -> frozenset[str]:
@@ -33,16 +52,18 @@ def two_step_neighbourhood(fg: FactorGraph, factor_id: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def _neighbour_profile(fg: FactorGraph, factor_id: str) -> tuple:
-    """Sorted multiset of (evidence, range, degree) triples over the factor's RVs."""
-    f = fg.factor(factor_id)
-    triples = []
-    for arg in f.args:
+def _argument_profiles(fg: FactorGraph, factor_id: str) -> tuple[tuple, ...]:
+    """(evidence, range, degree) triple of each argument RV, in argument order."""
+    out = []
+    for arg in fg.factor(factor_id).args:
         rv = fg.rv(arg)
-        triples.append(
-            (rv.evidence is not None, rv.evidence or "", rv.range.values, fg.degree(arg))
-        )
-    return tuple(sorted(triples))
+        out.append((rv.evidence is not None, rv.evidence or "", rv.range.values, fg.degree(arg)))
+    return tuple(out)
+
+
+def _neighbour_profile(fg: FactorGraph, factor_id: str) -> tuple:
+    """Sorted multiset of argument profiles: the indistinguishability key."""
+    return tuple(sorted(_argument_profiles(fg, factor_id)))
 
 
 def indistinguishable(fg: FactorGraph, a: str, b: str) -> bool:
@@ -52,9 +73,6 @@ def indistinguishable(fg: FactorGraph, a: str, b: str) -> bool:
     evidence-preserving correspondence between the neighbour RVs, i.e.
     equal profile multisets. This is an equivalence relation.
     """
-    fa, fb = fg.factor(a), fg.factor(b)
-    if len(fa.args) != len(fb.args):
-        return False
     return _neighbour_profile(fg, a) == _neighbour_profile(fg, b)
 
 
@@ -108,79 +126,105 @@ class CandidateSet:
     chosen: Selection | None = None
 
 
+def _canonical_keys(fg: FactorGraph) -> Callable[[str], CanonicalKey]:
+    """Canonical key of a known factor's table, computed once per factor id."""
+    return cache(lambda fid: canonical_info(fg.factor(fid).table).key)  # type: ignore[arg-type]
+
+
 def _candidate_classes(
-    fg: FactorGraph, candidates: list[str], rtol: float
+    candidates: tuple[str, ...], key_of: Callable[[str], CanonicalKey], rtol: float
 ) -> tuple[tuple[str, ...], ...]:
     # Candidates are mutually indistinguishable already, so the maximal
     # pairwise possibly-identical subsets are exactly the classes of equal
     # canonical tables.
-    groups: list[tuple[PotentialTable, list[str]]] = []
-    for fid in sorted(candidates):
-        table = fg.factor(fid).table
-        assert table is not None
-        canon = canonical_table(table)
-        for rep, members in groups:
-            if tables_equal(rep, canon, rtol):
-                members.append(fid)
-                break
-        else:
-            groups.append((canon, [fid]))
-    classes = [tuple(members) for _, members in groups]
+    groups = first_match_groups([key_of(fid) for fid in candidates], rtol)
+    classes = [tuple(candidates[i] for i in g) for g in groups]
     classes.sort(key=lambda c: (-len(c), c))
     return tuple(classes)
 
 
-def candidate_sets(fg: FactorGraph, rtol: float = 0.0) -> list[CandidateSet]:
+def candidate_sets(
+    fg: FactorGraph, rtol: float = 0.0, *, _key_of: Callable[[str], CanonicalKey] | None = None
+) -> list[CandidateSet]:
     """One CandidateSet per unknown factor, in sorted id order."""
-    known = [f.id for f in fg.factors if not f.is_unknown]
+    key_of = _canonical_keys(fg) if _key_of is None else _key_of
+    buckets: dict[tuple, list[str]] = {}
+    for f in fg.factors:
+        if not f.is_unknown:
+            buckets.setdefault(_neighbour_profile(fg, f.id), []).append(f.id)
+    per_profile: dict[tuple, tuple] = {}
     out = []
     for uid in sorted(fg.unknown_factor_ids):
-        cands = [kid for kid in known if indistinguishable(fg, uid, kid)]
-        out.append(
-            CandidateSet(uid, tuple(sorted(cands)), _candidate_classes(fg, cands, rtol))
-        )
+        profile = _neighbour_profile(fg, uid)
+        if profile not in per_profile:
+            cands = tuple(sorted(buckets.get(profile, ())))
+            per_profile[profile] = (cands, _candidate_classes(cands, key_of, rtol))
+        out.append(CandidateSet(uid, *per_profile[profile]))
     return out
 
 
-def _supporting_individual(
-    fg: FactorGraph, unknown_factor: str, bk: BackgroundKnowledge, rtol: float
-) -> frozenset[str] | None:
-    """Factor ids of the unique individual that mirrors the unknown factor's own.
+class _Mirrors:
+    """The unique mirror individual of each individual, memoised.
 
-    Returns None when the unknown factor belongs to no individual (no
-    constraint applies) and an empty set when no unique mirror exists.
-    A mirror individual must hold, for every known factor of the unknown
-    factor's individual, a known factor with the same canonical table.
+    A mirror of individual I is another individual holding, for every known
+    factor of I, a known factor with the same canonical table (within
+    ``rtol``). Each individual's set of known canonical keys is built once,
+    so the test is a set inclusion; at ``rtol > 0`` each key's set of
+    tolerance matches is memoised. The scan stops at the second mirror.
     """
-    own = bk.individual_of(unknown_factor)
-    if own is None:
-        return None
-    own_known = [
-        fid
-        for fid in bk.factors_of(own)
-        if fg.has_factor(fid) and not fg.factor(fid).is_unknown
-    ]
-    mirrors = []
-    for other, fids in bk.groups:
-        if other == own:
-            continue
-        others_known = [
-            g for g in fids if fg.has_factor(g) and not fg.factor(g).is_unknown
-        ]
-        ok = True
-        for fl in own_known:
-            tl = canonical_table(fg.factor(fl).table)  # type: ignore[arg-type]
-            if not any(
-                tables_equal(tl, canonical_table(fg.factor(g).table), rtol)  # type: ignore[arg-type]
-                for g in others_known
-            ):
-                ok = False
-                break
-        if ok:
-            mirrors.append(frozenset(fids))
-    if len(mirrors) != 1:
-        return frozenset()
-    return mirrors[0]
+
+    def __init__(
+        self,
+        fg: FactorGraph,
+        bk: BackgroundKnowledge,
+        rtol: float,
+        key_of: Callable[[str], CanonicalKey],
+    ) -> None:
+        def known_keys(fids: tuple[str, ...]) -> frozenset[CanonicalKey]:
+            return frozenset(
+                key_of(g) for g in fids if fg.has_factor(g) and not fg.factor(g).is_unknown
+            )
+
+        self.rtol = rtol
+        self.groups = [(ind, fids, known_keys(fids)) for ind, fids in bk.groups]
+        # reversed, so that the first group wins, as in bk.individual_of / factors_of
+        self.owner = {fid: ind for ind, fids in reversed(bk.groups) for fid in fids}
+        self.own_keys = {ind: keys for ind, _, keys in reversed(self.groups)}
+        self.tables = (
+            {k: PotentialTable(*k) for *_, keys in self.groups for k in keys} if rtol else {}
+        )
+        self._matches: dict[CanonicalKey, frozenset[CanonicalKey]] = {}
+        self._mirror: dict[str, frozenset[str]] = {}
+
+    def _covers(self, own: frozenset[CanonicalKey], other: frozenset[CanonicalKey]) -> bool:
+        if self.rtol == 0.0:
+            return own <= other
+        for k in own:
+            if k not in self._matches:
+                t = self.tables[k]
+                self._matches[k] = frozenset(
+                    m for m, u in self.tables.items() if tables_equal(t, u, self.rtol)
+                )
+        return all(not self._matches[k].isdisjoint(other) for k in own)
+
+    def of(self, unknown_factor: str) -> frozenset[str] | None:
+        """Factor ids of the unique individual that mirrors the unknown factor's own.
+
+        None when the unknown factor belongs to no individual (no constraint
+        applies); an empty set when no unique mirror exists.
+        """
+        own = self.owner.get(unknown_factor)
+        if own is None:
+            return None
+        if own not in self._mirror:
+            mirrors = []
+            for other, fids, keys in self.groups:
+                if other != own and self._covers(self.own_keys[own], keys):
+                    mirrors.append(fids)
+                    if len(mirrors) == 2:
+                        break
+            self._mirror[own] = frozenset(mirrors[0]) if len(mirrors) == 1 else frozenset()
+        return self._mirror[own]
 
 
 def select_transfer_class(
@@ -189,6 +233,8 @@ def select_transfer_class(
     theta: float,
     bk: BackgroundKnowledge | None = None,
     rtol: float = 0.0,
+    *,
+    _mirrors: _Mirrors | None = None,
 ) -> Selection | None:
     """Pick the donor class for one candidate set.
 
@@ -205,7 +251,9 @@ def select_transfer_class(
     pool = cs.classes
     bk_state = "n/a"
     if bk is not None:
-        mirror = _supporting_individual(fg, cs.unknown_factor, bk, rtol)
+        if _mirrors is None:
+            _mirrors = _Mirrors(fg, bk, rtol, _canonical_keys(fg))
+        mirror = _mirrors.of(cs.unknown_factor)
         if mirror is not None:
             supported = tuple(c for c in cs.classes if set(c) & mirror)
             if supported:
@@ -229,18 +277,7 @@ def _transfer_alignment(fg: FactorGraph, donor: str, recipient: str) -> tuple[in
     positionally matching factors get the identity. Interchangeable
     positions (equal triples) are matched in position order.
     """
-
-    def triples(fid: str) -> list[tuple]:
-        f = fg.factor(fid)
-        out = []
-        for arg in f.args:
-            rv = fg.rv(arg)
-            out.append(
-                (rv.evidence is not None, rv.evidence or "", rv.range.values, fg.degree(arg))
-            )
-        return out
-
-    dt, rt = triples(donor), triples(recipient)
+    dt, rt = _argument_profiles(fg, donor), _argument_profiles(fg, recipient)
     if dt == rt:
         return tuple(range(len(dt)))
     donor_order = sorted(range(len(dt)), key=lambda i: (dt[i], i))
@@ -283,19 +320,18 @@ def complete_and_lift(
     unknowns = sorted(fg.unknown_factor_ids)
 
     # Shared colours for indistinguishable unknowns.
-    profile_groups: dict[tuple, list[str]] = {}
-    for uid in unknowns:
-        key = (len(fg.factor(uid).args), _neighbour_profile(fg, uid))
-        profile_groups.setdefault(key, []).append(uid)
-    tags: dict[str, int] = {}
-    for tag, (_, members) in enumerate(sorted(profile_groups.items(), key=lambda kv: kv[1][0])):
-        for uid in members:
-            tags[uid] = tag
+    profile_tags: dict[tuple, int] = {}
+    tags = {
+        uid: profile_tags.setdefault(_neighbour_profile(fg, uid), len(profile_tags))
+        for uid in unknowns
+    }
 
+    key_of = _canonical_keys(fg)
+    mirrors = None if bk is None else _Mirrors(fg, bk, rtol, key_of)
     rows: list[CandidateSet] = []
     transfers: dict[str, PotentialTable] = {}
-    for cs in candidate_sets(fg, rtol):
-        sel = select_transfer_class(fg, cs, theta, bk, rtol)
+    for cs in candidate_sets(fg, rtol, _key_of=key_of):
+        sel = select_transfer_class(fg, cs, theta, bk, rtol, _mirrors=mirrors)
         rows.append(replace(cs, chosen=sel))
         if sel is not None and sel.accepted:
             donor_table = fg.factor(sel.donor).table

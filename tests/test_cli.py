@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from fglift import (
+    GenerationInfeasible,
+    InconsistentEvidence,
     PotentialTable,
     parse_model,
     parse_queries,
@@ -97,6 +99,15 @@ def test_lift_with_background_knowledge(tmp_path, capsys):
     rc = main(["lift", "--model", model, "--theta", "0", "--bk", ghost, "--out", str(out)])
     assert rc == 2
     assert "invalid background knowledge" in capsys.readouterr().err
+
+
+def test_lift_rejects_negative_rtol(tmp_path, capsys):
+    model = model_file(tmp_path, epidemic_four())
+    out = tmp_path / "completed.txt"
+    assert main(["lift", "--model", model, "--theta", "0", "--rtol=-1e-6",
+                 "--out", str(out)]) == 2
+    assert "rtol must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lift_theta_changes_outcome(tmp_path):
@@ -221,6 +232,36 @@ def test_evaluate_and_report_round_trip(tmp_path, capsys):
     report_file = tmp_path / "report.txt"
     assert main(["report", "--rows", str(tsv), "--out", str(report_file)]) == 0
     assert report_file.read_text().strip().split("\n") == out
+
+
+def test_evaluate_counts_failing_instances_and_keeps_going(tmp_path, capsys, monkeypatch):
+    import fglift.cli as cli
+
+    real = cli.run_experiment
+    failures = {
+        (4, 0): InconsistentEvidence("distribution is identically zero under evidence"),
+        (2, 1): GenerationInfeasible("no layout"),
+    }
+
+    def flaky(cfg):
+        if (cfg.d, cfg.seed) in failures:
+            raise failures[(cfg.d, cfg.seed)]
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", flaky)
+    tsv = tmp_path / "rows.tsv"
+    rc = main(["evaluate", "--d", "2,4", "--p", "0.5", "--unknown-frac", "0.1",
+               "--seeds", "2", "--out", str(tsv)])
+    assert rc == 0
+    lines = tsv.read_text().strip().split("\n")
+    assert lines[0] == "d\tp\tunknown_frac\tseed\tquery\tkld"
+    data = [l.split("\t") for l in lines[1:-1]]
+    assert {(row[0], row[3]) for row in data} == {("2", "0"), ("4", "1")}
+    assert all(float(row[5]) == 0.0 for row in data)
+    assert lines[-1].startswith(f"# summary instances=4 failed=2 queries={len(data)} ")
+    err = capsys.readouterr().err
+    assert "d=4 p=0.5 unknown_frac=0.1 seed=0: distribution is identically zero" in err
+    assert "d=2 p=0.5 unknown_frac=0.1 seed=1: no layout" in err
 
 
 def test_evaluate_rejects_empty_sweep(tmp_path, capsys):

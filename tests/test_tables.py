@@ -9,7 +9,7 @@ from fglift import (
     canonical_table,
     tables_equal,
 )
-from fglift.tables import MAX_CANONICAL_ARITY, compose_axes, invert_axes
+from fglift.tables import MAX_CANONICAL_ARITY, compose_axes, first_match_groups, invert_axes
 from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2
 
 
@@ -155,3 +155,24 @@ def test_alignment_axes_with_ambiguous_symmetry():
     member = PotentialTable.from_array(rep.array.T)
     axes = alignment_axes(rep, member)
     assert np.array_equal(member.array, np.transpose(rep.array, axes))
+
+
+def test_first_match_groups_follow_first_appearance():
+    a, b = ((2,), (1.0, 2.0)), ((2,), (3.0, 4.0))
+    near_a = ((2,), (1.0 * (1 + 6e-7), 2.0 * (1 + 6e-7)))
+    far_a = ((2,), (1.0 * (1 + 1.2e-6), 2.0 * (1 + 1.2e-6)))
+    keys = [b, a, near_a, b, far_a, a]
+    # exact: classes of equal keys, in order of first appearance
+    assert first_match_groups(keys, 0.0) == [[0, 3], [1, 5], [2], [4]]
+    # near_a joins a's group; far_a is near near_a but not near a, and the
+    # scan compares only against a group's first key, so the result depends
+    # on which key comes first
+    assert first_match_groups(keys, 1e-6) == [[0, 3], [1, 2, 5], [4]]
+    assert first_match_groups([near_a, a, far_a], 1e-6) == [[0, 1, 2]]
+    assert first_match_groups([], 0.0) == []
+
+
+def test_first_match_groups_reject_negative_rtol():
+    for rtol in (-1e-6, float("nan")):
+        with pytest.raises(ValueError):
+            first_match_groups([((1,), (1.0,))], rtol)

@@ -1,23 +1,33 @@
 """Potential transfer: candidate discovery, donor selection, completion."""
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fglift import (
     BOOL_RANGE,
     BackgroundKnowledge,
+    CandidateSet,
+    ExperimentConfig,
     Factor,
     FactorGraph,
     PotentialTable,
     RandomVariable,
+    Selection,
+    canonical_table,
     candidate_sets,
     complete_and_lift,
     compression_ratio,
     indistinguishable,
     possibly_identical,
+    generate_instance,
     select_transfer_class,
+    tables_equal,
     transfer_report_text,
     two_step_neighbourhood,
 )
+from fglift import transfer
 from conftest import (
     ASYMMETRIC_2x2,
     T1,
@@ -341,3 +351,183 @@ def test_completion_is_deterministic():
     b = complete_and_lift(epidemic_four(), theta=0.0, bk=eve_dave_bk())
     assert serialize_model(a.completed) == serialize_model(b.completed)
     assert a.grouping == b.grouping
+
+
+# -- key-based completion against the pairwise definitions ----------------------
+
+
+def _oracle_profile(fg, fid):
+    f = fg.factor(fid)
+    triples = []
+    for arg in f.args:
+        rv = fg.rv(arg)
+        triples.append(
+            (rv.evidence is not None, rv.evidence or "", rv.range.values, fg.degree(arg))
+        )
+    return len(f.args), sorted(triples)
+
+
+def _oracle_candidate_sets(fg, rtol):
+    """Every (unknown, known) pair compared; classes by a first-match scan."""
+    known = [f.id for f in fg.factors if not f.is_unknown]
+    out = []
+    for uid in sorted(fg.unknown_factor_ids):
+        cands = sorted(k for k in known if _oracle_profile(fg, uid) == _oracle_profile(fg, k))
+        groups = []
+        for fid in cands:
+            canon = canonical_table(fg.factor(fid).table)
+            for rep, members in groups:
+                if tables_equal(rep, canon, rtol):
+                    members.append(fid)
+                    break
+            else:
+                groups.append((canon, [fid]))
+        classes = sorted((tuple(m) for _, m in groups), key=lambda c: (-len(c), c))
+        out.append(CandidateSet(uid, tuple(cands), tuple(classes)))
+    return out
+
+
+def _oracle_mirrors(fg, uid, bk, rtol):
+    """Every individual mirroring the unknown's own, by a full scan; None if it has none."""
+    own = bk.individual_of(uid)
+    if own is None:
+        return None
+
+    def known(fids):
+        return [g for g in fids if fg.has_factor(g) and not fg.factor(g).is_unknown]
+
+    def canon(fid):
+        return canonical_table(fg.factor(fid).table)
+
+    return [
+        frozenset(fids)
+        for other, fids in bk.groups
+        if other != own
+        and all(
+            any(tables_equal(canon(fl), canon(g), rtol) for g in known(fids))
+            for fl in known(bk.factors_of(own))
+        )
+    ]
+
+
+def _oracle_rows(fg, theta, bk, rtol):
+    rows = []
+    for cs in _oracle_candidate_sets(fg, rtol):
+        sel = None
+        if cs.candidates:
+            pool, state = cs.classes, "n/a"
+            mirrors = None if bk is None else _oracle_mirrors(fg, cs.unknown_factor, bk, rtol)
+            if mirrors is not None:
+                mirror = mirrors[0] if len(mirrors) == 1 else frozenset()
+                supported = tuple(c for c in cs.classes if set(c) & mirror)
+                pool, state = (supported, "yes") if supported else (pool, "no")
+            chosen = pool[0]
+            ratio = len(chosen) / len(cs.candidates)
+            alignment = (
+                transfer._transfer_alignment(fg, chosen[0], cs.unknown_factor)
+                if ratio >= theta
+                else None
+            )
+            sel = Selection(chosen, ratio, ratio >= theta, state, alignment)
+        rows.append(replace(cs, chosen=sel))
+    return rows
+
+
+def _jittered(fg, rng):
+    """Known tables scaled by 1 + s: steps 0.6e-6 apart chain within 1e-6, 1.2e-6 does not."""
+    factors = []
+    for f in fg.factors:
+        if f.table is not None:
+            s = float(rng.choice([0.0, 0.0, 6e-7, 1.2e-6, 3e-6]))
+            f = replace(f, table=PotentialTable.from_array(f.table.array * (1.0 + s)))
+        factors.append(f)
+    return FactorGraph(fg.rvs, factors)
+
+
+def _random_individuals(fg, rng):
+    """Random individuals of one to three factors; some factors belong to none."""
+    fids = [fid for fid in fg.factor_ids if rng.random() < 0.85]
+    rng.shuffle(fids)
+    groups, i = {}, 0
+    while i < len(fids):
+        size = int(rng.integers(1, 4))
+        groups[f"ind{len(groups)}"] = fids[i : i + size]
+        i += size
+    return BackgroundKnowledge.from_dict(groups)
+
+
+def _per_core_rv(fg):
+    """One individual per core RV of a generated instance, holding its factors."""
+    return BackgroundKnowledge.from_dict(
+        {rv: fg.factors_of(rv) for rv in fg.rv_ids if rv.startswith("u_")}
+    )
+
+
+def _differential_cases(rng):
+    """(graph, background knowledge or None, theta): random graphs, then jittered cohorts."""
+    for trial in range(60):
+        fg = random_graph(
+            rng, n_rvs=7, n_factors=16, max_arity=3, pool_size=2,
+            evidence_frac=0.15, n_unknown=5,
+        )
+        if trial % 2:
+            fg = _jittered(fg, rng)
+        bk = _random_individuals(fg, rng) if trial % 3 else None
+        yield fg, bk, float(rng.choice([0.0, 0.5, 0.9]))
+    for seed in range(12):
+        cfg = ExperimentConfig(
+            d=int(rng.choice([8, 16])), p=0.5, unknown_fraction=0.2, cohorts=3,
+            queries_per_instance=3, theta=0.0, seed=seed,
+        )
+        fg = _jittered(generate_instance(cfg).incomplete, rng)
+        yield fg, _per_core_rv(fg), 0.0
+
+
+def test_key_based_completion_matches_pairwise_scan():
+    rng = np.random.default_rng(2024)
+    mirror_counts = set()
+    for fg, bk, theta in _differential_cases(rng):
+        for rtol in (0.0, 1e-6):
+            assert candidate_sets(fg, rtol) == _oracle_candidate_sets(fg, rtol)
+            expected = _oracle_rows(fg, theta, bk, rtol)
+            rows = complete_and_lift(fg, theta, bk, rtol).report.rows
+            assert list(rows) == expected
+            for row in rows:
+                alone = select_transfer_class(fg, replace(row, chosen=None), theta, bk, rtol)
+                assert alone == row.chosen
+                if bk is not None:
+                    mirrors = _oracle_mirrors(fg, row.unknown_factor, bk, rtol)
+                    if mirrors is not None:
+                        mirror_counts.add(min(len(mirrors), 2))
+            factors = list(fg.factors)
+            rng.shuffle(factors)
+            shuffled = FactorGraph(fg.rvs, factors)
+            assert complete_and_lift(shuffled, theta, bk, rtol).report.rows == rows
+    assert mirror_counts == {0, 1, 2}
+
+
+def test_completion_cost_is_linear_in_known_factors(monkeypatch):
+    """rtol 0: no table comparison and at most one canonicalisation per known factor."""
+    cfg = ExperimentConfig(
+        d=64, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=1
+    )
+    fg = generate_instance(cfg).incomplete
+    n_known = sum(1 for f in fg.factors if not f.is_unknown)
+    for bk in (None, _per_core_rv(fg)):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(transfer, "canonical_info", counted("canonical", transfer.canonical_info))
+            m.setattr(transfer, "canonical_table", counted("canonical", transfer.canonical_table))
+            m.setattr(transfer, "tables_equal", counted("equal", transfer.tables_equal))
+            result = complete_and_lift(fg, 0.0, bk, 0.0)
+        assert not result.report.unresolved
+        assert calls["equal"] == 0
+        assert 0 < calls["canonical"] <= n_known
