@@ -140,9 +140,9 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     rv_col = colouring.rv_colours
     fac_col = colouring.factor_colours
 
+    slots = [_slot_info(f) for f in fg.factors]
     factor_sigs: dict[str, tuple] = {}
-    for f in fg.factors:
-        slot_of_pos, orbit_of_slot = _slot_info(f)
+    for f, (slot_of_pos, orbit_of_slot) in zip(fg.factors, slots):
         pos_of_slot = invert_axes(slot_of_pos)
         per_orbit: dict[int, list[int]] = {}
         for slot in range(len(f.args)):
@@ -158,8 +158,7 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
 
     rv_sigs: dict[str, tuple] = {}
     messages: dict[str, list[tuple[int, int]]] = {rv.id: [] for rv in fg.rvs}
-    for f in fg.factors:
-        slot_of_pos, orbit_of_slot = _slot_info(f)
+    for f, (slot_of_pos, orbit_of_slot) in zip(fg.factors, slots):
         for pos, arg in enumerate(f.args):
             if arg in messages:
                 messages[arg].append((new_fac[f.id], orbit_of_slot[slot_of_pos[pos]]))

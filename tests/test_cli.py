@@ -264,6 +264,20 @@ def test_evaluate_counts_failing_instances_and_keeps_going(tmp_path, capsys, mon
     assert "d=2 p=0.5 unknown_frac=0.1 seed=1: no layout" in err
 
 
+def test_evaluate_answers_the_largest_grid_cells(tmp_path):
+    # d = 128 and 256 multiply hundreds of tables per marginal, far past
+    # float64 range unless elimination rescales its messages
+    tsv = tmp_path / "rows.tsv"
+    rc = main(["evaluate", "--d", "128,256", "--p", "0.5", "--unknown-frac", "0.1",
+               "--seeds", "3", "--out", str(tsv)])
+    assert rc == 0
+    lines = tsv.read_text().strip().split("\n")
+    data = [l.split("\t") for l in lines[1:-1]]
+    assert lines[-1].startswith(f"# summary instances=6 failed=0 queries={len(data)} ")
+    assert {(row[0], row[3]) for row in data} == {(d, s) for d in ("128", "256") for s in "012"}
+    assert all(float(row[5]) == 0.0 for row in data)
+
+
 def test_evaluate_rejects_empty_sweep(tmp_path, capsys):
     assert main(["evaluate", "--d", "", "--p", "0.5", "--unknown-frac", "0.1",
                  "--out", str(tmp_path / "o.tsv")]) == 2

@@ -1,5 +1,6 @@
 """Variable elimination against the enumeration oracle, plus divergence."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fglift import (
     BOOL_RANGE,
     DomainMismatch,
+    ExperimentConfig,
     Factor,
     FactorGraph,
     InconsistentEvidence,
@@ -17,10 +19,14 @@ from fglift import (
     UnknownFactorPresent,
     UnknownNode,
     compression_ratio,
+    generate_instance,
     kld,
     run_colour_passing,
+    run_experiment,
     variable_elimination,
 )
+from fglift.inference import _product, _reduced_factors
+from fglift.synth import max_cohorts
 from conftest import (
     ASYMMETRIC_2x2,
     chain_graph,
@@ -174,6 +180,165 @@ def test_variable_elimination_input_errors():
     )
     with pytest.raises(UnknownFactorPresent):
         variable_elimination(incomplete, "A")
+    infinite = FactorGraph(
+        (RandomVariable("A", BOOL_RANGE),),
+        (Factor("f", ("A",), PotentialTable((2,), (1.0, math.inf))),),
+    )
+    with pytest.raises(ValueError, match="finite"):
+        variable_elimination(infinite, "A")
+
+
+def full_scan_elimination(fg, query, evidence=None, order="min_degree"):
+    """Reference elimination without a priority queue and without rescaling.
+
+    Min-degree rescans every remaining variable's neighbourhood at each step
+    and takes the smallest (neighbour count, id); messages are never scaled,
+    so it overflows on large graphs. Evidence is the stored evidence merged
+    with ``evidence``, which must not conflict with it.
+    """
+    ev = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}
+    ev.update(evidence or {})
+    sizes = {r.id: len(r.range) for r in fg.rvs}
+    store = dict(enumerate(_reduced_factors(fg, ev)))
+    next_id = len(store)
+    var_facs = {}
+    for fid, (vars_, _) in store.items():
+        for v in vars_:
+            var_facs.setdefault(v, set()).add(fid)
+    remaining = {r.id for r in fg.rvs if r.id != query and r.id not in ev}
+    static_order = sorted(remaining, reverse=True)
+
+    def neighbour_count(v):
+        seen = set()
+        for fid in var_facs.get(v, ()):
+            seen.update(store[fid][0])
+        seen.discard(v)
+        return len(seen)
+
+    while remaining:
+        if order == "min_degree":
+            v = min(remaining, key=lambda u: (neighbour_count(u), u))
+        else:
+            v = next(u for u in static_order if u in remaining)
+        remaining.discard(v)
+        touched = sorted(var_facs.pop(v, ()))
+        if not touched:
+            continue
+        acc = store.pop(touched[0])
+        for fid in touched[1:]:
+            acc = _product(acc, store.pop(fid), sizes)
+        for fid in touched:
+            for u in set(acc[0]) | {v}:
+                var_facs.get(u, set()).discard(fid)
+        vars_, arr = acc
+        summed = arr.sum(axis=vars_.index(v))
+        new_vars = tuple(u for u in vars_ if u != v)
+        if new_vars:
+            store[next_id] = (new_vars, summed)
+            for u in new_vars:
+                var_facs.setdefault(u, set()).add(next_id)
+            next_id += 1
+    result = np.ones(sizes[query])
+    for vars_, arr in store.values():
+        assert vars_ == (query,)
+        result = result * arr
+    z = float(result.sum())
+    assert 0.0 < z < math.inf, "reference elimination overflowed"
+    return tuple(float(x) for x in result / z)
+
+
+def _random_evidence(rng, fg, query, count):
+    ids = [r for r in sorted(fg.rv_ids) if r != query and fg.rv(r).evidence is None]
+    picked = rng.choice(ids, min(count, len(ids)), replace=False)
+    return {
+        str(r): fg.rv(str(r)).range.values[int(rng.integers(len(fg.rv(str(r)).range)))]
+        for r in picked
+    }
+
+
+def assert_bit_identical_to_full_scan(fg, query, evidence=None):
+    for order in ORDERS:
+        got = variable_elimination(fg, query, evidence, order=order)
+        assert got.probabilities == full_scan_elimination(fg, query, evidence, order)
+
+
+def test_heap_order_matches_full_scan_bit_for_bit():
+    rng = np.random.default_rng(211)
+    for i in range(60):
+        g = random_graph(
+            rng,
+            n_rvs=int(rng.integers(4, 13)),
+            n_factors=int(rng.integers(4, 16)),
+            evidence_frac=0.3 if i % 2 else 0.0,
+        )
+        for query in g.rv_ids:
+            if g.rv(query).evidence is not None:
+                continue
+            assert_bit_identical_to_full_scan(g, query)
+            assert_bit_identical_to_full_scan(g, query, _random_evidence(rng, g, query, 2))
+
+
+def test_heap_order_matches_full_scan_on_generated_instances():
+    rng = np.random.default_rng(223)
+    for d, p, seed in [(8, 0.5, 1), (16, 0.2, 2), (32, 0.7, 3), (32, 0.9, 4), (64, 0.3, 5), (64, 0.5, 6)]:
+        cfg = ExperimentConfig(
+            d=d, p=p, unknown_fraction=0.1, cohorts=min(3, max_cohorts(d, p)),
+            queries_per_instance=4, theta=0.0, seed=seed,
+        )
+        inst = generate_instance(cfg)
+        for query in inst.queries:
+            assert_bit_identical_to_full_scan(inst.truth, query)
+            evidence = _random_evidence(rng, inst.truth, query, 3)
+            assert_bit_identical_to_full_scan(inst.truth, query, evidence)
+
+
+def _unary_stack(tables):
+    factors = tuple(
+        Factor(f"f{i:04d}", ("A",), PotentialTable((2,), t)) for i, t in enumerate(tables)
+    )
+    return FactorGraph((RandomVariable("A", BOOL_RANGE),), factors)
+
+
+def test_products_beyond_float64_range_are_rescaled():
+    for order in ORDERS:
+        big = _unary_stack([(10.0, 10.0)] * 1000)
+        assert variable_elimination(big, "A", order=order).probabilities == (0.5, 0.5)
+        # every product stays below 1 but their running product underflows
+        # unless the final vector is rescaled as it is built
+        alternating = _unary_stack([(1.0, 1e-3), (1e-3, 1.0)] * 300)
+        assert variable_elimination(alternating, "A", order=order).probabilities == (0.5, 0.5)
+
+
+def test_large_instances_answer_without_overflow():
+    for seed in range(3):
+        d, p = 128, 0.5
+        cfg = ExperimentConfig(
+            d=d, p=p, unknown_fraction=0.1, cohorts=min(3 + seed % 3, max_cohorts(d, p)),
+            queries_per_instance=3 + seed % 2, theta=0.0, seed=seed,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_experiment(cfg)
+        assert result.unresolved == 0
+        assert len(result.queries) == cfg.queries_per_instance
+        assert all(q.kld == 0.0 for q in result.queries)
+
+
+def test_true_zero_at_large_scale_raises():
+    # A is pushed far past float64 range by its unary factors, and the
+    # evidence B=true selects an all-zero column of the pairwise factor
+    big = _unary_stack([(10.0, 10.0)] * 1000)
+    g = FactorGraph(
+        tuple(big.rvs) + (RandomVariable("B", BOOL_RANGE),),
+        tuple(big.factors) + (Factor("pair", ("A", "B"), PotentialTable((2, 2), (1.0, 0.0, 1.0, 0.0))),),
+    )
+    for order in ORDERS:
+        assert variable_elimination(g, "A", order=order).probabilities == (0.5, 0.5)
+        assert variable_elimination(g, "B", order=order).probabilities == (1.0, 0.0)
+        with pytest.raises(InconsistentEvidence):
+            variable_elimination(g, "A", {"B": "true"}, order=order)
+        with pytest.raises(InconsistentEvidence):
+            variable_elimination(g.with_evidence({"B": "true"}), "A", order=order)
 
 
 def test_kld_frozen_values():
