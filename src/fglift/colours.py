@@ -4,15 +4,21 @@ Nodes start with structural colours (random variables by range and
 evidence, factors by the canonical form of their tables) and are repeatedly
 re-partitioned: each factor combines its own colour with the colours of its
 arguments, each RV combines its own colour with the multiset of factor
-colours it sees, annotated by *where* it sits in each factor. Argument
-positions are read through the table's canonical form, so positions that
-the potentials make interchangeable carry the same annotation. Refinement
-only ever splits classes, so the loop reaches a fixpoint after at most one
-round per node.
+colours it sees, annotated by the *port* it sits at in each factor. An
+argument position's port label is its symmetry orbit in the table's
+canonical form, so positions that the potentials make interchangeable share
+a label; unknown and over-arity tables label each position by itself. Every
+signature starts with the node's old colour, so a round only ever splits
+classes: the partition is stable as soon as the number of RV classes and of
+factor classes stops growing, after at most one round per node.
 
 The fixpoint partition is packaged as a :class:`Grouping`: classes plus one
-shared table and per-member argument alignments for every factor class,
-enough to reconstruct every ground factor bit-exactly.
+shared table and per-member argument alignments for every factor class.
+:func:`grounded_equivalence_check` asks that these rebuild every ground
+factor bit for bit, in time linear in the graph. That implies equal joints,
+and is stricter than comparing them: a member that is a constant multiple
+of its class table, or only near it, is rejected although normalisation
+would hide the difference.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import UnknownFactorPresent
-from .model import DEFAULT_STATE_CAP, Factor, FactorGraph, joint_distribution
+from .model import Factor, FactorGraph
 from .tables import (
     MAX_CANONICAL_ARITY,
     PotentialTable,
@@ -30,7 +36,6 @@ from .tables import (
     canonical_info,
     canonical_table,  # noqa: F401  (wrapped by name in bench/tracing.py)
     first_match_groups,
-    invert_axes,
     tables_equal,  # noqa: F401  (wrapped by name in bench/tracing.py)
 )
 
@@ -43,17 +48,18 @@ class Colouring:
     factor_colours: dict[str, int]
 
     def rv_partition(self) -> frozenset[frozenset[str]]:
-        return _partition(self.rv_colours)
+        return frozenset(frozenset(c) for c in _classes(self.rv_colours))
 
     def factor_partition(self) -> frozenset[frozenset[str]]:
-        return _partition(self.factor_colours)
+        return frozenset(frozenset(c) for c in _classes(self.factor_colours))
 
 
-def _partition(colours: Mapping[str, int]) -> frozenset[frozenset[str]]:
-    classes: dict[int, set[str]] = {}
+def _classes(colours: Mapping[str, int]) -> list[tuple[str, ...]]:
+    """Members of each colour, sorted; classes ordered by first member."""
+    classes: dict[int, list[str]] = {}
     for node, colour in colours.items():
-        classes.setdefault(colour, set()).add(node)
-    return frozenset(frozenset(c) for c in classes.values())
+        classes.setdefault(colour, []).append(node)
+    return sorted(tuple(sorted(members)) for members in classes.values())
 
 
 def _group_known_factors(
@@ -114,11 +120,11 @@ def initial_colouring(
     return Colouring(rv_colours, factor_colours)
 
 
-def _slot_info(factor: Factor) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(slot_of_position, orbit_of_slot) for one factor.
+def _ports(factor: Factor) -> tuple[int, ...]:
+    """Port label of each argument position: its canonical symmetry orbit.
 
-    Unknown factors and oversized tables use identity slots: positions are
-    then compared literally.
+    Unknown factors and oversized tables label each position by itself, so
+    positions are then compared literally.
     """
     n = len(factor.args)
     if (
@@ -126,10 +132,15 @@ def _slot_info(factor: Factor) -> tuple[tuple[int, ...], tuple[int, ...]]:
         or factor.table.arity != n
         or factor.table.arity > MAX_CANONICAL_ARITY
     ):
-        ident = tuple(range(n))
-        return ident, ident
+        return tuple(range(n))
     info = canonical_info(factor.table)
-    return info.slot_of_position, info.orbit_of_slot
+    return tuple(info.orbit_of_position(p) for p in range(n))
+
+
+def _recolour(sigs: dict[str, tuple], first: int) -> dict[str, int]:
+    """Dense colours from ``first`` on, in sorted-signature order."""
+    order = {sig: first + i for i, sig in enumerate(sorted(set(sigs.values())))}
+    return {node: order[sig] for node, sig in sigs.items()}
 
 
 def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
@@ -140,45 +151,44 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     rv_col = colouring.rv_colours
     fac_col = colouring.factor_colours
 
-    slots = [_slot_info(f) for f in fg.factors]
+    ports = [_ports(f) for f in fg.factors]
     factor_sigs: dict[str, tuple] = {}
-    for f, (slot_of_pos, orbit_of_slot) in zip(fg.factors, slots):
-        pos_of_slot = invert_axes(slot_of_pos)
-        per_orbit: dict[int, list[int]] = {}
-        for slot in range(len(f.args)):
-            arg = f.args[pos_of_slot[slot]]
-            per_orbit.setdefault(orbit_of_slot[slot], []).append(rv_col[arg])
-        sig = tuple(
-            (orbit, tuple(sorted(cols))) for orbit, cols in sorted(per_orbit.items())
-        )
+    for f, f_ports in zip(fg.factors, ports):
+        per_port: dict[int, list[int]] = {}
+        for port, arg in zip(f_ports, f.args):
+            per_port.setdefault(port, []).append(rv_col[arg])
+        sig = tuple((port, tuple(sorted(cols))) for port, cols in sorted(per_port.items()))
         factor_sigs[f.id] = (fac_col[f.id], sig)
-    fac_order = {sig: i for i, sig in enumerate(sorted(set(factor_sigs.values())))}
-    new_fac = {fid: fac_order[sig] for fid, sig in factor_sigs.items()}
-    n_factor_colours = len(fac_order)
+    new_fac = _recolour(factor_sigs, 0)
 
-    rv_sigs: dict[str, tuple] = {}
     messages: dict[str, list[tuple[int, int]]] = {rv.id: [] for rv in fg.rvs}
-    for f, (slot_of_pos, orbit_of_slot) in zip(fg.factors, slots):
-        for pos, arg in enumerate(f.args):
+    for f, f_ports in zip(fg.factors, ports):
+        for port, arg in zip(f_ports, f.args):
             if arg in messages:
-                messages[arg].append((new_fac[f.id], orbit_of_slot[slot_of_pos[pos]]))
-    for rv in fg.rvs:
-        rv_sigs[rv.id] = (rv_col[rv.id], tuple(sorted(messages[rv.id])))
-    rv_order = {sig: i for i, sig in enumerate(sorted(set(rv_sigs.values())))}
-    new_rv = {rid: n_factor_colours + rv_order[sig] for rid, sig in rv_sigs.items()}
+                messages[arg].append((new_fac[f.id], port))
+    rv_sigs = {rid: (rv_col[rid], tuple(sorted(msgs))) for rid, msgs in messages.items()}
+    new_rv = _recolour(rv_sigs, len(set(new_fac.values())))
     return Colouring(new_rv, new_fac)
 
 
+def _class_counts(colouring: Colouring) -> tuple[int, int]:
+    return len(set(colouring.rv_colours.values())), len(set(colouring.factor_colours.values()))
+
+
 def refine_to_fixpoint(fg: FactorGraph, colouring: Colouring) -> Colouring:
-    """Iterate colour_passing_step until the partition stops changing."""
+    """Iterate colour_passing_step until the partition stops changing.
+
+    A step only splits classes, so an unchanged number of RV classes and of
+    factor classes means an unchanged partition.
+    """
     current = colouring
-    parts = (current.rv_partition(), current.factor_partition())
+    counts = _class_counts(current)
     for _ in range(len(fg.rvs) + len(fg.factors) + 1):
         nxt = colour_passing_step(fg, current)
-        nxt_parts = (nxt.rv_partition(), nxt.factor_partition())
-        if nxt_parts == parts:
+        nxt_counts = _class_counts(nxt)
+        if nxt_counts == counts:
             return nxt
-        current, parts = nxt, nxt_parts
+        current, counts = nxt, nxt_counts
     raise RuntimeError("colour passing did not converge; this is a bug")
 
 
@@ -222,32 +232,19 @@ class Grouping:
 
 
 def grouping_from_colouring(fg: FactorGraph, colouring: Colouring) -> Grouping:
-    rv_groups: dict[int, list[str]] = {}
-    for rid, colour in colouring.rv_colours.items():
-        rv_groups.setdefault(colour, []).append(rid)
-    rv_classes = tuple(
-        sorted((tuple(sorted(members)) for members in rv_groups.values()), key=lambda c: c[0])
-    )
-
-    fac_groups: dict[int, list[str]] = {}
-    for fid, colour in colouring.factor_colours.items():
-        fac_groups.setdefault(colour, []).append(fid)
     classes: list[FactorClass] = []
-    for members in fac_groups.values():
-        members = sorted(members)
+    for members in _classes(colouring.factor_colours):
         rep = fg.factor(members[0])
-        if rep.is_unknown:
-            classes.append(FactorClass(tuple(members), None, None))
+        if rep.table is None:
+            classes.append(FactorClass(members, None, None))
             continue
-        assert rep.table is not None
         alignments = []
         for m in members:
             mf = fg.factor(m)
             assert mf.table is not None
             alignments.append(alignment_axes(rep.table, mf.table))
-        classes.append(FactorClass(tuple(members), rep.table, tuple(alignments)))
-    factor_classes = tuple(sorted(classes, key=lambda c: c.members[0]))
-    return Grouping(rv_classes, factor_classes)
+        classes.append(FactorClass(members, rep.table, tuple(alignments)))
+    return Grouping(tuple(_classes(colouring.rv_colours)), tuple(classes))
 
 
 def run_colour_passing(
@@ -264,48 +261,29 @@ def run_colour_passing(
     return grouping_from_colouring(fg, colouring)
 
 
-def grounded_equivalence_check(
-    fg: FactorGraph,
-    grouping: Grouping,
-    cap: int = DEFAULT_STATE_CAP,
-    tol: float = 1e-12,
-) -> bool:
-    """True iff expanding the grouping reproduces the graph's joint.
+def grounded_equivalence_check(fg: FactorGraph, grouping: Grouping) -> bool:
+    """True iff expanding the grouping rebuilds every ground factor bit for bit.
 
-    Every factor's table is rebuilt from its class table and alignment; the
-    joint of the rebuilt graph must match the original joint within ``tol``
-    per entry. Any structural mismatch (missing or doubly-grouped nodes,
-    classes without tables, misshapen alignments) yields False.
+    Every RV and every factor must sit in exactly one class, every factor
+    class must carry a table and one argument permutation per member, and
+    each member's table must equal ``FactorClass.member_table`` exactly.
+    Linear in the graph's size; equal tables imply equal joints.
     """
-    if set().union(*[set(c) for c in grouping.rv_classes] or [set()]) != set(fg.rv_ids):
+    if sorted(m for c in grouping.rv_classes for m in c) != sorted(fg.rv_ids):
         return False
-    if sum(len(c) for c in grouping.rv_classes) != len(fg.rv_ids):
+    if sorted(m for c in grouping.factor_classes for m in c.members) != sorted(fg.factor_ids):
         return False
-    seen: list[str] = []
-    for cls in grouping.factor_classes:
-        seen.extend(cls.members)
-    if sorted(seen) != sorted(fg.factor_ids):
-        return False
-
-    rebuilt: dict[str, PotentialTable] = {}
     for cls in grouping.factor_classes:
         if cls.table is None or cls.alignments is None:
             return False
         if len(cls.alignments) != len(cls.members):
             return False
-        for member, axes in zip(cls.members, cls.alignments):
-            original = fg.factor(member)
-            if original.table is None:
-                return False
+        for i, (member, axes) in enumerate(zip(cls.members, cls.alignments)):
             if sorted(axes) != list(range(cls.table.arity)):
                 return False
-            expanded = np.transpose(cls.table.array, axes)
-            if expanded.shape != original.table.shape:
+            if cls.member_table(i) != fg.factor(member).table:
                 return False
-            rebuilt[member] = PotentialTable.from_array(expanded)
-    truth = joint_distribution(fg, cap)
-    regrounded = joint_distribution(fg.with_tables(rebuilt), cap)
-    return bool(np.max(np.abs(truth - regrounded)) <= tol)
+    return True
 
 
 def grouping_report(grouping: Grouping) -> str:

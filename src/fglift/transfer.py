@@ -42,16 +42,6 @@ from .tables import (
 )
 
 
-def two_step_neighbourhood(fg: FactorGraph, factor_id: str) -> frozenset[str]:
-    """The factor itself, its argument RVs, and every factor sharing an RV."""
-    f = fg.factor(factor_id)
-    out: set[str] = {factor_id}
-    for arg in f.args:
-        out.add(arg)
-        out.update(fg.factors_of(arg))
-    return frozenset(out)
-
-
 def _argument_profiles(fg: FactorGraph, factor_id: str) -> tuple[tuple, ...]:
     """(evidence, range, degree) triple of each argument RV, in argument order."""
     out = []

@@ -2,28 +2,42 @@
 
 The chain and epidemic fixtures have hand-derived partitions; the random
 graphs are checked against invariants instead (soundness of classes,
-insertion-order and relabelling invariance, grounded reconstruction).
+insertion-order and relabelling invariance, grounded reconstruction). Two
+reference implementations are kept here: colour passing that reads argument
+positions through canonical slots, slot orbits and the inverse permutation,
+with a fixpoint that compares whole partitions (the library must give the
+same colour ids and groupings), and a grounded check that compares the two
+enumerated joints (the library's per-factor check must agree with it).
 """
 import numpy as np
 import pytest
 
 from fglift import (
     BOOL_RANGE,
+    ExperimentConfig,
     Factor,
     FactorGraph,
     PotentialTable,
     RandomVariable,
+    StateSpaceTooLarge,
     UnknownFactorPresent,
+    alignment_axes,
+    canonical_info,
     colour_passing_step,
+    complete_and_lift,
     compression_ratio,
+    generate_instance,
     grounded_equivalence_check,
     grouping_from_colouring,
     grouping_report,
     initial_colouring,
+    joint_distribution,
     refine_to_fixpoint,
     run_colour_passing,
+    state_space_size,
 )
-from fglift.colours import FactorClass, Grouping
+from fglift.colours import Colouring, FactorClass, Grouping
+from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
 from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2, chain_graph, epidemic_base, random_graph
 
 
@@ -283,3 +297,226 @@ def test_grouping_report_golden():
         "class 6 kind=factor size=4 members=f2_alice_m1,f2_alice_m2,f2_bob_m1,f2_bob_m2\n"
         "class 7 kind=factor size=2 members=f3_alice,f3_bob\n"
     )
+
+
+# -- reference colour passing: slots, orbits of slots, partition fixpoint ----------
+
+
+def _ref_slot_info(factor):
+    n = len(factor.args)
+    if factor.table is None or factor.table.arity != n or n > MAX_CANONICAL_ARITY:
+        ident = tuple(range(n))
+        return ident, ident
+    info = canonical_info(factor.table)
+    return info.slot_of_position, info.orbit_of_slot
+
+
+def _ref_step(fg, colouring):
+    rv_col, fac_col = colouring.rv_colours, colouring.factor_colours
+    slots = [_ref_slot_info(f) for f in fg.factors]
+    factor_sigs = {}
+    for f, (slot_of_pos, orbit_of_slot) in zip(fg.factors, slots):
+        pos_of_slot = invert_axes(slot_of_pos)
+        per_orbit = {}
+        for slot in range(len(f.args)):
+            arg = f.args[pos_of_slot[slot]]
+            per_orbit.setdefault(orbit_of_slot[slot], []).append(rv_col[arg])
+        sig = tuple((o, tuple(sorted(cols))) for o, cols in sorted(per_orbit.items()))
+        factor_sigs[f.id] = (fac_col[f.id], sig)
+    fac_order = {sig: i for i, sig in enumerate(sorted(set(factor_sigs.values())))}
+    new_fac = {fid: fac_order[sig] for fid, sig in factor_sigs.items()}
+    messages = {rv.id: [] for rv in fg.rvs}
+    for f, (slot_of_pos, orbit_of_slot) in zip(fg.factors, slots):
+        for pos, arg in enumerate(f.args):
+            if arg in messages:
+                messages[arg].append((new_fac[f.id], orbit_of_slot[slot_of_pos[pos]]))
+    rv_sigs = {rv.id: (rv_col[rv.id], tuple(sorted(messages[rv.id]))) for rv in fg.rvs}
+    rv_order = {sig: i for i, sig in enumerate(sorted(set(rv_sigs.values())))}
+    new_rv = {rid: len(fac_order) + rv_order[sig] for rid, sig in rv_sigs.items()}
+    return Colouring(new_rv, new_fac)
+
+
+def _ref_groups(colours):
+    out = {}
+    for node, colour in colours.items():
+        out.setdefault(colour, []).append(node)
+    return out.values()
+
+
+def _ref_parts(colouring):
+    return tuple(
+        frozenset(frozenset(m) for m in _ref_groups(colours))
+        for colours in (colouring.rv_colours, colouring.factor_colours)
+    )
+
+
+def _ref_fixpoint(fg, colouring):
+    current = colouring
+    while True:
+        nxt = _ref_step(fg, current)
+        if _ref_parts(nxt) == _ref_parts(current):
+            return nxt
+        current = nxt
+
+
+def _ref_grouping(fg, colouring):
+    rv_groups = (tuple(sorted(m)) for m in _ref_groups(colouring.rv_colours))
+    rv_classes = tuple(sorted(rv_groups, key=lambda c: c[0]))
+    classes = []
+    for members in _ref_groups(colouring.factor_colours):
+        members = tuple(sorted(members))
+        rep = fg.factor(members[0])
+        if rep.is_unknown:
+            classes.append(FactorClass(members, None, None))
+            continue
+        alignments = tuple(alignment_axes(rep.table, fg.factor(m).table) for m in members)
+        classes.append(FactorClass(members, rep.table, alignments))
+    return Grouping(rv_classes, tuple(sorted(classes, key=lambda c: c.members[0])))
+
+
+def _with_symmetries(g, rng):
+    """Make about half the tables symmetric in their first two axes (where
+    their sizes agree) and nudge a third by a relative 3e-7; repeated tables
+    stay repeated, so classes of several members survive."""
+    cache = {}
+
+    def variant(table, kind):
+        key = (table, kind)
+        if key not in cache:
+            arr = table.array
+            if kind & 1 and arr.ndim >= 2 and arr.shape[0] == arr.shape[1]:
+                arr = arr + np.swapaxes(arr, 0, 1)
+            if kind & 2:
+                arr = arr * (1.0 + 3e-7)
+            cache[key] = PotentialTable.from_array(arr)
+        return cache[key]
+
+    factors = []
+    for f in g.factors:
+        if f.table is not None:
+            kind = int(rng.integers(2)) | 2 * int(rng.random() < 0.3)
+            f = Factor(f.id, f.args, variant(f.table, kind))
+        factors.append(f)
+    return FactorGraph(g.rvs, factors)
+
+
+def _differential_cases(rng):
+    for trial in range(40):
+        g = random_graph(
+            rng, n_rvs=5 + trial % 4, n_factors=6 + trial % 6, max_arity=3 + trial % 2,
+            pool_size=2, evidence_frac=0.2 if trial % 2 else 0.0, n_unknown=int(rng.integers(4)),
+        )
+        yield _with_symmetries(g, rng)
+    for d, seed in [(8, 1), (16, 2), (32, 3), (64, 4)]:
+        cfg = ExperimentConfig(
+            d=d, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0,
+            seed=seed,
+        )
+        inst = generate_instance(cfg)
+        yield inst.truth
+        yield _with_symmetries(inst.incomplete, rng)
+
+
+def test_colour_passing_matches_slot_orbit_reference():
+    rng = np.random.default_rng(811)
+    rounds = 0
+    for g in _differential_cases(rng):
+        unknown = g.unknown_factor_ids
+        tags = {fid: int(rng.integers(max(1, len(unknown) // 2))) for fid in unknown}
+        for rtol in (0.0, 1e-6):
+            start = initial_colouring(g, rtol, tags)
+            current = start
+            while True:
+                nxt = _ref_step(g, current)
+                assert colour_passing_step(g, current) == nxt
+                rounds += 1
+                if _ref_parts(nxt) == _ref_parts(current):
+                    break
+                current = nxt
+            fix = refine_to_fixpoint(g, start)
+            assert fix == _ref_fixpoint(g, start) == nxt
+            assert grouping_from_colouring(g, fix) == _ref_grouping(g, fix)
+            assert run_colour_passing(g, rtol, tags) == _ref_grouping(g, fix)
+    assert rounds > 200
+
+
+# -- reference grounded check: compare the enumerated joints ------------------------
+
+
+def _joint_check(fg, grouping, tol=1e-12):
+    """Structural checks, then the joint of the rebuilt graph against the original."""
+    if sorted(m for c in grouping.rv_classes for m in c) != sorted(fg.rv_ids):
+        return False
+    if sorted(m for c in grouping.factor_classes for m in c.members) != sorted(fg.factor_ids):
+        return False
+    rebuilt = {}
+    for cls in grouping.factor_classes:
+        if cls.table is None or cls.alignments is None or len(cls.alignments) != len(cls.members):
+            return False
+        for member, axes in zip(cls.members, cls.alignments):
+            original = fg.factor(member)
+            if original.table is None or sorted(axes) != list(range(cls.table.arity)):
+                return False
+            expanded = np.transpose(cls.table.array, axes)
+            if expanded.shape != original.table.shape:
+                return False
+            rebuilt[member] = PotentialTable.from_array(expanded)
+    truth = joint_distribution(fg)
+    regrounded = joint_distribution(fg.with_tables(rebuilt))
+    return bool(np.max(np.abs(truth - regrounded)) <= tol)
+
+
+def test_grounded_check_agrees_with_joint_oracle(monkeypatch):
+    check = grounded_equivalence_check
+    verdicts = []
+
+    def agreeing(fg, grouping):
+        verdict = check(fg, grouping)
+        assert verdict == _joint_check(fg, grouping)
+        verdicts.append(verdict)
+        return verdict
+
+    # every grouping the rejection tests build, mangled or not
+    monkeypatch.setitem(globals(), "grounded_equivalence_check", agreeing)
+    test_grounded_check_rejects_wrong_merges()
+    test_grounded_check_rejects_structural_mangles()
+    assert verdicts == [True] + [False] * 6
+
+    rng = np.random.default_rng(307)
+    graphs = 0
+    while graphs < 40:
+        big = graphs % 10 == 9
+        g = random_graph(
+            rng,
+            n_rvs=(12 + int(rng.integers(4))) if big else 4 + int(rng.integers(6)),
+            n_factors=(13 + int(rng.integers(4))) if big else 5 + int(rng.integers(6)),
+        )
+        if state_space_size(g) > 2**16:
+            continue
+        graphs += 1
+        grouping = run_colour_passing(g)
+        assert check(g, grouping) and _joint_check(g, grouping)
+
+
+def test_grounded_check_rejects_a_scaled_member():
+    t = PotentialTable((2,), (1.0, 3.0))
+    g = FactorGraph(
+        (RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)),
+        (Factor("u", ("A",), t), Factor("v", ("B",), PotentialTable((2,), (2.0, 6.0)))),
+    )
+    scaled = Grouping((("A", "B"),), (FactorClass(("u", "v"), t, ((0,), (0,))),))
+    # normalisation hides the factor 2 from the joint, not from the tables
+    assert _joint_check(g, scaled)
+    assert not grounded_equivalence_check(g, scaled)
+
+
+def test_grounded_check_runs_beyond_the_joint_cap():
+    cfg = ExperimentConfig(
+        d=256, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0,
+        seed=1, standard_grids=False,
+    )
+    result = complete_and_lift(generate_instance(cfg).incomplete, cfg.theta)
+    assert not result.report.unresolved
+    with pytest.raises(StateSpaceTooLarge):
+        joint_distribution(result.completed)
+    assert grounded_equivalence_check(result.completed, result.grouping)

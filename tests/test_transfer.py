@@ -25,7 +25,6 @@ from fglift import (
     select_transfer_class,
     tables_equal,
     transfer_report_text,
-    two_step_neighbourhood,
 )
 from fglift import transfer
 from conftest import (
@@ -40,28 +39,6 @@ from conftest import (
     eve_dave_bk,
     random_graph,
 )
-
-
-def test_two_step_neighbourhood():
-    g = chain_graph()
-    assert two_step_neighbourhood(g, "f1") == frozenset({"f1", "A", "B", "f2"})
-    iso = FactorGraph(
-        (RandomVariable("A", BOOL_RANGE),),
-        (Factor("f", ("A",), PotentialTable((2,), (1.0, 2.0))),),
-    )
-    assert two_step_neighbourhood(iso, "f") == frozenset({"f", "A"})
-    assert two_step_neighbourhood(epidemic_base(), "f0") == frozenset(
-        {
-            "Epid",
-            "f0",
-            "f1_alice",
-            "f1_bob",
-            "f2_alice_m1",
-            "f2_alice_m2",
-            "f2_bob_m1",
-            "f2_bob_m2",
-        }
-    )
 
 
 def test_indistinguishable_goldens():
