@@ -25,7 +25,7 @@ from .errors import (
     InconsistentEvidence,
     ParseError,
 )
-from .inference import variable_elimination
+from .inference import marginals
 from .model import validate, validate_background
 from .modelio import (
     parse_background,
@@ -113,10 +113,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         with open(args.evidence) as fh:
             evidence = parse_evidence(fh.read())
     lines = []
-    for rv in args.rv:
-        marginal = variable_elimination(fg, rv, evidence, order=args.order)
+    for marginal in marginals(fg, args.rv, evidence, order=args.order):
         probs = ",".join(format(p, ".12g") for p in marginal.probabilities)
-        lines.append(f"{rv} {probs}")
+        lines.append(f"{marginal.rv} {probs}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,8 +1,8 @@
 """Exact marginal inference and distribution comparison.
 
 Variable elimination works on the factor tables directly: evidence is
-indexed out, every non-query variable is summed out of the product of the
-factors touching it, and the final vector over the query is normalised.
+indexed out, every other variable is summed out of the product of the
+factors touching it, and the final vector over a query is normalised.
 Two elimination orders are available, the greedy min-degree heuristic
 (default) and reverse lexicographic id order; both must agree, which the
 tests exploit.
@@ -14,23 +14,47 @@ O((n + fill) log n) for n variables and ``fill`` neighbour-set updates,
 instead of rescanning every remaining variable at every step. Ties go to
 the smallest id.
 
-Products and sums are kept inside float64 range by exact power-of-two
-rescaling: whenever the maximum of a product, a summed-out message or the
-final vector leaves [2**-256, 2**256], the table is multiplied by 2**-e so
-that its maximum lies in [0.5, 1). The scale cancels in the normalisation,
-and because a power of two changes no mantissa, every marginal that the
-unscaled products compute without overflow or underflow comes out bit for
-bit the same. Factor entries must be finite, non-negative and below 2**500,
-so that no single product of two tables overflows. InconsistentEvidence then
-means what it says: the evidence conflicts, or every configuration
-consistent with it has a zero factor entry; it is never an overflow.
+Several marginals come from one elimination (two-pass calibration, as in
+Lauritzen and Spiegelhalter 1988). Eliminating v multiplies the tables
+touching it into its cluster and sums v out into a message over the
+cluster's other variables, its separator; the variable that later consumes
+the message is v's parent in the elimination tree, and a variable whose
+message is a scalar is the root of its connected component. The upward
+pass is that elimination, with the first unobserved query appended after
+the order of every other unobserved variable, so it is eliminated last and
+roots its component. It keeps the cluster and message of each variable
+whose subtree holds a query, and nothing else. The downward pass then runs
+only along the paths from each other query up to its root, memoised per
+cluster: the belief of a root is its cluster; the belief of a child c is
+its cluster times the message down from its parent p, which is p's belief
+summed onto c's separator and divided by c's upward message, with
+0/0 := 0 (a zero upward message means c's cluster is zero there). A
+query's marginal is its cluster's belief summed onto the query and
+normalised. With one query the tree's root is the query itself and no
+downward pass runs: the order is the single query's order, and the last
+cluster differs from the product of the query's remaining tables only by
+exact powers of two, so single-query answers are those of plain
+elimination bit for bit. Each extra query costs the clusters on its path
+instead of a whole elimination.
+
+Products, ratios and sums are kept inside float64 range by exact
+power-of-two rescaling: whenever the maximum of a product, a downward or
+summed-out message or a belief leaves [2**-256, 2**256], the table is
+multiplied by 2**-e so that its maximum lies in [0.5, 1). The scale cancels
+in the normalisation, and because a power of two changes no mantissa,
+every marginal that the unscaled products compute without overflow or
+underflow comes out bit for bit the same. Factor entries must be finite,
+non-negative and below 2**500, so that no single product of two tables
+overflows. InconsistentEvidence then means what it says: the evidence
+conflicts, or every configuration consistent with it has a zero factor
+entry; it is never an overflow.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
 from math import frexp, isfinite, log
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -154,27 +178,40 @@ def _in_range(arr: np.ndarray) -> np.ndarray:
     return np.ldexp(arr, -frexp(m)[1])
 
 
-def variable_elimination(
+def _sum_to(
+    table: tuple[tuple[str, ...], np.ndarray], keep: tuple[str, ...]
+) -> np.ndarray:
+    """``table`` summed over every variable outside ``keep``, axes in ``keep`` order."""
+    vars_, arr = table
+    arr = arr.sum(axis=tuple(i for i, v in enumerate(vars_) if v not in keep))
+    rest = [v for v in vars_ if v in keep]
+    return np.transpose(arr, [rest.index(v) for v in keep])
+
+
+def marginals(
     fg: FactorGraph,
-    query: str,
+    queries: Sequence[str],
     evidence: Mapping[str, str] | None = None,
     order: str = "min_degree",
-) -> Marginal:
-    """Exact posterior marginal of ``query`` given evidence.
+) -> tuple[Marginal, ...]:
+    """Exact posterior marginals of ``queries`` given evidence, in query order.
 
     Evidence stored on RVs and passed here are merged; a conflict between
     the two raises InconsistentEvidence, as does evidence under which every
     configuration has a zero factor entry. Querying an observed RV yields a
-    point mass on its observed value. Non-finite or negative table entries
-    that leave the normaliser non-finite or negative raise ValueError. See
-    the module docstring for the order and the rescaling.
+    point mass on its observed value; a repeated query yields the same
+    marginal twice. Non-finite or negative table entries that leave a
+    normaliser non-finite or negative raise ValueError. See the module
+    docstring for the order, the two passes and the rescaling.
     """
+    if isinstance(queries, str):
+        raise TypeError("queries must be a sequence of RV ids, not one id")
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
     unknown = fg.unknown_factor_ids
     if unknown:
         raise UnknownFactorPresent(f"unknown factors present: {', '.join(unknown)}")
-    rv = fg.rv(query)
+    rvs = [fg.rv(q) for q in queries]
 
     ev: dict[str, str] = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}
     for k, v in (evidence or {}).items():
@@ -184,10 +221,35 @@ def variable_elimination(
         if k in ev and ev[k] != v:
             raise InconsistentEvidence(f"conflicting evidence for {k!r}: {ev[k]!r} vs {v!r}")
         ev[k] = v
-    if query in ev:
-        probs = tuple(1.0 if val == ev[query] else 0.0 for val in rv.range.values)
-        return Marginal(query, rv.range.values, probs)
+    hidden = list(dict.fromkeys(rv.id for rv in rvs if rv.id not in ev))
+    beliefs = _beliefs(fg, ev, hidden, order) if hidden else {}
 
+    out: list[Marginal] = []
+    for rv in rvs:
+        if rv.id in ev:
+            probs = tuple(1.0 if val == ev[rv.id] else 0.0 for val in rv.range.values)
+        else:
+            result = _sum_to(beliefs[rv.id], (rv.id,))
+            z = float(result.sum())
+            if not isfinite(z) or z < 0.0:
+                raise ValueError("factor tables must be finite and non-negative")
+            if z == 0.0:
+                raise InconsistentEvidence("distribution is identically zero under evidence")
+            probs = tuple(float(x) for x in result / z)
+        out.append(Marginal(rv.id, rv.range.values, probs))
+    return tuple(out)
+
+
+def _beliefs(
+    fg: FactorGraph, ev: dict[str, str], hidden: list[str], order: str
+) -> dict[str, tuple[tuple[str, ...], np.ndarray]]:
+    """Unnormalised joint of each RV in ``hidden`` with its cluster, under ``ev``.
+
+    The upward pass eliminates every unobserved RV, ``hidden[0]`` last, and
+    keeps the cluster product and upward message of each RV whose subtree
+    holds a query; the downward pass then calibrates only the clusters on
+    the paths from the other queries up to their roots.
+    """
     sizes = {r.id: len(r.range) for r in fg.rvs}
     store: dict[int, tuple[tuple[str, ...], np.ndarray]] = dict(
         enumerate(_reduced_factors(fg, ev))
@@ -198,20 +260,37 @@ def variable_elimination(
         for v in vars_:
             var_facs.setdefault(v, set()).add(fid)
 
-    remaining = {r.id for r in fg.rvs if r.id != query and r.id not in ev}
+    root, wanted = hidden[0], set(hidden)
+    remaining = {r.id for r in fg.rvs if r.id != root and r.id not in ev}
     if order == "min_degree":
         elimination = _min_degree_order([vars_ for vars_, _ in store.values()], remaining)
     else:
         elimination = sorted(remaining, reverse=True)
+    elimination.append(root)
 
+    # The elimination tree, kept only where a query lies in the subtree.
+    cluster: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+    message: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+    parent: dict[str, str] = {}
+    sender: dict[int, str] = {}  # id of a kept message -> the RV that sent it
     for v in elimination:
         touched = sorted(var_facs.pop(v, ()))
-        if not touched:
+        keep = v in wanted
+        for fid in touched:
+            if fid in sender:
+                parent[sender.pop(fid)] = v
+                keep = True
+        if touched:
+            acc = store.pop(touched[0])
+            for fid in touched[1:]:
+                vars_, arr = _product(acc, store.pop(fid), sizes)
+                acc = vars_, _in_range(arr)
+        elif v in wanted:
+            acc = (v,), np.ones(sizes[v], dtype=np.float64)
+        else:
             continue
-        acc = store.pop(touched[0])
-        for fid in touched[1:]:
-            vars_, arr = _product(acc, store.pop(fid), sizes)
-            acc = vars_, _in_range(arr)
+        if keep:
+            cluster[v] = acc
         vars_, arr = acc
         summed = arr.sum(axis=vars_.index(v))
         new_vars = tuple(u for u in vars_ if u != v)
@@ -220,25 +299,40 @@ def variable_elimination(
                 raise InconsistentEvidence("distribution is identically zero under evidence")
             continue
         store[next_id] = (new_vars, _in_range(summed))
+        if keep:
+            message[v] = store[next_id]
+            sender[next_id] = v
         for u in new_vars:
             facs = var_facs[u]
             facs.difference_update(touched)
             facs.add(next_id)
         next_id += 1
 
-    result = np.ones(sizes[query], dtype=np.float64)
-    for vars_, arr in store.values():
-        if vars_ == (query,):
-            result = _in_range(result * arr)
-        elif vars_:  # pragma: no cover - cannot happen once all others are eliminated
-            raise RuntimeError(f"factor over {vars_} survived elimination")
-    z = float(result.sum())
-    if not isfinite(z) or z < 0.0:
-        raise ValueError("factor tables must be finite and non-negative")
-    if z == 0.0:
-        raise InconsistentEvidence("distribution is identically zero under evidence")
-    probs = tuple(float(x) for x in result / z)
-    return Marginal(query, rv.range.values, probs)
+    belief: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+    for v in hidden:
+        path: list[str] = []
+        while v not in belief and v in parent:
+            path.append(v)
+            v = parent[v]
+        belief.setdefault(v, cluster[v])
+        for c in reversed(path):
+            sep, m = message[c]
+            passed = _sum_to(belief[parent[c]], sep)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                down = np.where(m == 0.0, 0.0, passed / m)
+            vars_, arr = _product(cluster[c], (sep, _in_range(down)), sizes)
+            belief[c] = vars_, _in_range(arr)
+    return belief
+
+
+def variable_elimination(
+    fg: FactorGraph,
+    query: str,
+    evidence: Mapping[str, str] | None = None,
+    order: str = "min_degree",
+) -> Marginal:
+    """Exact posterior marginal of ``query`` given evidence, as ``marginals`` gives it."""
+    return marginals(fg, (query,), evidence, order)[0]
 
 
 def kld(p: Marginal, q: Marginal) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationInfeasible
-from .inference import compression_ratio, kld, variable_elimination
+from .inference import compression_ratio, kld, marginals
 from .model import BOOL_RANGE, Factor, FactorGraph, RandomVariable, RangeSpec
 from .tables import PotentialTable
 from .transfer import complete_and_lift
@@ -444,10 +444,9 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     rv_ratio, factor_ratio = compression_ratio(result.grouping, result.completed)
     queries: list[QueryResult] = []
     if not result.report.unresolved:
-        for q in inst.queries:
-            truth_marginal = variable_elimination(inst.truth, q)
-            completed_marginal = variable_elimination(result.completed, q)
-            queries.append(QueryResult(q, kld(truth_marginal, completed_marginal)))
+        truth = marginals(inst.truth, inst.queries)
+        completed = marginals(result.completed, inst.queries)
+        queries = [QueryResult(t.rv, kld(t, c)) for t, c in zip(truth, completed)]
     return InstanceResult(
         config=cfg,
         n_rvs=len(inst.truth.rvs),

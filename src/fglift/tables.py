@@ -31,9 +31,12 @@ class PotentialTable:
         One range size per argument, in argument order. Must be non-empty.
     entries:
         Flat row-major list of table values, ``prod(shape)`` of them.
+
+    A -0.0 entry is stored as 0.0, so tables whose entries compare equal are
+    equal and hash alike; a table holding NaN equals no table, itself included.
     """
 
-    __slots__ = ("_array", "_hash")
+    __slots__ = ("_array", "_bytes", "_nan", "_hash")
 
     def __init__(self, shape: Sequence[int], entries: Iterable[float]) -> None:
         shape_t = tuple(int(s) for s in shape)
@@ -46,9 +49,12 @@ class PotentialTable:
             raise ValueError(
                 f"expected {prod(shape_t)} entries for shape {shape_t}, got {flat.size}"
             )
-        arr = flat.reshape(shape_t)
-        arr.flags.writeable = False
-        object.__setattr__(self, "_array", arr)
+        # -0.0 + 0.0 is 0.0; the array is a read-only view of the bytes that
+        # equality and hashing compare
+        data = (flat + 0.0).tobytes()
+        object.__setattr__(self, "_array", np.frombuffer(data, dtype=np.float64).reshape(shape_t))
+        object.__setattr__(self, "_bytes", data)
+        object.__setattr__(self, "_nan", bool(np.isnan(flat).any()))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -79,12 +85,13 @@ class PotentialTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PotentialTable):
             return NotImplemented
-        return self.shape == other.shape and np.array_equal(self._array, other._array)
+        # equal bytes hold NaN on both sides or on neither; NaN equals nothing
+        return self._bytes == other._bytes and self.shape == other.shape and not self._nan
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.shape, self._array.tobytes()))
+            h = hash((self.shape, self._bytes))
             object.__setattr__(self, "_hash", h)
         return h
 

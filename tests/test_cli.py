@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fglift import (
+    ExperimentConfig,
     GenerationInfeasible,
     InconsistentEvidence,
     PotentialTable,
@@ -11,6 +12,7 @@ from fglift import (
     serialize_background,
     serialize_evidence,
     serialize_model,
+    generate_instance,
     variable_elimination,
 )
 from fglift.cli import main
@@ -147,6 +149,27 @@ def test_query_with_evidence_order_and_outfile(tmp_path):
     assert out_a.read_text() == out_b.read_text()
     got = tuple(float(x) for x in out_a.read_text().split(" ")[1].split(","))
     assert got == pytest.approx((21 / 55, 34 / 55), rel=1e-12)
+
+
+def test_query_with_several_rvs_matches_per_rv_elimination(tmp_path, capsys):
+    inst = generate_instance(ExperimentConfig(
+        d=8, p=0.5, unknown_fraction=0.1, cohorts=3, queries_per_instance=3, theta=0.0, seed=1,
+    ))
+    g = inst.truth
+    model = model_file(tmp_path, g)
+    observed = next(r for r in g.rvs if r.id not in inst.queries)
+    evidence = {observed.id: observed.range.values[1]}
+    ev_path = write(tmp_path / "ev.txt", serialize_evidence(evidence))
+    rv_args = [a for q in inst.queries for a in ("--rv", q)]
+    for extra, ev in [([], None), (["--evidence", ev_path], evidence)]:
+        for order in ("min_degree", "reverse_id"):
+            assert main(["query", "--model", model, *rv_args, *extra, "--order", order]) == 0
+            expected = "".join(
+                f"{q} " + ",".join(format(p, ".12g") for p in
+                                   variable_elimination(g, q, ev, order=order).probabilities) + "\n"
+                for q in inst.queries
+            )
+            assert capsys.readouterr().out == expected
 
 
 def test_query_error_paths(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Variable elimination against the enumeration oracle, plus divergence."""
+"""Variable elimination and several marginals from one elimination against the enumeration oracle, plus divergence."""
 import math
 import warnings
 
@@ -11,6 +11,7 @@ from fglift import (
     ExperimentConfig,
     Factor,
     FactorGraph,
+    GenerationInfeasible,
     InconsistentEvidence,
     InfiniteDivergence,
     Marginal,
@@ -18,18 +19,22 @@ from fglift import (
     RandomVariable,
     UnknownFactorPresent,
     UnknownNode,
+    complete_and_lift,
     compression_ratio,
     generate_instance,
     kld,
+    marginals,
     run_colour_passing,
     run_experiment,
+    state_space_size,
     variable_elimination,
 )
 from fglift.inference import _product, _reduced_factors
-from fglift.synth import max_cohorts
+from fglift.synth import InstanceResult, QueryResult, max_cohorts
 from conftest import (
     ASYMMETRIC_2x2,
     chain_graph,
+    enumerate_weights,
     epidemic_base,
     oracle_marginal,
     random_graph,
@@ -339,6 +344,246 @@ def test_true_zero_at_large_scale_raises():
             variable_elimination(g, "A", {"B": "true"}, order=order)
         with pytest.raises(InconsistentEvidence):
             variable_elimination(g.with_evidence({"B": "true"}), "A", order=order)
+
+
+# -- several marginals from one elimination ---------------------------------
+
+
+def _with_zero_entries(rng, fg, frac):
+    """``fg`` with about ``frac`` of every table's entries set to zero."""
+    factors = []
+    for f in fg.factors:
+        entries = np.array(f.table.entries)
+        entries[rng.random(entries.size) < frac] = 0.0
+        factors.append(Factor(f.id, f.args, PotentialTable(f.table.shape, entries.tolist())))
+    return FactorGraph(fg.rvs, factors)
+
+
+def _prefixed(fg, prefix):
+    return FactorGraph(
+        tuple(RandomVariable(prefix + r.id, r.range, r.evidence) for r in fg.rvs),
+        tuple(Factor(prefix + f.id, tuple(prefix + a for a in f.args), f.table) for f in fg.factors),
+    )
+
+
+def _has_mass(fg, evidence=None):
+    """Whether some configuration consistent with the evidence has non-zero weight."""
+    ev = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}
+    ev.update(evidence or {})
+    ids, weights = enumerate_weights(fg)
+    fixed = {ids.index(r): fg.rv(r).range.index(v) for r, v in ev.items()}
+    return any(w > 0.0 and all(a[i] == v for i, v in fixed.items()) for a, w in weights.items())
+
+
+def assert_marginals_match_oracle(fg, queries, evidence=None, tol=1e-12):
+    for order in ORDERS:
+        got = marginals(fg, queries, evidence, order=order)
+        assert [m.rv for m in got] == list(queries)
+        for q, m in zip(queries, got):
+            assert m.values == fg.rv(q).range.values
+            assert np.allclose(m.probabilities, oracle_marginal(fg, q, evidence), rtol=0.0, atol=tol)
+
+
+def test_marginals_match_enumeration():
+    rng = np.random.default_rng(401)
+    zeros_seen = 0
+    for i in range(60):
+        g = random_graph(
+            rng, n_rvs=int(rng.integers(3, 8)), n_factors=int(rng.integers(3, 10)),
+            evidence_frac=0.3 if i % 2 else 0.0,
+        )
+        if i % 4 >= 2:
+            g = _with_zero_entries(rng, g, 0.3)
+        all_rvs = list(g.rv_ids)
+        rng.shuffle(all_rvs)
+        evidence = _random_evidence(rng, g, all_rvs[0], 2)
+        if not (_has_mass(g) and _has_mass(g, evidence)):
+            for ev in (None, evidence):
+                observed = {r.id for r in g.rvs if r.evidence is not None} | set(ev or ())
+                if not _has_mass(g, ev) and set(all_rvs) - observed:
+                    with pytest.raises(InconsistentEvidence):
+                        marginals(g, all_rvs, ev)
+            continue
+        zeros_seen += i % 4 >= 2
+        # every RV in one call, observed ones included, then passed evidence
+        assert_marginals_match_oracle(g, all_rvs)
+        assert_marginals_match_oracle(g, all_rvs, evidence)
+        # a repeated query, and a query observed through passed evidence
+        observed = next(iter(evidence))
+        assert_marginals_match_oracle(g, [all_rvs[-1], observed, all_rvs[-1], all_rvs[0]], evidence)
+    assert zeros_seen >= 8
+
+
+def test_marginals_across_connected_components():
+    rng = np.random.default_rng(409)
+    for i in range(12):
+        left = random_graph(rng, n_rvs=3, n_factors=3, evidence_frac=0.2)
+        right = random_graph(rng, n_rvs=4, n_factors=5, evidence_frac=0.2)
+        if i % 2:
+            right = _with_zero_entries(rng, right, 0.2)
+        g = FactorGraph(
+            _prefixed(left, "a").rvs + _prefixed(right, "b").rvs,
+            _prefixed(left, "a").factors + _prefixed(right, "b").factors,
+        )
+        if not _has_mass(g):
+            continue
+        queries = [r for r in g.rv_ids if r.startswith("b")] + [r for r in g.rv_ids if r.startswith("a")]
+        assert_marginals_match_oracle(g, queries)
+        assert_marginals_match_oracle(g, queries[::-1])
+
+
+def assert_marginals_match_elimination(fg, queries, evidence=None, tol=1e-12):
+    for order in ORDERS:
+        got = marginals(fg, queries, evidence, order=order)
+        # the first query is the root of the elimination tree, so it is the
+        # single-query answer bit for bit
+        assert got[0] == variable_elimination(fg, queries[0], evidence, order=order)
+        for q, m in zip(queries, got):
+            expected = variable_elimination(fg, q, evidence, order=order)
+            assert m.rv == q and m.values == expected.values
+            assert np.allclose(m.probabilities, expected.probabilities, rtol=0.0, atol=tol)
+
+
+def test_marginals_match_elimination_on_criterion_6_graphs():
+    rng = np.random.default_rng(307)
+    graphs = 0
+    while graphs < 300:
+        big = graphs % 50 == 49
+        g = random_graph(
+            rng,
+            n_rvs=(12 + int(rng.integers(4))) if big else 4 + int(rng.integers(6)),
+            n_factors=(13 + int(rng.integers(4))) if big else 5 + int(rng.integers(6)),
+            evidence_frac=0.2 if graphs % 2 else 0.0,
+        )
+        if state_space_size(g) > 2**16:
+            continue
+        graphs += 1
+        assert_marginals_match_elimination(g, list(g.rv_ids))
+
+
+def test_marginals_match_elimination_on_generated_instances():
+    rng = np.random.default_rng(419)
+    for d, p, seed in [(8, 0.5, 1), (16, 0.2, 2), (32, 0.7, 3), (64, 0.3, 5), (128, 0.5, 0), (128, 0.5, 1)]:
+        cfg = ExperimentConfig(
+            d=d, p=p, unknown_fraction=0.1, cohorts=min(3 + seed % 3, max_cohorts(d, p)),
+            queries_per_instance=3 + seed % 2, theta=0.0, seed=seed,
+        )
+        inst = generate_instance(cfg)
+        queries = list(inst.queries) + sorted(inst.truth.rv_ids)[:: max(1, d // 8)]
+        assert_marginals_match_elimination(inst.truth, queries)
+        evidence = _random_evidence(rng, inst.truth, queries[0], 3)
+        assert_marginals_match_elimination(inst.truth, queries, evidence)
+
+
+def test_marginals_rescale_beyond_float64_range():
+    big = _unary_stack([(10.0, 10.0)] * 1000)
+    g = FactorGraph(
+        tuple(big.rvs) + (RandomVariable("B", BOOL_RANGE),),
+        tuple(big.factors) + (Factor("pair", ("A", "B"), PotentialTable((2, 2), (1.0, 2.0, 3.0, 4.0))),),
+    )
+    assert_marginals_match_elimination(g, ["A", "B"])
+    assert_marginals_match_elimination(g, ["B", "A"])
+    assert marginals(g, ["A", "B"])[1].probabilities == pytest.approx((0.4, 0.6), rel=1e-15)
+
+
+def test_marginals_input_errors():
+    g = chain_graph()
+    with pytest.raises(ValueError):
+        marginals(g, ["A", "B"], order="clever")
+    with pytest.raises(ValueError):
+        marginals(g, ["A", "C"], {"B": "maybe"})
+    with pytest.raises(TypeError):
+        marginals(g, "AB")
+    with pytest.raises(UnknownNode):
+        marginals(g, ["A", "Z"])
+    with pytest.raises(InconsistentEvidence):
+        marginals(g.with_evidence({"A": "true"}), ["B", "C"], {"A": "false"})
+    incomplete = FactorGraph(
+        (RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)),
+        (Factor("f", ("A",)), Factor("g", ("A", "B"), PotentialTable((2, 2), ASYMMETRIC_2x2))),
+    )
+    with pytest.raises(UnknownFactorPresent):
+        marginals(incomplete, ["A", "B"])
+    infinite = FactorGraph(
+        (RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)),
+        (
+            Factor("f", ("A",), PotentialTable((2,), (1.0, math.inf))),
+            Factor("g", ("A", "B"), PotentialTable((2, 2), ASYMMETRIC_2x2)),
+        ),
+    )
+    with pytest.raises(ValueError, match="finite"):
+        marginals(infinite, ["A", "B"])
+    with pytest.raises(ValueError, match="finite"):
+        marginals(infinite, ["B", "A"])
+    assert marginals(g, []) == ()
+
+
+def test_marginals_raise_on_a_true_zero():
+    big = _unary_stack([(10.0, 10.0)] * 1000)
+    g = FactorGraph(
+        tuple(big.rvs) + (RandomVariable("B", BOOL_RANGE), RandomVariable("C", BOOL_RANGE)),
+        tuple(big.factors) + (
+            Factor("pair", ("A", "B"), PotentialTable((2, 2), (1.0, 0.0, 1.0, 0.0))),
+            Factor("link", ("B", "C"), PotentialTable((2, 2), ASYMMETRIC_2x2)),
+        ),
+    )
+    for order in ORDERS:
+        for queries in (["A", "C"], ["C", "A"], ["B", "A", "C"]):
+            with pytest.raises(InconsistentEvidence):
+                marginals(g, queries, {"B": "true"}, order=order)
+            with pytest.raises(InconsistentEvidence):
+                marginals(g.with_evidence({"B": "true"}), queries, order=order)
+
+
+def _run_experiment_per_query(cfg):
+    """``run_experiment`` as two separate eliminations per query: the reference."""
+    inst = generate_instance(cfg)
+    result = complete_and_lift(inst.incomplete, cfg.theta)
+    rv_ratio, factor_ratio = compression_ratio(result.grouping, result.completed)
+    queries = []
+    if not result.report.unresolved:
+        for q in inst.queries:
+            truth_marginal = variable_elimination(inst.truth, q)
+            completed_marginal = variable_elimination(result.completed, q)
+            queries.append(QueryResult(q, kld(truth_marginal, completed_marginal)))
+    return InstanceResult(
+        config=cfg,
+        n_rvs=len(inst.truth.rvs),
+        n_factors=len(inst.truth.factors),
+        n_unknown=len(inst.stripped),
+        unresolved=len(result.report.unresolved),
+        rv_ratio=rv_ratio,
+        factor_ratio=factor_ratio,
+        queries=tuple(queries),
+    )
+
+
+def _outcome(run, cfg):
+    try:
+        return repr(run(cfg))
+    except GenerationInfeasible as exc:
+        return type(exc).__name__
+
+
+def test_run_experiment_matches_per_query_elimination():
+    # the 60 cells of a standard-grid sweep: every p; d = 16 and 64 with
+    # unknown fractions 0.05 and 0.2 and 4 queries, d = 32 with four unknown
+    # fractions, 3 queries and two draws per cell
+    rng = np.random.default_rng([1, 5])
+    grid = [(16, 4, (0.05, 0.2), 1), (32, 3, (0.05, 0.1, 0.15, 0.2), 2), (64, 4, (0.05, 0.2), 1)]
+    cells = 0
+    for d, queries, ufs, draws in grid:
+        for p in (0.2, 0.3, 0.5, 0.7, 0.9):
+            for uf in ufs:
+                for _ in range(draws):
+                    seed = int(rng.integers(2**31))
+                    cfg = ExperimentConfig(
+                        d=d, p=p, unknown_fraction=uf, cohorts=min(3 + seed % 3, max_cohorts(d, p)),
+                        queries_per_instance=queries, theta=0.0, seed=seed,
+                    )
+                    assert _outcome(run_experiment, cfg) == _outcome(_run_experiment_per_query, cfg)
+                    cells += 1
+    assert cells == 60
 
 
 def test_kld_frozen_values():

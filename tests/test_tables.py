@@ -64,6 +64,21 @@ def test_table_equality_and_hash():
     assert len({a, b, c}) == 2
 
 
+def test_signed_zeros_are_one_table():
+    pos = PotentialTable((2,), (0.0, 1.0))
+    neg = PotentialTable((2,), (-0.0, 1.0))
+    assert pos == neg
+    assert hash(pos) == hash(neg)
+    assert len({pos, neg}) == 1
+    assert neg.entries == (0.0, 1.0)
+
+
+def test_table_holding_nan_equals_nothing():
+    t = PotentialTable((2,), (float("nan"), 1.0))
+    assert t != PotentialTable((2,), (float("nan"), 1.0))
+    assert not t == t
+
+
 def test_tables_equal_exact_and_relative():
     a = PotentialTable((2,), (100.0, 1.0))
     b = PotentialTable((2,), (100.5, 1.0))
