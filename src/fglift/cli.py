@@ -5,10 +5,10 @@ the completed model plus optional transfer/grouping reports, ``query``
 computes exact marginals, ``generate`` writes one synthetic instance,
 ``evaluate`` sweeps configurations into a TSV of per-query divergences,
 ``report`` aggregates such a TSV. Exit codes: 0 on success, 2 for input
-problems (unparseable or invalid files, bad flags), 3 for algorithmic
-failures (unresolved unknowns under --strict, inconsistent evidence,
-infeasible generation); ``evaluate`` instead counts a failed instance in
-its summary and goes on.
+problems (unparseable or invalid files, bad flags, a ``--theta`` outside
+[0, 1] or a negative ``--rtol``), 3 for algorithmic failures (unresolved
+unknowns under --strict, inconsistent evidence, infeasible generation);
+``evaluate`` instead counts a failed instance in its summary and goes on.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .transfer import complete_and_lift, transfer_report_text
 
 _INPUT_ERRORS = (ParseError, OSError, ValueError, FactorGraphError)
 _ALGO_ERRORS = (InconsistentEvidence, GenerationInfeasible)
+_FLOAT_FLAGS = frozenset({"--theta", "--rtol"})
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -287,8 +288,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """Join each float flag with the token after it: ``--rtol -1e-6`` -> ``--rtol=-1e-6``.
+
+    argparse takes only plain negative decimals for numbers, so it would read
+    a value such as ``-1e-6`` as a flag and never pass it to the program.
+    """
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _FLOAT_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _ALGO_ERRORS as e:

@@ -1,16 +1,20 @@
 """Colour passing: partition refinement over factor graphs.
 
-Nodes start with structural colours (random variables by range and
-evidence, factors by the canonical form of their tables) and are repeatedly
-re-partitioned: each factor combines its own colour with the colours of its
-arguments, each RV combines its own colour with the multiset of factor
-colours it sees, annotated by the *port* it sits at in each factor. An
-argument position's port label is its symmetry orbit in the table's
-canonical form, so positions that the potentials make interchangeable share
-a label; unknown and over-arity tables label each position by itself. Every
-signature starts with the node's old colour, so a round only ever splits
-classes: the partition is stable as soon as the number of RV classes and of
-factor classes stops growing, after at most one round per node.
+Nodes start with structural colours (random variables by their signature
+of range and evidence, known factors by the canonical form of their tables,
+unknown factors by a caller's tag) and are repeatedly re-partitioned: each
+factor combines its own colour with the colours of its arguments, each RV
+combines its own colour with the multiset of factor colours it sees,
+annotated by the *port* it sits at in each factor. An argument position's
+port label is its symmetry orbit in the table's canonical form, so
+positions that the potentials make interchangeable share a label; unknown
+and over-arity tables label each position by itself. Every signature
+starts with the node's old colour, so a round only ever splits classes: the
+partition is stable as soon as the number of RV classes and of factor
+classes stops growing, after at most one round per node. The initial
+colours are signatures too, numbered by the same rule as every round: dense
+ids in sorted-signature order, RVs first in the initial colouring and
+factors first in each round.
 
 The fixpoint partition is packaged as a :class:`Grouping`: classes plus one
 shared table and per-member argument alignments for every factor class.
@@ -23,14 +27,13 @@ would hide the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Hashable, Mapping
 
 import numpy as np
 
 from .errors import UnknownFactorPresent
 from .model import Factor, FactorGraph
 from .tables import (
-    MAX_CANONICAL_ARITY,
     PotentialTable,
     alignment_axes,
     canonical_info,
@@ -62,26 +65,26 @@ def _classes(colours: Mapping[str, int]) -> list[tuple[str, ...]]:
     return sorted(tuple(sorted(members)) for members in classes.values())
 
 
-def _group_known_factors(
-    factors: list[Factor], rtol: float
-) -> list[tuple[tuple, list[str]]]:
-    """Group known factors by canonical table; returns (sort key, member ids)."""
-    keys = [canonical_info(f.table).key for f in factors]  # type: ignore[arg-type]
-    groups = first_match_groups(keys, rtol)
-    return sorted((keys[g[0]], [factors[i].id for i in g]) for g in groups)
+def _recolour(sigs: dict[str, tuple], first: int) -> dict[str, int]:
+    """Dense colours from ``first`` on, in sorted-signature order."""
+    order = {sig: first + i for i, sig in enumerate(sorted(set(sigs.values())))}
+    return {node: order[sig] for node, sig in sigs.items()}
 
 
 def initial_colouring(
     fg: FactorGraph,
     rtol: float = 0.0,
-    unknown_tags: Mapping[str, int] | None = None,
+    unknown_tags: Mapping[str, Hashable] | None = None,
 ) -> Colouring:
-    """Structural starting colours.
+    """Structural starting colours, numbered like every refinement round.
 
-    RVs are grouped by (range, evidence). Known factors are grouped by
-    canonical table (within ``rtol`` if nonzero). Every unknown factor must
-    appear in ``unknown_tags``; factors sharing a tag share a colour.
-    Raises UnknownFactorPresent for an untagged unknown factor.
+    An RV's signature is ``RandomVariable.signature``. A known factor's is
+    ``(0, key)`` with the canonical key of its group's first member, known
+    tables being grouped by canonical form (within ``rtol`` if nonzero).
+    Every unknown factor must appear in ``unknown_tags`` and gets ``(1,
+    tag)``, so factors sharing a tag share a colour; tags must be mutually
+    sortable. RVs and then factors are coloured densely in sorted-signature
+    order. Raises UnknownFactorPresent for an untagged unknown factor.
     """
     tags = dict(unknown_tags or {})
     untagged = [fid for fid in fg.unknown_factor_ids if fid not in tags]
@@ -93,54 +96,28 @@ def initial_colouring(
     if extra:
         raise ValueError(f"tags given for non-unknown factors: {', '.join(extra)}")
 
-    rv_groups: dict[tuple, list[str]] = {}
-    for rv in fg.rvs:
-        key = (rv.range.values, rv.evidence is not None, rv.evidence or "")
-        rv_groups.setdefault(key, []).append(rv.id)
-    rv_colours: dict[str, int] = {}
-    next_colour = 0
-    for _, members in sorted(rv_groups.items()):
-        for m in members:
-            rv_colours[m] = next_colour
-        next_colour += 1
-
-    factor_colours: dict[str, int] = {}
     known = [f for f in fg.factors if not f.is_unknown]
-    for _, members in _group_known_factors(known, rtol):
-        for m in members:
-            factor_colours[m] = next_colour
-        next_colour += 1
-    tag_groups: dict[int, list[str]] = {}
-    for fid, tag in tags.items():
-        tag_groups.setdefault(tag, []).append(fid)
-    for _, members in sorted(tag_groups.items()):
-        for m in members:
-            factor_colours[m] = next_colour
-        next_colour += 1
-    return Colouring(rv_colours, factor_colours)
+    keys = [canonical_info(f.table).key for f in known]  # type: ignore[arg-type]
+    factor_sigs: dict[str, tuple] = {}
+    for group in first_match_groups(keys, rtol):
+        for i in group:
+            factor_sigs[known[i].id] = (0, keys[group[0]])
+    factor_sigs.update((fid, (1, tag)) for fid, tag in tags.items())
+    rv_colours = _recolour({rv.id: rv.signature for rv in fg.rvs}, 0)
+    return Colouring(rv_colours, _recolour(factor_sigs, len(set(rv_colours.values()))))
 
 
 def _ports(factor: Factor) -> tuple[int, ...]:
     """Port label of each argument position: its canonical symmetry orbit.
 
-    Unknown factors and oversized tables label each position by itself, so
-    positions are then compared literally.
+    Unknown factors label each position by itself, as ``canonical_info``
+    does for oversized tables, so positions are then compared literally.
     """
     n = len(factor.args)
-    if (
-        factor.table is None
-        or factor.table.arity != n
-        or factor.table.arity > MAX_CANONICAL_ARITY
-    ):
+    if factor.table is None or factor.table.arity != n:
         return tuple(range(n))
     info = canonical_info(factor.table)
     return tuple(info.orbit_of_position(p) for p in range(n))
-
-
-def _recolour(sigs: dict[str, tuple], first: int) -> dict[str, int]:
-    """Dense colours from ``first`` on, in sorted-signature order."""
-    order = {sig: first + i for i, sig in enumerate(sorted(set(sigs.values())))}
-    return {node: order[sig] for node, sig in sigs.items()}
 
 
 def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
@@ -250,7 +227,7 @@ def grouping_from_colouring(fg: FactorGraph, colouring: Colouring) -> Grouping:
 def run_colour_passing(
     fg: FactorGraph,
     rtol: float = 0.0,
-    unknown_tags: Mapping[str, int] | None = None,
+    unknown_tags: Mapping[str, Hashable] | None = None,
 ) -> Grouping:
     """Full colour passing: initial colours, refinement, grouping.
 

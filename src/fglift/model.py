@@ -59,6 +59,12 @@ class RandomVariable:
     range: RangeSpec
     evidence: str | None = None
 
+    @property
+    def signature(self) -> tuple[tuple[str, ...], bool, str]:
+        """(range values, has evidence, evidence or ""): all that tells RVs apart
+        before the graph structure is read."""
+        return (self.range.values, self.evidence is not None, self.evidence or "")
+
 
 @dataclass(frozen=True)
 class Factor:

@@ -8,6 +8,12 @@ are asked about the *canonical form*: the lexicographically smallest
 (shape, entries) pair over all argument permutations. Canonicalisation is
 performed for arities up to ``MAX_CANONICAL_ARITY``; larger tables fall back
 to their positional form, which makes comparisons position-exact there.
+
+The permutations that reach the canonical form are ``perm ∘ Stab``, where
+``Stab`` is the canonical table's stabiliser: the argument permutations that
+leave it unchanged. So the argmin scan yields the whole stabiliser group,
+and the symmetry orbit of a canonical slot is simply its set of images
+under it.
 """
 from __future__ import annotations
 
@@ -102,13 +108,14 @@ class PotentialTable:
 def tables_equal(a: PotentialTable, b: PotentialTable, rtol: float = 0.0) -> bool:
     """Positional table equality.
 
-    With ``rtol == 0`` (the default) this is bit-exact. Otherwise entries
+    With ``rtol == 0`` (the default) this is ``a == b``, a byte comparison
+    that no table holding NaN passes. Otherwise entries
     x, y count as equal when ``|x - y| <= rtol * max(|x|, |y|)``.
     """
+    if rtol == 0.0:
+        return a == b
     if a.shape != b.shape:
         return False
-    if rtol == 0.0:
-        return bool(np.array_equal(a.array, b.array))
     x, y = a.array, b.array
     return bool(np.all(np.abs(x - y) <= rtol * np.maximum(np.abs(x), np.abs(y))))
 
@@ -191,43 +198,19 @@ def canonical_info(table: PotentialTable) -> CanonicalInfo:
     n = table.arity
     if n > MAX_CANONICAL_ARITY:
         return _identity_info(table)
-    if n == 1:
-        return _identity_info(table)
-    arr = table.array
-    best_key: tuple | None = None
-    best_perms: list[tuple[int, ...]] = []
+    keys: dict[tuple[int, ...], CanonicalKey] = {}
     for perm in permutations(range(n)):
-        t = np.transpose(arr, perm)
-        key = (t.shape, tuple(float(x) for x in t.ravel()))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_perms = [perm]
-        elif key == best_key:
-            best_perms.append(perm)
+        t = np.transpose(table.array, perm)
+        keys[perm] = (t.shape, tuple(float(x) for x in t.ravel()))
+    best_key = min(keys.values())
+    best_perms = [q for q, key in keys.items() if key == best_key]
     perm = best_perms[0]
     inv_perm = invert_axes(perm)
-    # Stabiliser elements sigma of the canonical table are recovered from the
-    # full argmin set: transpose(canon, sigma) == canon iff perm ∘ sigma is
-    # itself an argmin permutation.
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for q in best_perms:
-        sigma = tuple(inv_perm[q[i]] for i in range(n))
-        for i in range(n):
-            union(i, sigma[i])
-    orbit = tuple(find(s) for s in range(n))
-    assert best_key is not None
+    # transpose(canon, sigma) == canon iff perm ∘ sigma is an argmin
+    # permutation, so these sigmas are the whole stabiliser group and a
+    # slot's orbit is its set of images under them.
+    stabiliser = [tuple(inv_perm[q[i]] for i in range(n)) for q in best_perms]
+    orbit = tuple(min(sigma[s] for sigma in stabiliser) for s in range(n))
     return CanonicalInfo(best_key, perm, inv_perm, orbit)
 
 

@@ -1,8 +1,8 @@
 """Completing unknown factors by transferring structurally matching potentials.
 
 An unknown factor's potentials are recovered from known factors that the
-graph structure cannot tell apart from it: the same multiset of (evidence,
-range, degree) profiles over their neighbour variables, which also fixes
+graph structure cannot tell apart from it: the same multiset of (RV
+signature, degree) profiles over their neighbour variables, which also fixes
 the argument count. Candidates split into classes of factors that are also
 mutually identical in their potentials; the largest class wins, optionally
 filtered by background knowledge about which factors describe the same
@@ -43,12 +43,8 @@ from .tables import (
 
 
 def _argument_profiles(fg: FactorGraph, factor_id: str) -> tuple[tuple, ...]:
-    """(evidence, range, degree) triple of each argument RV, in argument order."""
-    out = []
-    for arg in fg.factor(factor_id).args:
-        rv = fg.rv(arg)
-        out.append((rv.evidence is not None, rv.evidence or "", rv.range.values, fg.degree(arg)))
-    return tuple(out)
+    """(RV signature, degree) of each argument RV, in argument order."""
+    return tuple((fg.rv(arg).signature, fg.degree(arg)) for arg in fg.factor(factor_id).args)
 
 
 def _neighbour_profile(fg: FactorGraph, factor_id: str) -> tuple:
@@ -217,6 +213,11 @@ class _Mirrors:
         return self._mirror[own]
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+
+
 def select_transfer_class(
     fg: FactorGraph,
     cs: CandidateSet,
@@ -234,8 +235,10 @@ def select_transfer_class(
     choice falls back to the largest class. The selection is accepted only
     when the chosen class covers at least ``theta`` of all candidates.
     ``bk_state`` records whether the mirror preference decided ("yes"),
-    failed ("no"), or never applied ("n/a").
+    failed ("no"), or never applied ("n/a"). Raises ValueError for a
+    ``theta`` outside [0, 1] or NaN.
     """
+    _check_theta(theta)
     if not cs.candidates:
         return None
     pool = cs.classes
@@ -263,9 +266,9 @@ def select_transfer_class(
 def _transfer_alignment(fg: FactorGraph, donor: str, recipient: str) -> tuple[int, ...]:
     """Axes mapping the donor's table onto the recipient's argument order.
 
-    Positions are matched by their (evidence, range, degree) triples;
+    Positions are matched by their (RV signature, degree) profiles;
     positionally matching factors get the identity. Interchangeable
-    positions (equal triples) are matched in position order.
+    positions (equal profiles) are matched in position order.
     """
     dt, rt = _argument_profiles(fg, donor), _argument_profiles(fg, recipient)
     if dt == rt:
@@ -306,16 +309,9 @@ def complete_and_lift(
     table (the class's smallest id), aligned to its own argument order.
     Unresolved unknown factors enter colour passing with pre-set colours:
     unique, except that mutually indistinguishable unknowns share one.
+    Raises ValueError for a ``theta`` outside [0, 1] or NaN.
     """
-    unknowns = sorted(fg.unknown_factor_ids)
-
-    # Shared colours for indistinguishable unknowns.
-    profile_tags: dict[tuple, int] = {}
-    tags = {
-        uid: profile_tags.setdefault(_neighbour_profile(fg, uid), len(profile_tags))
-        for uid in unknowns
-    }
-
+    _check_theta(theta)
     key_of = _canonical_keys(fg)
     mirrors = None if bk is None else _Mirrors(fg, bk, rtol, key_of)
     rows: list[CandidateSet] = []
@@ -330,9 +326,10 @@ def complete_and_lift(
                 np.transpose(donor_table.array, sel.alignment)
             )
     completed = fg.with_tables(transfers)
-    unresolved = tuple(uid for uid in unknowns if uid not in transfers)
-    remaining_tags = {uid: tags[uid] for uid in unresolved}
-    grouping = run_colour_passing(completed, rtol, unknown_tags=remaining_tags)
+    unresolved = tuple(uid for uid in sorted(fg.unknown_factor_ids) if uid not in transfers)
+    # indistinguishable unknowns share a colour: tag each by its neighbour profile
+    tags = {uid: _neighbour_profile(fg, uid) for uid in unresolved}
+    grouping = run_colour_passing(completed, rtol, unknown_tags=tags)
     report = TransferReport(tuple(rows), unresolved, theta)
     return CompletionResult(completed, grouping, report)
 

@@ -112,6 +112,30 @@ def test_lift_rejects_negative_rtol(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lift_rejects_negative_rtol_after_a_space(tmp_path, capsys):
+    model = model_file(tmp_path, epidemic_four())
+    out = tmp_path / "completed.txt"
+    for rtol in (["--rtol", "-1e-6"], ["--rtol=-1e-6"]):
+        assert main(["lift", "--model", model, "--theta", "0", *rtol, "--out", str(out)]) == 2
+        assert "rtol must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "1.5", "-3", "-1e-3", "inf"])
+def test_lift_rejects_theta_outside_unit_interval(tmp_path, capsys, theta):
+    out = tmp_path / "completed.txt"
+    for fg_text in (UNRESOLVABLE, serialize_model(chain_graph())):
+        model = write(tmp_path / "m.txt", fg_text)
+        assert main(["lift", "--model", model, "--theta", theta, "--out", str(out),
+                     "--strict"]) == 2
+        assert "theta must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["evaluate", "--d", "8", "--p", "0.5", "--unknown-frac", "0.1", "--seeds", "1",
+                 "--theta", theta, "--out", str(out)]) == 2
+    assert "theta must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lift_theta_changes_outcome(tmp_path):
     model = model_file(tmp_path, epidemic_four())
     out = tmp_path / "completed.txt"

@@ -2,11 +2,13 @@
 
 The chain and epidemic fixtures have hand-derived partitions; the random
 graphs are checked against invariants instead (soundness of classes,
-insertion-order and relabelling invariance, grounded reconstruction). Two
+insertion-order and relabelling invariance, grounded reconstruction). Three
 reference implementations are kept here: colour passing that reads argument
 positions through canonical slots, slot orbits and the inverse permutation,
 with a fixpoint that compares whole partitions (the library must give the
-same colour ids and groupings), and a grounded check that compares the two
+same colour ids and groupings), initial colours numbered by separate
+group-and-number loops for RVs, known factors and tags (the library must
+give the same colour ids), and a grounded check that compares the two
 enumerated joints (the library's per-factor check must agree with it).
 """
 import numpy as np
@@ -37,7 +39,7 @@ from fglift import (
     state_space_size,
 )
 from fglift.colours import Colouring, FactorClass, Grouping
-from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
+from fglift.tables import MAX_CANONICAL_ARITY, first_match_groups, invert_axes
 from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2, chain_graph, epidemic_base, random_graph
 
 
@@ -438,6 +440,45 @@ def test_colour_passing_matches_slot_orbit_reference():
             assert grouping_from_colouring(g, fix) == _ref_grouping(g, fix)
             assert run_colour_passing(g, rtol, tags) == _ref_grouping(g, fix)
     assert rounds > 200
+
+
+def _ref_initial_colouring(fg, rtol, unknown_tags):
+    """Group and number RVs, known factors and tagged unknowns in three loops."""
+    rv_groups = {}
+    for rv in fg.rvs:
+        key = (rv.range.values, rv.evidence is not None, rv.evidence or "")
+        rv_groups.setdefault(key, []).append(rv.id)
+    rv_colours, factor_colours, next_colour = {}, {}, 0
+    for _, members in sorted(rv_groups.items()):
+        rv_colours.update((m, next_colour) for m in members)
+        next_colour += 1
+    known = [f for f in fg.factors if not f.is_unknown]
+    keys = [canonical_info(f.table).key for f in known]
+    groups = sorted(
+        (keys[g[0]], [known[i].id for i in g]) for g in first_match_groups(keys, rtol)
+    )
+    for _, members in groups:
+        factor_colours.update((m, next_colour) for m in members)
+        next_colour += 1
+    tag_groups = {}
+    for fid, tag in unknown_tags.items():
+        tag_groups.setdefault(tag, []).append(fid)
+    for _, members in sorted(tag_groups.items()):
+        factor_colours.update((m, next_colour) for m in members)
+        next_colour += 1
+    return Colouring(rv_colours, factor_colours)
+
+
+def test_initial_colouring_matches_three_loop_reference():
+    rng = np.random.default_rng(812)
+    cases = 0
+    for g in _differential_cases(rng):
+        unknown = g.unknown_factor_ids
+        tags = {fid: int(rng.integers(max(1, len(unknown) // 2))) for fid in unknown}
+        for rtol in (0.0, 1e-6):
+            assert initial_colouring(g, rtol, tags) == _ref_initial_colouring(g, rtol, tags)
+            cases += 1
+    assert cases == 2 * (40 + 8)
 
 
 # -- reference grounded check: compare the enumerated joints ------------------------

@@ -1,4 +1,6 @@
 """Potential tables, axis algebra, and permutation-canonical forms."""
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from fglift import (
     canonical_table,
     tables_equal,
 )
-from fglift.tables import MAX_CANONICAL_ARITY, compose_axes, first_match_groups, invert_axes
+from fglift.tables import (
+    MAX_CANONICAL_ARITY,
+    CanonicalInfo,
+    compose_axes,
+    first_match_groups,
+    invert_axes,
+)
 from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2
 
 
@@ -150,6 +158,67 @@ def test_canonical_identity_for_unary_and_oversized():
     info = canonical_info(big)
     assert info.perm == tuple(range(len(shape)))
     assert canonical_table(big) == big  # no search above the arity cap
+
+
+def _union_find_info(table):
+    """Canonical form with orbits as a union-find over every argmin permutation
+    merges them, and the unary and oversized cases handled apart."""
+    n = table.arity
+    ident = tuple(range(n))
+    if n == 1 or n > MAX_CANONICAL_ARITY:
+        return CanonicalInfo((table.shape, table.entries), ident, ident, ident)
+    best_key, best_perms = None, []
+    for perm in permutations(range(n)):
+        t = np.transpose(table.array, perm)
+        key = (t.shape, tuple(float(x) for x in t.ravel()))
+        if best_key is None or key < best_key:
+            best_key, best_perms = key, [perm]
+        elif key == best_key:
+            best_perms.append(perm)
+    perm = best_perms[0]
+    inv_perm = invert_axes(perm)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for q in best_perms:
+        for i in range(n):
+            ra, rb = find(i), find(inv_perm[q[i]])
+            parent[max(ra, rb)] = min(ra, rb)
+    return CanonicalInfo(best_key, perm, inv_perm, tuple(find(s) for s in range(n)))
+
+
+def _planted_symmetry(rng, arity):
+    """Small-integer table of the given arity made invariant under one or two
+    random axis permutations; ties between entries plant further symmetries."""
+    sizes = rng.integers(2, 4 if arity <= 4 else 3, arity)
+    sizes[rng.random(arity) < 0.6] = sizes[0]
+    arr = rng.integers(1, 4, tuple(int(k) for k in sizes)).astype(float)
+    for _ in range(int(rng.integers(3))):
+        sigma = tuple(int(i) for i in rng.permutation(arity))
+        if arr.shape == tuple(arr.shape[i] for i in sigma):
+            # sum over the cyclic group sigma generates
+            total, power = arr.copy(), sigma
+            while power != tuple(range(arity)):
+                total += np.transpose(arr, power)
+                power = compose_axes(power, sigma)
+            arr = total
+    return PotentialTable.from_array(arr)
+
+
+def test_stabiliser_orbits_match_union_find_reference():
+    rng = np.random.default_rng(77)
+    non_trivial = 0
+    for trial in range(1500):
+        table = _planted_symmetry(rng, 1 + trial % 6)
+        info = canonical_info(table)
+        assert info == _union_find_info(table)
+        non_trivial += info.orbit_of_slot != tuple(range(table.arity))
+    assert non_trivial > 300
 
 
 def test_alignment_axes_maps_rep_onto_member():

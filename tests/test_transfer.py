@@ -22,6 +22,7 @@ from fglift import (
     indistinguishable,
     possibly_identical,
     generate_instance,
+    run_colour_passing,
     select_transfer_class,
     tables_equal,
     transfer_report_text,
@@ -174,6 +175,21 @@ def test_select_transfer_class_threshold_and_ties():
     # ties go to the class with the smallest member id
     assert sel.members == ("k1", "k2", "k3")
     assert select_transfer_class(g, cs, theta=0.5).accepted
+
+
+@pytest.mark.parametrize("theta", [float("nan"), 1.5, -3.0, -1e-3, float("inf")])
+def test_theta_outside_unit_interval_is_rejected(theta):
+    g = _tie_graph()
+    (cs,) = candidate_sets(g)
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        select_transfer_class(g, cs, theta)
+    empty = replace(cs, candidates=(), classes=())
+    with pytest.raises(ValueError, match="theta"):
+        select_transfer_class(g, empty, theta)
+    # also where there is nothing to complete
+    for fg in (g, chain_graph()):
+        with pytest.raises(ValueError, match="theta"):
+            complete_and_lift(fg, theta)
 
 
 def test_select_transfer_class_with_background_knowledge():
@@ -508,3 +524,34 @@ def test_completion_cost_is_linear_in_known_factors(monkeypatch):
         assert not result.report.unresolved
         assert calls["equal"] == 0
         assert 0 < calls["canonical"] <= n_known
+
+
+def _first_appearance_tags(fg, unresolved):
+    """Unknown tags numbered by the first appearance of each neighbour profile
+    among all unknown factors in id order, kept for the unresolved ones only:
+    the integer tags completion passed to colour passing before it passed the
+    profiles themselves."""
+    numbers = {}
+    tags = {
+        uid: numbers.setdefault(transfer._neighbour_profile(fg, uid), len(numbers))
+        for uid in sorted(fg.unknown_factor_ids)
+    }
+    return {uid: tags[uid] for uid in unresolved}
+
+
+def test_profile_tags_group_unresolved_unknowns_as_numbered_tags():
+    rng = np.random.default_rng(613)
+    unresolved = shared = 0
+    for trial in range(150):
+        fg = random_graph(
+            rng, n_rvs=5 + trial % 5, n_factors=6 + trial % 7, max_arity=2 + trial % 3,
+            pool_size=2 + trial % 2, evidence_frac=0.3 * (trial % 2), n_unknown=1 + trial % 5,
+        )
+        for theta in (0.6, 0.8, 1.0):
+            rtol = 1e-6 if trial % 3 == 0 else 0.0
+            res = complete_and_lift(fg, theta, None, rtol)
+            tags = _first_appearance_tags(fg, res.report.unresolved)
+            assert res.grouping == run_colour_passing(res.completed, rtol, tags)
+            unresolved += len(tags)
+            shared += len(tags) - len(set(tags.values()))
+    assert unresolved > 500 and shared > 30
