@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 from statistics import median
@@ -43,12 +44,23 @@ _FLOAT_FLAGS = frozenset({"--theta", "--rtol"})
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial output."""
+    """Write via a temp file and rename, so readers never see partial output.
+
+    The file ends with the mode ``open(path, "w")`` would leave: an existing
+    target keeps its own, a new one gets 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o077)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fglift-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -14,24 +14,27 @@ O((n + fill) log n) for n variables and ``fill`` neighbour-set updates,
 instead of rescanning every remaining variable at every step. Ties go to
 the smallest id.
 
-Several marginals come from one elimination (two-pass calibration, as in
-Lauritzen and Spiegelhalter 1988). Eliminating v multiplies the tables
-touching it into its cluster and sums v out into a message over the
-cluster's other variables, its separator; the variable that later consumes
-the message is v's parent in the elimination tree, and a variable whose
-message is a scalar is the root of its connected component. The upward
-pass is that elimination, with the first unobserved query appended after
-the order of every other unobserved variable, so it is eliminated last and
-roots its component. It keeps the cluster and message of each variable
-whose subtree holds a query, and nothing else. The downward pass then runs
-only along the paths from each other query up to its root, memoised per
-cluster: the belief of a root is its cluster; the belief of a child c is
-its cluster times the message down from its parent p, which is p's belief
-summed onto c's separator and divided by c's upward message, with
-0/0 := 0 (a zero upward message means c's cluster is zero there). A
-query's marginal is its cluster's belief summed onto the query and
-normalised. With one query the tree's root is the query itself and no
-downward pass runs: the order is the single query's order, and the last
+Several marginals come from one bucket elimination (Dechter 1999) and its
+bucket-tree propagation (Kask, Dechter, Larrosa and Dechter 2005). Every
+table waits in the bucket of its earliest variable in the order.
+Eliminating v multiplies v's bucket into its cluster and sums v out into a
+message over the cluster's other variables, its separator; the message
+goes to the bucket of its earliest variable, which is v's parent in the
+elimination tree, and a variable whose message is a scalar is the root of
+its connected component. The upward pass is that elimination, with the
+first unobserved query appended after the order of every other unobserved
+variable, so it is eliminated last and roots its component. It keeps the
+cluster and message of each variable whose subtree holds a query, and
+nothing else: exactly the queries and their ancestors. The downward pass
+visits those clusters in reverse elimination order, parents first: the
+belief of a root is its cluster; the belief of a child c is its cluster
+times the message down from its parent p, which is p's belief summed onto
+c's separator and divided by c's upward message, with 0/0 := 0 (a zero
+upward message means c's cluster is zero there). A query's marginal is its
+cluster's belief summed onto the query and normalised. Buckets fill in
+creation order, so each product takes its tables in the order plain
+elimination does. With one query the tree's root is the query itself and
+no downward pass runs: the order is the single query's order, and the last
 cluster differs from the product of the query's remaining tables only by
 exact powers of two, so single-query answers are those of plain
 elimination bit for bit. Each extra query costs the clusters on its path
@@ -245,51 +248,40 @@ def _beliefs(
 ) -> dict[str, tuple[tuple[str, ...], np.ndarray]]:
     """Unnormalised joint of each RV in ``hidden`` with its cluster, under ``ev``.
 
-    The upward pass eliminates every unobserved RV, ``hidden[0]`` last, and
-    keeps the cluster product and upward message of each RV whose subtree
-    holds a query; the downward pass then calibrates only the clusters on
-    the paths from the other queries up to their roots.
+    Bucket elimination with ``hidden[0]`` last keeps the clusters of the
+    queries and of their ancestors; the downward pass then calibrates them
+    in reverse elimination order, parents first.
     """
     sizes = {r.id: len(r.range) for r in fg.rvs}
-    store: dict[int, tuple[tuple[str, ...], np.ndarray]] = dict(
-        enumerate(_reduced_factors(fg, ev))
-    )
-    next_id = len(store)
-    var_facs: dict[str, set[int]] = {}
-    for fid, (vars_, _) in store.items():
-        for v in vars_:
-            var_facs.setdefault(v, set()).add(fid)
-
-    root, wanted = hidden[0], set(hidden)
+    tables = _reduced_factors(fg, ev)
+    root, kept = hidden[0], set(hidden)
     remaining = {r.id for r in fg.rvs if r.id != root and r.id not in ev}
     if order == "min_degree":
-        elimination = _min_degree_order([vars_ for vars_, _ in store.values()], remaining)
+        elimination = _min_degree_order([vars_ for vars_, _ in tables], remaining)
     else:
         elimination = sorted(remaining, reverse=True)
     elimination.append(root)
+    rank = {v: i for i, v in enumerate(elimination)}.__getitem__
+    bucket: dict[str, list[tuple[tuple[str, ...], np.ndarray]]] = {}
+    for table in tables:
+        bucket.setdefault(min(table[0], key=rank), []).append(table)
 
-    # The elimination tree, kept only where a query lies in the subtree.
+    # The elimination tree, kept only where a query lies in the subtree:
+    # ``kept`` grows from the queries to each receiver of a kept message.
     cluster: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
     message: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
     parent: dict[str, str] = {}
-    sender: dict[int, str] = {}  # id of a kept message -> the RV that sent it
     for v in elimination:
-        touched = sorted(var_facs.pop(v, ()))
-        keep = v in wanted
-        for fid in touched:
-            if fid in sender:
-                parent[sender.pop(fid)] = v
-                keep = True
-        if touched:
-            acc = store.pop(touched[0])
-            for fid in touched[1:]:
-                vars_, arr = _product(acc, store.pop(fid), sizes)
+        if v in bucket:
+            acc, *rest = bucket.pop(v)
+            for table in rest:
+                vars_, arr = _product(acc, table, sizes)
                 acc = vars_, _in_range(arr)
-        elif v in wanted:
+        elif v in kept:
             acc = (v,), np.ones(sizes[v], dtype=np.float64)
         else:
             continue
-        if keep:
+        if v in kept:
             cluster[v] = acc
         vars_, arr = acc
         summed = arr.sum(axis=vars_.index(v))
@@ -298,30 +290,24 @@ def _beliefs(
             if float(summed) == 0.0:
                 raise InconsistentEvidence("distribution is identically zero under evidence")
             continue
-        store[next_id] = (new_vars, _in_range(summed))
-        if keep:
-            message[v] = store[next_id]
-            sender[next_id] = v
-        for u in new_vars:
-            facs = var_facs[u]
-            facs.difference_update(touched)
-            facs.add(next_id)
-        next_id += 1
+        sent = new_vars, _in_range(summed)
+        to = min(new_vars, key=rank)
+        bucket.setdefault(to, []).append(sent)
+        if v in kept:
+            message[v], parent[v] = sent, to
+            kept.add(to)
 
     belief: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
-    for v in hidden:
-        path: list[str] = []
-        while v not in belief and v in parent:
-            path.append(v)
-            v = parent[v]
-        belief.setdefault(v, cluster[v])
-        for c in reversed(path):
-            sep, m = message[c]
-            passed = _sum_to(belief[parent[c]], sep)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                down = np.where(m == 0.0, 0.0, passed / m)
-            vars_, arr = _product(cluster[c], (sep, _in_range(down)), sizes)
-            belief[c] = vars_, _in_range(arr)
+    for c in reversed(cluster):
+        if c not in parent:
+            belief[c] = cluster[c]
+            continue
+        sep, m = message[c]
+        passed = _sum_to(belief[parent[c]], sep)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            down = np.where(m == 0.0, 0.0, passed / m)
+        vars_, arr = _product(cluster[c], (sep, _in_range(down)), sizes)
+        belief[c] = vars_, _in_range(arr)
     return belief
 
 

@@ -105,15 +105,23 @@ class PotentialTable:
         return f"PotentialTable(shape={self.shape}, entries={self.entries!r})"
 
 
+def check_rtol(rtol: float) -> None:
+    """Raise ValueError for a negative or NaN ``rtol``, under which no table equals itself."""
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be non-negative, got {rtol}")
+
+
 def tables_equal(a: PotentialTable, b: PotentialTable, rtol: float = 0.0) -> bool:
     """Positional table equality.
 
     With ``rtol == 0`` (the default) this is ``a == b``, a byte comparison
     that no table holding NaN passes. Otherwise entries
-    x, y count as equal when ``|x - y| <= rtol * max(|x|, |y|)``.
+    x, y count as equal when ``|x - y| <= rtol * max(|x|, |y|)``; a negative
+    or NaN ``rtol`` raises ValueError.
     """
     if rtol == 0.0:
         return a == b
+    check_rtol(rtol)
     if a.shape != b.shape:
         return False
     x, y = a.array, b.array
@@ -132,10 +140,9 @@ def first_match_groups(keys: Sequence[CanonicalKey], rtol: float) -> list[list[i
     land in the same group, so the scan runs over distinct keys only; at
     ``rtol == 0`` the groups are the classes of equal keys. Groups come in
     order of first appearance, positions ascending within each. Raises
-    ValueError for a negative or NaN ``rtol``, under which no table equals itself.
+    ValueError for a negative or NaN ``rtol``.
     """
-    if not rtol >= 0.0:
-        raise ValueError(f"rtol must be non-negative, got {rtol}")
+    check_rtol(rtol)
     group_of: dict[CanonicalKey, int] = {}
     if rtol > 0.0:
         reps: list[PotentialTable] = []

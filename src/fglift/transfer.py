@@ -37,6 +37,7 @@ from .tables import (
     PotentialTable,
     canonical_info,
     canonical_table,
+    check_rtol,
     first_match_groups,
     tables_equal,
 )
@@ -67,8 +68,9 @@ def possibly_identical(fg: FactorGraph, a: str, b: str, rtol: float = 0.0) -> bo
 
     Potentials cannot contradict when either factor is unknown; for two
     known factors the tables must agree under canonical argument alignment
-    (within ``rtol``).
+    (within ``rtol``). Raises ValueError for a negative or NaN ``rtol``.
     """
+    check_rtol(rtol)
     if not indistinguishable(fg, a, b):
         return False
     fa, fb = fg.factor(a), fg.factor(b)
@@ -132,7 +134,11 @@ def _candidate_classes(
 def candidate_sets(
     fg: FactorGraph, rtol: float = 0.0, *, _key_of: Callable[[str], CanonicalKey] | None = None
 ) -> list[CandidateSet]:
-    """One CandidateSet per unknown factor, in sorted id order."""
+    """One CandidateSet per unknown factor, in sorted id order.
+
+    Raises ValueError for a negative or NaN ``rtol``.
+    """
+    check_rtol(rtol)
     key_of = _canonical_keys(fg) if _key_of is None else _key_of
     buckets: dict[tuple, list[str]] = {}
     for f in fg.factors:
@@ -236,9 +242,10 @@ def select_transfer_class(
     when the chosen class covers at least ``theta`` of all candidates.
     ``bk_state`` records whether the mirror preference decided ("yes"),
     failed ("no"), or never applied ("n/a"). Raises ValueError for a
-    ``theta`` outside [0, 1] or NaN.
+    ``theta`` outside [0, 1] or NaN, or a negative or NaN ``rtol``.
     """
     _check_theta(theta)
+    check_rtol(rtol)
     if not cs.candidates:
         return None
     pool = cs.classes
@@ -309,7 +316,8 @@ def complete_and_lift(
     table (the class's smallest id), aligned to its own argument order.
     Unresolved unknown factors enter colour passing with pre-set colours:
     unique, except that mutually indistinguishable unknowns share one.
-    Raises ValueError for a ``theta`` outside [0, 1] or NaN.
+    Raises ValueError for a ``theta`` outside [0, 1] or NaN, or a negative
+    or NaN ``rtol``.
     """
     _check_theta(theta)
     key_of = _canonical_keys(fg)

@@ -1,4 +1,7 @@
 """End-to-end CLI coverage, in process via main(argv)."""
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,47 @@ def test_generate_writes_deterministic_instance(tmp_path):
     first = (tmp_path / "truth.txt").read_bytes()
     assert main(args) == 0
     assert (tmp_path / "truth.txt").read_bytes() == first
+
+
+def test_outputs_respect_the_umask(tmp_path):
+    def mode(name):
+        return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+    generate = [
+        "generate", "--d", "4", "--p", "0.5", "--unknown-frac", "0.1", "--seed", "11",
+        "--out-truth", str(tmp_path / "t.fg"),
+        "--out-incomplete", str(tmp_path / "i.fg"),
+        "--out-queries", str(tmp_path / "q.txt"),
+    ]
+    lift = [
+        "lift", "--model", str(tmp_path / "i.fg"), "--theta", "0.5",
+        "--out", str(tmp_path / "completed.fg"),
+        "--report", str(tmp_path / "transfers.txt"),
+        "--grouping", str(tmp_path / "groups.txt"),
+    ]
+    old = os.umask(0o022)
+    try:
+        assert main(generate) == 0
+        assert main(lift) == 0
+        written = ["t.fg", "i.fg", "q.txt", "completed.fg", "transfers.txt", "groups.txt"]
+        assert {name: oct(mode(name)) for name in written} == dict.fromkeys(written, "0o644")
+        # an existing target keeps its mode when overwritten
+        os.chmod(tmp_path / "t.fg", 0o640)
+        os.umask(0o077)
+        assert main(generate) == 0
+        assert (mode("t.fg"), mode("i.fg"), mode("q.txt")) == (0o640, 0o644, 0o644)
+        # a new file follows the umask in force
+        query = ["query", "--model", str(tmp_path / "t.fg"), "--rv",
+                 parse_queries((tmp_path / "q.txt").read_text())[0], "--out", str(tmp_path / "m.txt")]
+        assert main(query) == 0
+        assert mode("m.txt") == 0o600
+        os.umask(0o027)
+        os.remove(tmp_path / "m.txt")
+        assert main(query) == 0
+        assert mode("m.txt") == 0o640
+    finally:
+        os.umask(old)
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".fglift-")]
 
 
 def test_generate_parameter_errors(tmp_path, capsys):

@@ -29,7 +29,14 @@ from fglift import (
     state_space_size,
     variable_elimination,
 )
-from fglift.inference import _product, _reduced_factors
+from fglift.inference import (
+    _beliefs,
+    _in_range,
+    _min_degree_order,
+    _product,
+    _reduced_factors,
+    _sum_to,
+)
 from fglift.synth import InstanceResult, QueryResult, max_cohorts
 from conftest import (
     ASYMMETRIC_2x2,
@@ -533,6 +540,153 @@ def test_marginals_raise_on_a_true_zero():
                 marginals(g, queries, {"B": "true"}, order=order)
             with pytest.raises(InconsistentEvidence):
                 marginals(g.with_evidence({"B": "true"}), queries, order=order)
+
+
+def _table_store_beliefs(fg, ev, hidden, order):
+    """``_beliefs`` on an id-keyed table store: the reference for bucket elimination.
+
+    Each variable's tables are found through a variable-to-table index that
+    is patched after every step, each kept message's receiver through the
+    id of the message, and the downward pass walks the path from each query
+    up to its root, memoised per cluster.
+    """
+    sizes = {r.id: len(r.range) for r in fg.rvs}
+    store = dict(enumerate(_reduced_factors(fg, ev)))
+    next_id = len(store)
+    var_facs = {}
+    for fid, (vars_, _) in store.items():
+        for v in vars_:
+            var_facs.setdefault(v, set()).add(fid)
+    root, wanted = hidden[0], set(hidden)
+    remaining = {r.id for r in fg.rvs if r.id != root and r.id not in ev}
+    if order == "min_degree":
+        elimination = _min_degree_order([vars_ for vars_, _ in store.values()], remaining)
+    else:
+        elimination = sorted(remaining, reverse=True)
+    elimination.append(root)
+    cluster, message, parent, sender = {}, {}, {}, {}
+    for v in elimination:
+        touched = sorted(var_facs.pop(v, ()))
+        keep = v in wanted
+        for fid in touched:
+            if fid in sender:
+                parent[sender.pop(fid)] = v
+                keep = True
+        if touched:
+            acc = store.pop(touched[0])
+            for fid in touched[1:]:
+                vars_, arr = _product(acc, store.pop(fid), sizes)
+                acc = vars_, _in_range(arr)
+        elif v in wanted:
+            acc = (v,), np.ones(sizes[v], dtype=np.float64)
+        else:
+            continue
+        if keep:
+            cluster[v] = acc
+        vars_, arr = acc
+        summed = arr.sum(axis=vars_.index(v))
+        new_vars = tuple(u for u in vars_ if u != v)
+        if not new_vars:
+            if float(summed) == 0.0:
+                raise InconsistentEvidence("distribution is identically zero under evidence")
+            continue
+        store[next_id] = (new_vars, _in_range(summed))
+        if keep:
+            message[v] = store[next_id]
+            sender[next_id] = v
+        for u in new_vars:
+            facs = var_facs[u]
+            facs.difference_update(touched)
+            facs.add(next_id)
+        next_id += 1
+    belief = {}
+    for v in hidden:
+        path = []
+        while v not in belief and v in parent:
+            path.append(v)
+            v = parent[v]
+        belief.setdefault(v, cluster[v])
+        for c in reversed(path):
+            sep, m = message[c]
+            passed = _sum_to(belief[parent[c]], sep)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                down = np.where(m == 0.0, 0.0, passed / m)
+            vars_, arr = _product(cluster[c], (sep, _in_range(down)), sizes)
+            belief[c] = vars_, _in_range(arr)
+    return belief
+
+
+def assert_beliefs_match_table_store(fg, queries, evidence=None):
+    """Same belief dict as the reference, key by key, scope and array bytes.
+
+    Returns how many beliefs were compared (0 when every configuration has
+    zero weight, which both must then report alike).
+    """
+    ev = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}
+    ev.update(evidence or {})
+    hidden = list(dict.fromkeys(q for q in queries if q not in ev))
+    if not hidden:
+        return 0
+    compared = 0
+    for order in ORDERS:
+        try:
+            expected = _table_store_beliefs(fg, ev, hidden, order)
+        except InconsistentEvidence as exc:
+            with pytest.raises(InconsistentEvidence, match=str(exc)):
+                _beliefs(fg, ev, hidden, order)
+            continue
+        got = _beliefs(fg, ev, hidden, order)
+        assert got.keys() == expected.keys()
+        for v, (scope, arr) in expected.items():
+            assert got[v][0] == scope
+            assert (got[v][1].dtype, got[v][1].shape) == (arr.dtype, arr.shape)
+            assert got[v][1].tobytes() == arr.tobytes()
+        compared += len(got)
+    return compared
+
+
+def test_bucket_beliefs_match_table_store_on_random_graphs():
+    rng = np.random.default_rng(431)
+    compared = empty = 0
+    for i in range(80):
+        g = random_graph(
+            rng, n_rvs=int(rng.integers(3, 10)), n_factors=int(rng.integers(3, 12)),
+            evidence_frac=0.3 if i % 2 else 0.0,
+        )
+        if i % 3:
+            other = random_graph(rng, n_rvs=int(rng.integers(2, 6)), n_factors=int(rng.integers(2, 6)))
+            g = FactorGraph(
+                _prefixed(g, "a").rvs + _prefixed(other, "b").rvs,
+                _prefixed(g, "a").factors + _prefixed(other, "b").factors,
+            )
+        if i % 4 >= 2:
+            g = _with_zero_entries(rng, g, 0.3)
+        ids = list(g.rv_ids)
+        rng.shuffle(ids)
+        evidence = _random_evidence(rng, g, ids[0], 2)
+        subsets = [ids] + [list(rng.permutation(ids)[: int(rng.integers(1, len(ids) + 1))]) for _ in range(3)]
+        for queries in subsets:
+            for ev in (None, evidence):
+                n = assert_beliefs_match_table_store(g, [str(q) for q in queries], ev)
+                compared += n
+                empty += n == 0
+    assert compared > 1000 and empty > 10
+
+
+def test_bucket_beliefs_match_table_store_on_generated_instances():
+    rng = np.random.default_rng(433)
+    for d, p, seed in [(8, 0.5, 1), (16, 0.2, 2), (32, 0.7, 3), (64, 0.3, 5), (128, 0.5, 0), (128, 0.9, 1)]:
+        cfg = ExperimentConfig(
+            d=d, p=p, unknown_fraction=0.1, cohorts=min(3 + seed % 3, max_cohorts(d, p)),
+            queries_per_instance=3, theta=0.0, seed=seed,
+        )
+        fg = generate_instance(cfg).truth
+        ids = sorted(fg.rv_ids)
+        subsets = [ids] + [[str(q) for q in rng.permutation(ids)[: 1 + d // 4]] for _ in range(2)]
+        for queries in subsets:
+            evidence = _random_evidence(rng, fg, queries[0], 3)
+            assert assert_beliefs_match_table_store(fg, queries) >= 2 * len(queries)
+            assert assert_beliefs_match_table_store(fg, queries, evidence) > 0
 
 
 def _run_experiment_per_query(cfg):

@@ -20,6 +20,7 @@ from fglift import (
     complete_and_lift,
     compression_ratio,
     indistinguishable,
+    initial_colouring,
     possibly_identical,
     generate_instance,
     run_colour_passing,
@@ -28,6 +29,7 @@ from fglift import (
     transfer_report_text,
 )
 from fglift import transfer
+from fglift.tables import first_match_groups
 from conftest import (
     ASYMMETRIC_2x2,
     T1,
@@ -190,6 +192,41 @@ def test_theta_outside_unit_interval_is_rejected(theta):
     for fg in (g, chain_graph()):
         with pytest.raises(ValueError, match="theta"):
             complete_and_lift(fg, theta)
+
+
+# Each public entry point that takes rtol, called where it would otherwise
+# never compare two tables: a graph with no unknowns, an empty candidate set,
+# a pair that is not indistinguishable, or an unknown factor.
+_RTOL_ENTRY_POINTS = {
+    "tables_equal": lambda g, cs, bk, rtol: tables_equal(
+        g.factor("f0").table, g.factor("f0").table, rtol
+    ),
+    "possibly_identical": lambda g, cs, bk, rtol: possibly_identical(g, "f1_alice", "f1_alice", rtol),
+    "possibly_identical_unknown": lambda g, cs, bk, rtol: possibly_identical(g, "f2_eve_m1", "f2_eve_m1", rtol),
+    "possibly_identical_distinguishable": lambda g, cs, bk, rtol: possibly_identical(g, "f0", "f3_eve", rtol),
+    "candidate_sets": lambda g, cs, bk, rtol: candidate_sets(g, rtol),
+    "candidate_sets_no_unknowns": lambda g, cs, bk, rtol: candidate_sets(epidemic_base(), rtol),
+    "select_transfer_class": lambda g, cs, bk, rtol: select_transfer_class(g, cs, 0.5, bk, rtol),
+    "select_transfer_class_empty": lambda g, cs, bk, rtol: select_transfer_class(
+        g, replace(cs, candidates=(), classes=()), 0.5, bk, rtol
+    ),
+    "complete_and_lift": lambda g, cs, bk, rtol: complete_and_lift(g, 0.5, bk, rtol),
+    "complete_and_lift_no_unknowns": lambda g, cs, bk, rtol: complete_and_lift(epidemic_base(), 0.5, bk, rtol),
+    "initial_colouring": lambda g, cs, bk, rtol: initial_colouring(epidemic_base(), rtol),
+    "run_colour_passing": lambda g, cs, bk, rtol: run_colour_passing(epidemic_base(), rtol),
+    "first_match_groups": lambda g, cs, bk, rtol: first_match_groups([], rtol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RTOL_ENTRY_POINTS))
+@pytest.mark.parametrize("with_bk", [False, True], ids=["no_bk", "bk"])
+@pytest.mark.parametrize("rtol", [-1.0, float("nan")])
+def test_negative_or_nan_rtol_is_rejected_at_every_entry_point(entry, with_bk, rtol):
+    g = epidemic_four()
+    cs = candidate_sets(g)[0]
+    bk = eve_dave_bk() if with_bk else None
+    with pytest.raises(ValueError, match="rtol must be non-negative"):
+        _RTOL_ENTRY_POINTS[entry](g, cs, bk, rtol)
 
 
 def test_select_transfer_class_with_background_knowledge():
