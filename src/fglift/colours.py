@@ -27,12 +27,13 @@ would hide the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Hashable, Mapping
 
 import numpy as np
 
 from .errors import UnknownFactorPresent
-from .model import Factor, FactorGraph
+from .model import FactorGraph
 from .tables import (
     PotentialTable,
     alignment_axes,
@@ -107,16 +108,16 @@ def initial_colouring(
     return Colouring(rv_colours, _recolour(factor_sigs, len(set(rv_colours.values()))))
 
 
-def _ports(factor: Factor) -> tuple[int, ...]:
-    """Port label of each argument position: its canonical symmetry orbit.
+def _ports(table: PotentialTable | None, n: int) -> tuple[int, ...]:
+    """Port label of each of a factor's ``n`` argument positions: its
+    canonical symmetry orbit in the factor's ``table``.
 
     Unknown factors label each position by itself, as ``canonical_info``
     does for oversized tables, so positions are then compared literally.
     """
-    n = len(factor.args)
-    if factor.table is None or factor.table.arity != n:
+    if table is None or table.arity != n:
         return tuple(range(n))
-    info = canonical_info(factor.table)
+    info = canonical_info(table)
     return tuple(info.orbit_of_position(p) for p in range(n))
 
 
@@ -128,7 +129,8 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     rv_col = colouring.rv_colours
     fac_col = colouring.factor_colours
 
-    ports = [_ports(f) for f in fg.factors]
+    ports_of = cache(_ports)
+    ports = [ports_of(f.table, len(f.args)) for f in fg.factors]
     factor_sigs: dict[str, tuple] = {}
     for f, f_ports in zip(fg.factors, ports):
         per_port: dict[int, list[int]] = {}
@@ -210,6 +212,7 @@ class Grouping:
 
 def grouping_from_colouring(fg: FactorGraph, colouring: Colouring) -> Grouping:
     classes: list[FactorClass] = []
+    axes_of = cache(alignment_axes)
     for members in _classes(colouring.factor_colours):
         rep = fg.factor(members[0])
         if rep.table is None:
@@ -219,7 +222,7 @@ def grouping_from_colouring(fg: FactorGraph, colouring: Colouring) -> Grouping:
         for m in members:
             mf = fg.factor(m)
             assert mf.table is not None
-            alignments.append(alignment_axes(rep.table, mf.table))
+            alignments.append(axes_of(rep.table, mf.table))
         classes.append(FactorClass(members, rep.table, tuple(alignments)))
     return Grouping(tuple(_classes(colouring.rv_colours)), tuple(classes))
 

@@ -9,6 +9,7 @@ the normalised product of all potential tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from math import prod
 from typing import Iterable, Mapping
 
@@ -159,7 +160,13 @@ class FactorGraph:
     # -- derived graphs --------------------------------------------------
 
     def with_tables(self, tables: Mapping[str, PotentialTable]) -> "FactorGraph":
-        """Copy of the graph with the given factors' tables replaced."""
+        """Copy of the graph with the given factors' tables replaced.
+
+        Raises UnknownNode for an id that is not a factor of the graph.
+        """
+        for factor_id in tables:
+            if factor_id not in self._factor_by_id:
+                raise UnknownNode(f"no factor {factor_id!r}")
         factors = tuple(
             replace(f, table=tables[f.id]) if f.id in tables else f for f in self.factors
         )
@@ -201,9 +208,11 @@ def validate(fg: FactorGraph) -> list[Violation]:
 
     Covered: duplicate node ids, empty or repeating argument lists, dangling
     argument references, table shape mismatches, non-positive or non-finite
-    entries, evidence outside the variable's range.
+    entries, evidence outside the variable's range. The entries of each
+    distinct table are scanned once.
     """
     out: list[Violation] = []
+    bad_entries = cache(lambda t: int(np.count_nonzero(~(np.isfinite(t.array) & (t.array > 0.0)))))
     seen: set[str] = set()
     for rv in fg.rvs:
         if rv.id in seen:
@@ -248,9 +257,8 @@ def validate(fg: FactorGraph) -> list[Violation]:
                 )
             )
             continue
-        arr = f.table.array
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
-            bad = int(np.sum(~(np.isfinite(arr) & (arr > 0.0))))
+        bad = bad_entries(f.table)
+        if bad:
             out.append(
                 Violation(
                     "non-positive-potential",

@@ -9,12 +9,16 @@ Model files::
 
 Potentials are written row-major with the last argument varying fastest,
 with 17 significant digits so that serialising and re-parsing reproduces
-bit-identical floats. Evidence files hold one ``<rv> <value>`` pair per
-line, background knowledge one ``individual <id> <factor>,...`` per line,
-query files one RV id per line. ``#`` starts a comment anywhere.
+bit-identical floats. Parsing builds one table per distinct entries list
+and shape, and one range per distinct value list, shared by every factor or
+RV that repeats it; serialising formats each distinct table's entries once.
+Evidence files hold one ``<rv> <value>`` pair per line, background knowledge
+one ``individual <id> <factor>,...`` per line, query files one RV id per
+line. ``#`` starts a comment anywhere.
 """
 from __future__ import annotations
 
+from functools import cache
 from math import prod
 from typing import Mapping
 
@@ -46,11 +50,18 @@ def parse_model(text: str) -> FactorGraph:
 
     Rejects malformed lines, factors over undeclared RVs, repeated names and
     wrong-cardinality tables, always with the offending line number.
+    Factors that repeat an entries list under the same shape share one
+    ``PotentialTable``, and RVs that repeat a value list share one
+    ``RangeSpec``.
     """
     rvs: list[RandomVariable] = []
     factors: list[Factor] = []
     rv_by_id: dict[str, RandomVariable] = {}
     factor_ids: set[str] = set()
+    # a token enters these only once it has parsed, so a malformed one is
+    # reported, with its line, wherever it first appears
+    ranges: dict[str, RangeSpec] = {}
+    tables: dict[tuple[tuple[int, ...], str], PotentialTable] = {}
     for lineno, tokens in _tokenize(text):
         kind = tokens[0]
         if kind == "rv":
@@ -59,11 +70,13 @@ def parse_model(text: str) -> FactorGraph:
             name = tokens[1]
             if name in rv_by_id or name in factor_ids:
                 raise ParseError(lineno, f"duplicate node name {name!r}")
-            values = _split_csv(tokens[2], lineno, "range")
-            try:
-                spec = RangeSpec(values)
-            except ValueError as e:
-                raise ParseError(lineno, str(e)) from None
+            spec = ranges.get(tokens[2])
+            if spec is None:
+                values = _split_csv(tokens[2], lineno, "range")
+                try:
+                    spec = ranges[tokens[2]] = RangeSpec(values)
+                except ValueError as e:
+                    raise ParseError(lineno, str(e)) from None
             rv = RandomVariable(name, spec)
             rvs.append(rv)
             rv_by_id[name] = rv
@@ -87,17 +100,21 @@ def parse_model(text: str) -> FactorGraph:
                 if len(tokens) != 5:
                     raise ParseError(lineno, "known factor needs exactly one entries list")
                 shape = tuple(len(rv_by_id[a].range) for a in args)
-                raw = _split_csv(tokens[4], lineno, "entries")
-                if len(raw) != prod(shape):
-                    raise ParseError(
-                        lineno,
-                        f"factor {name!r} needs {prod(shape)} entries for shape {shape}, got {len(raw)}",
-                    )
-                try:
-                    entries = [float(x) for x in raw]
-                except ValueError:
-                    raise ParseError(lineno, f"factor {name!r} has a non-numeric entry") from None
-                factors.append(Factor(name, tuple(args), PotentialTable(shape, entries)))
+                key = (shape, tokens[4])
+                table = tables.get(key)
+                if table is None:
+                    raw = _split_csv(tokens[4], lineno, "entries")
+                    if len(raw) != prod(shape):
+                        raise ParseError(
+                            lineno,
+                            f"factor {name!r} needs {prod(shape)} entries for shape {shape}, got {len(raw)}",
+                        )
+                    try:
+                        entries = [float(x) for x in raw]
+                    except ValueError:
+                        raise ParseError(lineno, f"factor {name!r} has a non-numeric entry") from None
+                    table = tables[key] = PotentialTable(shape, entries)
+                factors.append(Factor(name, tuple(args), table))
             else:
                 raise ParseError(lineno, f"factor state must be 'known' or 'unknown', got {state!r}")
             factor_ids.add(name)
@@ -107,7 +124,7 @@ def parse_model(text: str) -> FactorGraph:
 
 
 def _check_token(token: str, what: str) -> str:
-    if token == "" or any(c in _SEPARATORS for c in token):
+    if token == "" or not _SEPARATORS.isdisjoint(token):
         raise ValueError(f"{what} {token!r} cannot be written to the text format")
     return token
 
@@ -117,8 +134,12 @@ def _fmt(x: float) -> str:
 
 
 def serialize_model(fg: FactorGraph) -> str:
-    """Render a FactorGraph in the model format (evidence is not part of it)."""
+    """Render a FactorGraph in the model format (evidence is not part of it).
+
+    Each distinct table's entries are formatted once.
+    """
     lines: list[str] = []
+    entries_of = cache(lambda table: ",".join(_fmt(x) for x in table.entries))
     for rv in fg.rvs:
         _check_token(rv.id, "rv name")
         values = ",".join(_check_token(v, "range value") for v in rv.range.values)
@@ -129,8 +150,7 @@ def serialize_model(fg: FactorGraph) -> str:
         if f.table is None:
             lines.append(f"factor {f.id} unknown {args}")
         else:
-            entries = ",".join(_fmt(x) for x in f.table.entries)
-            lines.append(f"factor {f.id} known {args} {entries}")
+            lines.append(f"factor {f.id} known {args} {entries_of(f.table)}")
     return "\n".join(lines) + "\n"
 
 

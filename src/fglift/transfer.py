@@ -324,15 +324,21 @@ def complete_and_lift(
     mirrors = None if bk is None else _Mirrors(fg, bk, rtol, key_of)
     rows: list[CandidateSet] = []
     transfers: dict[str, PotentialTable] = {}
+
+    @cache
+    def aligned(donor: PotentialTable, axes: tuple[int, ...]) -> PotentialTable:
+        """One transferred table per distinct (donor table, alignment); one
+        that equals its donor is the donor, so the completed graph shares it."""
+        table = PotentialTable.from_array(np.transpose(donor.array, axes))
+        return donor if table == donor else table
+
     for cs in candidate_sets(fg, rtol, _key_of=key_of):
         sel = select_transfer_class(fg, cs, theta, bk, rtol, _mirrors=mirrors)
         rows.append(replace(cs, chosen=sel))
         if sel is not None and sel.accepted:
             donor_table = fg.factor(sel.donor).table
             assert donor_table is not None and sel.alignment is not None
-            transfers[cs.unknown_factor] = PotentialTable.from_array(
-                np.transpose(donor_table.array, sel.alignment)
-            )
+            transfers[cs.unknown_factor] = aligned(donor_table, sel.alignment)
     completed = fg.with_tables(transfers)
     unresolved = tuple(uid for uid in sorted(fg.unknown_factor_ids) if uid not in transfers)
     # indistinguishable unknowns share a colour: tag each by its neighbour profile

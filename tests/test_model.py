@@ -74,6 +74,14 @@ def test_with_tables_fills_unknowns_without_mutating():
     assert g.factor("f").table is None
 
 
+@pytest.mark.parametrize("target", ["nosuch", "A"])
+def test_with_tables_rejects_ids_that_are_not_factors(target):
+    g = FactorGraph((RandomVariable("A", BOOL_RANGE),), (Factor("f", ("A",)),))
+    t = PotentialTable((2,), (1.0, 3.0))
+    with pytest.raises(UnknownNode, match=repr(target)):
+        g.with_tables({"f": t, target: t})
+
+
 def test_with_evidence_set_clear_and_reject():
     g = chain_graph()
     g2 = g.with_evidence({"A": "true"})
