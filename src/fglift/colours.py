@@ -1,7 +1,7 @@
 """Colour passing: partition refinement over factor graphs.
 
 Nodes start with structural colours (random variables by their signature
-of range and evidence, known factors by the canonical form of their tables,
+of range and evidence, known factors by the class of their canonical tables,
 unknown factors by a caller's tag) and are repeatedly re-partitioned: each
 factor combines its own colour with the colours of its arguments, each RV
 combines its own colour with the multiset of factor colours it sees,
@@ -35,11 +35,12 @@ import numpy as np
 from .errors import UnknownFactorPresent
 from .model import FactorGraph
 from .tables import (
+    CanonicalKey,
     PotentialTable,
     alignment_axes,
     canonical_info,
     canonical_table,  # noqa: F401  (wrapped by name in bench/tracing.py)
-    first_match_groups,
+    table_classes,
     tables_equal,  # noqa: F401  (wrapped by name in bench/tracing.py)
 )
 
@@ -72,6 +73,17 @@ def _recolour(sigs: dict[str, tuple], first: int) -> dict[str, int]:
     return {node: order[sig] for node, sig in sigs.items()}
 
 
+def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> dict[str, CanonicalKey]:
+    """Table class of each known factor, by factor id, as ``tables.table_classes``
+    builds it over the graph's canonical keys; one ``canonical_info`` per
+    distinct table. Raises ValueError for a negative or NaN ``rtol``.
+    """
+    known = [f for f in fg.factors if f.table is not None]
+    key_of = {t: canonical_info(t).key for t in dict.fromkeys(f.table for f in known)}
+    class_of = table_classes(key_of.values(), rtol)
+    return {f.id: class_of[key_of[f.table]] for f in known}
+
+
 def initial_colouring(
     fg: FactorGraph,
     rtol: float = 0.0,
@@ -80,8 +92,7 @@ def initial_colouring(
     """Structural starting colours, numbered like every refinement round.
 
     An RV's signature is ``RandomVariable.signature``. A known factor's is
-    ``(0, key)`` with the canonical key of its group's first member, known
-    tables being grouped by canonical form (within ``rtol`` if nonzero).
+    ``(0, key)`` with the key naming its table class (``known_table_classes``).
     Every unknown factor must appear in ``unknown_tags`` and gets ``(1,
     tag)``, so factors sharing a tag share a colour; tags must be mutually
     sortable. RVs and then factors are coloured densely in sorted-signature
@@ -97,12 +108,8 @@ def initial_colouring(
     if extra:
         raise ValueError(f"tags given for non-unknown factors: {', '.join(extra)}")
 
-    known = [f for f in fg.factors if not f.is_unknown]
-    keys = [canonical_info(f.table).key for f in known]  # type: ignore[arg-type]
-    factor_sigs: dict[str, tuple] = {}
-    for group in first_match_groups(keys, rtol):
-        for i in group:
-            factor_sigs[known[i].id] = (0, keys[group[0]])
+    classes = known_table_classes(fg, rtol)
+    factor_sigs: dict[str, tuple] = {fid: (0, key) for fid, key in classes.items()}
     factor_sigs.update((fid, (1, tag)) for fid, tag in tags.items())
     rv_colours = _recolour({rv.id: rv.signature for rv in fg.rvs}, 0)
     return Colouring(rv_colours, _recolour(factor_sigs, len(set(rv_colours.values()))))

@@ -131,35 +131,38 @@ def tables_equal(a: PotentialTable, b: PotentialTable, rtol: float = 0.0) -> boo
 CanonicalKey = tuple[tuple[int, ...], tuple[float, ...]]
 
 
-def first_match_groups(keys: Sequence[CanonicalKey], rtol: float) -> list[list[int]]:
-    """Positions of canonical ``keys`` grouped as a first-match scan groups them.
+def table_classes(keys: Iterable[CanonicalKey], rtol: float) -> dict[CanonicalKey, CanonicalKey]:
+    """Each distinct canonical key mapped to its table class, named by its smallest key.
 
-    The scan puts each key into the first group whose representative (its
-    first key) it matches, as ``tables_equal`` decides within ``rtol`` on
-    the canonical tables, and opens a new group otherwise. Equal keys always
-    land in the same group, so the scan runs over distinct keys only; at
-    ``rtol == 0`` the groups are the classes of equal keys. Groups come in
-    order of first appearance, positions ascending within each. Raises
+    A class is a connected component of "``tables_equal`` within ``rtol``"
+    over the canonical tables, so it does not depend on the order of
+    ``keys`` and is closed under chains: a chain of near tables can join two
+    tables more than ``rtol`` apart. At ``rtol == 0`` every key is its own
+    class. A search from each smallest key not yet placed builds its class,
+    comparing keys of equal shape only, each pair at most once. Raises
     ValueError for a negative or NaN ``rtol``.
     """
     check_rtol(rtol)
-    group_of: dict[CanonicalKey, int] = {}
-    if rtol > 0.0:
-        reps: list[PotentialTable] = []
-        for key in dict.fromkeys(keys):
-            table = PotentialTable(*key)
-            group_of[key] = next(
-                (g for g, rep in enumerate(reps) if tables_equal(rep, table, rtol)), len(reps)
-            )
-            if group_of[key] == len(reps):
-                reps.append(table)
-    groups: list[list[int]] = []
-    for pos, key in enumerate(keys):
-        g = group_of.setdefault(key, len(groups))
-        if g == len(groups):
-            groups.append([])
-        groups[g].append(pos)
-    return groups
+    if rtol == 0.0:
+        return {key: key for key in keys}
+    by_shape: dict[tuple[int, ...], list[CanonicalKey]] = {}
+    for key in sorted(set(keys)):
+        by_shape.setdefault(key[0], []).append(key)
+    class_of: dict[CanonicalKey, CanonicalKey] = {}
+    for same_shape in by_shape.values():
+        tables = {key: PotentialTable(*key) for key in same_shape}
+        for first in same_shape:
+            if first in class_of:
+                continue
+            class_of[first] = first
+            stack = [first]
+            while stack:
+                table = tables[stack.pop()]
+                for key in same_shape:
+                    if key not in class_of and tables_equal(table, tables[key], rtol):
+                        class_of[key] = first
+                        stack.append(key)
+    return class_of
 
 
 def invert_axes(perm: Sequence[int]) -> tuple[int, ...]:

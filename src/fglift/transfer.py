@@ -14,31 +14,31 @@ unknowns share a colour).
 
 Nothing is compared pair by pair. Indistinguishability is an equivalence
 whose key is the sorted neighbour profile, so every known factor is
-bucketed once by that key and each unknown factor reads its bucket. A
-bucket's classes come from one canonical key per known table
-(``tables.first_match_groups``), computed once per bucket. A mirror
-individual is found by set tests on each individual's set of known
-canonical keys, built once. Completion therefore costs O(factors +
-unknowns) profile and key computations, plus one set test per individual
-for each individual that holds an unknown factor.
+bucketed once by that key and each unknown factor reads its bucket. Every
+known table belongs to one table class (``colours.known_table_classes``,
+one canonical key per distinct table), and the same map splits a bucket
+into classes, finds mirror individuals and colours the known factors. A
+mirror individual is found by set tests on each individual's set of known
+table classes, built once. At ``rtol == 0`` completion therefore costs
+O(factors + unknowns) profile and key computations, plus one set test per
+individual for each individual that holds an unknown factor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
-from typing import Callable
+from typing import Mapping
 
 import numpy as np
 
-from .colours import Grouping, run_colour_passing
+from .colours import Grouping, known_table_classes, run_colour_passing
 from .model import BackgroundKnowledge, FactorGraph
 from .tables import (
     CanonicalKey,
     PotentialTable,
-    canonical_info,
+    canonical_info,  # noqa: F401  (wrapped by name in bench/tracing.py)
     canonical_table,
     check_rtol,
-    first_match_groups,
     tables_equal,
 )
 
@@ -68,7 +68,9 @@ def possibly_identical(fg: FactorGraph, a: str, b: str, rtol: float = 0.0) -> bo
 
     Potentials cannot contradict when either factor is unknown; for two
     known factors the tables must agree under canonical argument alignment
-    (within ``rtol``). Raises ValueError for a negative or NaN ``rtol``.
+    (within ``rtol``). This is the pairwise relation; table classes are its
+    closure, so two known factors of one class need not pass it at ``rtol >
+    0``. Raises ValueError for a negative or NaN ``rtol``.
     """
     check_rtol(rtol)
     if not indistinguishable(fg, a, b):
@@ -103,9 +105,10 @@ class Selection:
 class CandidateSet:
     """Known factors that could plausibly share an unknown factor's potentials.
 
-    ``classes`` partitions the candidates into maximal sets whose members
-    are also pairwise possibly identical to each other, largest class first
-    (ties broken by smallest member id).
+    ``classes`` partitions the candidates by table class: at ``rtol == 0``
+    into maximal sets of pairwise possibly identical factors, at ``rtol >
+    0`` by the closure of that relation over the graph's known tables.
+    Largest class first, ties broken by smallest member id.
     """
 
     unknown_factor: str
@@ -114,32 +117,26 @@ class CandidateSet:
     chosen: Selection | None = None
 
 
-def _canonical_keys(fg: FactorGraph) -> Callable[[str], CanonicalKey]:
-    """Canonical key of a known factor's table, computed once per factor id."""
-    return cache(lambda fid: canonical_info(fg.factor(fid).table).key)  # type: ignore[arg-type]
-
-
 def _candidate_classes(
-    candidates: tuple[str, ...], key_of: Callable[[str], CanonicalKey], rtol: float
+    candidates: tuple[str, ...], class_of: Mapping[str, CanonicalKey]
 ) -> tuple[tuple[str, ...], ...]:
-    # Candidates are mutually indistinguishable already, so the maximal
-    # pairwise possibly-identical subsets are exactly the classes of equal
-    # canonical tables.
-    groups = first_match_groups([key_of(fid) for fid in candidates], rtol)
-    classes = [tuple(candidates[i] for i in g) for g in groups]
-    classes.sort(key=lambda c: (-len(c), c))
-    return tuple(classes)
+    # Candidates are mutually indistinguishable already, so they split by
+    # table class alone.
+    classes: dict[CanonicalKey, list[str]] = {}
+    for fid in candidates:
+        classes.setdefault(class_of[fid], []).append(fid)
+    return tuple(sorted((tuple(c) for c in classes.values()), key=lambda c: (-len(c), c)))
 
 
 def candidate_sets(
-    fg: FactorGraph, rtol: float = 0.0, *, _key_of: Callable[[str], CanonicalKey] | None = None
+    fg: FactorGraph, rtol: float = 0.0, *, _class_of: Mapping[str, CanonicalKey] | None = None
 ) -> list[CandidateSet]:
     """One CandidateSet per unknown factor, in sorted id order.
 
     Raises ValueError for a negative or NaN ``rtol``.
     """
     check_rtol(rtol)
-    key_of = _canonical_keys(fg) if _key_of is None else _key_of
+    class_of = known_table_classes(fg, rtol) if _class_of is None else _class_of
     buckets: dict[tuple, list[str]] = {}
     for f in fg.factors:
         if not f.is_unknown:
@@ -150,7 +147,7 @@ def candidate_sets(
         profile = _neighbour_profile(fg, uid)
         if profile not in per_profile:
             cands = tuple(sorted(buckets.get(profile, ())))
-            per_profile[profile] = (cands, _candidate_classes(cands, key_of, rtol))
+            per_profile[profile] = (cands, _candidate_classes(cands, class_of))
         out.append(CandidateSet(uid, *per_profile[profile]))
     return out
 
@@ -159,45 +156,21 @@ class _Mirrors:
     """The unique mirror individual of each individual, memoised.
 
     A mirror of individual I is another individual holding, for every known
-    factor of I, a known factor with the same canonical table (within
-    ``rtol``). Each individual's set of known canonical keys is built once,
-    so the test is a set inclusion; at ``rtol > 0`` each key's set of
-    tolerance matches is memoised. The scan stops at the second mirror.
+    factor of I, a known factor of the same table class. ``class_of`` maps
+    each known factor of the graph to its class; each individual's set of
+    known classes is built once, so the test is a set inclusion. The scan
+    stops at the second mirror.
     """
 
-    def __init__(
-        self,
-        fg: FactorGraph,
-        bk: BackgroundKnowledge,
-        rtol: float,
-        key_of: Callable[[str], CanonicalKey],
-    ) -> None:
-        def known_keys(fids: tuple[str, ...]) -> frozenset[CanonicalKey]:
-            return frozenset(
-                key_of(g) for g in fids if fg.has_factor(g) and not fg.factor(g).is_unknown
-            )
+    def __init__(self, bk: BackgroundKnowledge, class_of: Mapping[str, CanonicalKey]) -> None:
+        def known_classes(fids: tuple[str, ...]) -> frozenset[CanonicalKey]:
+            return frozenset(class_of[g] for g in fids if g in class_of)
 
-        self.rtol = rtol
-        self.groups = [(ind, fids, known_keys(fids)) for ind, fids in bk.groups]
+        self.groups = [(ind, fids, known_classes(fids)) for ind, fids in bk.groups]
         # reversed, so that the first group wins, as in bk.individual_of / factors_of
         self.owner = {fid: ind for ind, fids in reversed(bk.groups) for fid in fids}
-        self.own_keys = {ind: keys for ind, _, keys in reversed(self.groups)}
-        self.tables = (
-            {k: PotentialTable(*k) for *_, keys in self.groups for k in keys} if rtol else {}
-        )
-        self._matches: dict[CanonicalKey, frozenset[CanonicalKey]] = {}
+        self.own_classes = {ind: classes for ind, _, classes in reversed(self.groups)}
         self._mirror: dict[str, frozenset[str]] = {}
-
-    def _covers(self, own: frozenset[CanonicalKey], other: frozenset[CanonicalKey]) -> bool:
-        if self.rtol == 0.0:
-            return own <= other
-        for k in own:
-            if k not in self._matches:
-                t = self.tables[k]
-                self._matches[k] = frozenset(
-                    m for m, u in self.tables.items() if tables_equal(t, u, self.rtol)
-                )
-        return all(not self._matches[k].isdisjoint(other) for k in own)
 
     def of(self, unknown_factor: str) -> frozenset[str] | None:
         """Factor ids of the unique individual that mirrors the unknown factor's own.
@@ -210,8 +183,8 @@ class _Mirrors:
             return None
         if own not in self._mirror:
             mirrors = []
-            for other, fids, keys in self.groups:
-                if other != own and self._covers(self.own_keys[own], keys):
+            for other, fids, classes in self.groups:
+                if other != own and self.own_classes[own] <= classes:
                     mirrors.append(fids)
                     if len(mirrors) == 2:
                         break
@@ -252,7 +225,7 @@ def select_transfer_class(
     bk_state = "n/a"
     if bk is not None:
         if _mirrors is None:
-            _mirrors = _Mirrors(fg, bk, rtol, _canonical_keys(fg))
+            _mirrors = _Mirrors(bk, known_table_classes(fg, rtol))
         mirror = _mirrors.of(cs.unknown_factor)
         if mirror is not None:
             supported = tuple(c for c in cs.classes if set(c) & mirror)
@@ -320,8 +293,8 @@ def complete_and_lift(
     or NaN ``rtol``.
     """
     _check_theta(theta)
-    key_of = _canonical_keys(fg)
-    mirrors = None if bk is None else _Mirrors(fg, bk, rtol, key_of)
+    class_of = known_table_classes(fg, rtol)
+    mirrors = None if bk is None else _Mirrors(bk, class_of)
     rows: list[CandidateSet] = []
     transfers: dict[str, PotentialTable] = {}
 
@@ -332,7 +305,7 @@ def complete_and_lift(
         table = PotentialTable.from_array(np.transpose(donor.array, axes))
         return donor if table == donor else table
 
-    for cs in candidate_sets(fg, rtol, _key_of=key_of):
+    for cs in candidate_sets(fg, rtol, _class_of=class_of):
         sel = select_transfer_class(fg, cs, theta, bk, rtol, _mirrors=mirrors)
         rows.append(replace(cs, chosen=sel))
         if sel is not None and sel.accepted:

@@ -8,6 +8,7 @@ Python loops, independent of the library's numpy code paths.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from math import prod
 
 import numpy as np
@@ -16,11 +17,13 @@ import pytest
 from fglift import (
     BOOL_RANGE,
     BackgroundKnowledge,
+    ExperimentConfig,
     Factor,
     FactorGraph,
     PotentialTable,
     RandomVariable,
     RangeSpec,
+    generate_instance,
 )
 
 # Chain A - f1 - B - f2 - C. The symmetric table makes f1 and f2 encode the
@@ -182,6 +185,57 @@ def random_graph(
         args = tuple(f"r{int(i)}" for i in rng.choice(n_rvs, arity, replace=False))
         factors.append(Factor(f"u{j}", args, None))
     return FactorGraph(rvs, factors)
+
+
+def jittered(fg, rng):
+    """Known tables scaled by 1 + s: steps 0.6e-6 apart chain within 1e-6, 1.2e-6 does not."""
+    factors = []
+    for f in fg.factors:
+        if f.table is not None:
+            s = float(rng.choice([0.0, 0.0, 6e-7, 1.2e-6, 3e-6]))
+            f = replace(f, table=PotentialTable.from_array(f.table.array * (1.0 + s)))
+        factors.append(f)
+    return FactorGraph(fg.rvs, factors)
+
+
+def random_individuals(fg, rng):
+    """Random individuals of one to three factors; some factors belong to none."""
+    fids = [fid for fid in fg.factor_ids if rng.random() < 0.85]
+    rng.shuffle(fids)
+    groups, i = {}, 0
+    while i < len(fids):
+        size = int(rng.integers(1, 4))
+        groups[f"ind{len(groups)}"] = fids[i : i + size]
+        i += size
+    return BackgroundKnowledge.from_dict(groups)
+
+
+def per_core_rv(fg):
+    """One individual per core RV of a generated instance, holding its factors."""
+    return BackgroundKnowledge.from_dict(
+        {rv: fg.factors_of(rv) for rv in fg.rv_ids if rv.startswith("u_")}
+    )
+
+
+def completion_cases(rng):
+    """(graph, background knowledge or None, theta) for completion: random
+    graphs, half of them jittered, then jittered generated cohorts."""
+    for trial in range(60):
+        fg = random_graph(
+            rng, n_rvs=7, n_factors=16, max_arity=3, pool_size=2,
+            evidence_frac=0.15, n_unknown=5,
+        )
+        if trial % 2:
+            fg = jittered(fg, rng)
+        bk = random_individuals(fg, rng) if trial % 3 else None
+        yield fg, bk, float(rng.choice([0.0, 0.5, 0.9]))
+    for seed in range(12):
+        cfg = ExperimentConfig(
+            d=int(rng.choice([8, 16])), p=0.5, unknown_fraction=0.2, cohorts=3,
+            queries_per_instance=3, theta=0.0, seed=seed,
+        )
+        fg = jittered(generate_instance(cfg).incomplete, rng)
+        yield fg, per_core_rv(fg), 0.0
 
 
 def range_of(k: int) -> RangeSpec:

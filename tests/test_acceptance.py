@@ -26,10 +26,12 @@ from fglift import (
 from fglift.synth import max_cohorts
 from conftest import (
     chain_graph,
+    completion_cases,
     epidemic_base,
     epidemic_four,
     epidemic_with_eve,
     eve_dave_bk,
+    jittered,
     oracle_marginal,
     random_graph,
 )
@@ -358,11 +360,12 @@ def test_criterion_7_property_suites(capsys):
             for f in g.factors
         )
 
-    relabel_ok = True
     from fglift import FactorGraph, Factor, RandomVariable
 
-    for _ in range(15):
-        g = random_graph(rng)
+    def reversed_graph(g):
+        return FactorGraph(tuple(reversed(g.rvs)), tuple(reversed(g.factors)))
+
+    def grouping_invariant(g, rtol):
         ren = {x: f"n{i:03d}_{x}" for i, x in enumerate(g.rv_ids + g.factor_ids)}
         mapped = FactorGraph(
             tuple(RandomVariable(ren[rv.id], rv.range, rv.evidence) for rv in g.rvs),
@@ -371,17 +374,30 @@ def test_criterion_7_property_suites(capsys):
                 for f in g.factors
             ),
         )
-        a, b = run_colour_passing(g), run_colour_passing(mapped)
-        relabel_ok &= {
-            frozenset(ren[x] for x in c) for c in a.rv_partition()
-        } == set(b.rv_partition())
-        relabel_ok &= {
-            frozenset(ren[x] for x in c) for c in a.factor_partition()
-        } == set(b.factor_partition())
-        shuffled = FactorGraph(tuple(reversed(g.rvs)), tuple(reversed(g.factors)))
-        relabel_ok &= run_colour_passing(shuffled) == a
+        a, b = run_colour_passing(g, rtol), run_colour_passing(mapped, rtol)
+        return (
+            {frozenset(ren[x] for x in c) for c in a.rv_partition()} == set(b.rv_partition())
+            and {frozenset(ren[x] for x in c) for c in a.factor_partition()}
+            == set(b.factor_partition())
+            and run_colour_passing(reversed_graph(g), rtol) == a
+        )
 
-    ok = equivalence_ok and kld_ok and round_trip_ok and relabel_ok
+    # at rtol 1e-6 on jittered copies, whose near tables chain into classes
+    relabel_ok = True
+    jitter_rng = np.random.default_rng(402)
+    for _ in range(15):
+        g = random_graph(rng)
+        relabel_ok &= grouping_invariant(g, 0.0)
+        relabel_ok &= grouping_invariant(jittered(g, jitter_rng), 1e-6)
+
+    completion_ok = True
+    for fg, bk, theta in completion_cases(np.random.default_rng(2024)):
+        for rtol in (0.0, 1e-6):
+            a = complete_and_lift(fg, theta, bk, rtol)
+            b = complete_and_lift(reversed_graph(fg), theta, bk, rtol)
+            completion_ok &= a.report == b.report and a.grouping == b.grouping
+
+    ok = equivalence_ok and kld_ok and round_trip_ok and relabel_ok and completion_ok
     _line(
         capsys,
         7,
@@ -390,6 +406,8 @@ def test_criterion_7_property_suites(capsys):
         f"({'ok' if equivalence_ok else 'FAIL'}), divergence nonnegative and "
         f"zero iff equal ({'ok' if kld_ok else 'FAIL'}), serialization round-trips "
         f"({'ok' if round_trip_ok else 'FAIL'}), grouping invariant under "
-        f"relabelling and insertion order ({'ok' if relabel_ok else 'FAIL'})",
+        f"relabelling and insertion order at rtol 0 and 1e-6 "
+        f"({'ok' if relabel_ok else 'FAIL'}), completion invariant under "
+        f"reversed insertion order ({'ok' if completion_ok else 'FAIL'})",
     )
     assert ok

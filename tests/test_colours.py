@@ -25,6 +25,7 @@ from fglift import (
     UnknownFactorPresent,
     alignment_axes,
     canonical_info,
+    canonical_table,
     colour_passing_step,
     complete_and_lift,
     compression_ratio,
@@ -37,9 +38,10 @@ from fglift import (
     refine_to_fixpoint,
     run_colour_passing,
     state_space_size,
+    tables_equal,
 )
 from fglift.colours import Colouring, FactorClass, Grouping
-from fglift.tables import MAX_CANONICAL_ARITY, first_match_groups, invert_axes
+from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
 from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2, chain_graph, epidemic_base, random_graph
 
 
@@ -452,10 +454,18 @@ def _ref_initial_colouring(fg, rtol, unknown_tags):
     for _, members in sorted(rv_groups.items()):
         rv_colours.update((m, next_colour) for m in members)
         next_colour += 1
-    known = [f for f in fg.factors if not f.is_unknown]
-    keys = [canonical_info(f.table).key for f in known]
+    # known factors: every pair of canonical tables compared, the classes of
+    # each matching pair merged, and each class named by its smallest key
+    canon = {f.id: canonical_table(f.table) for f in fg.factors if not f.is_unknown}
+    class_of = {fid: frozenset([fid]) for fid in canon}
+    for a in canon:
+        for b in canon:
+            if class_of[a] != class_of[b] and tables_equal(canon[a], canon[b], rtol):
+                merged = class_of[a] | class_of[b]
+                class_of.update((m, merged) for m in merged)
     groups = sorted(
-        (keys[g[0]], [known[i].id for i in g]) for g in first_match_groups(keys, rtol)
+        (min(canonical_info(fg.factor(m).table).key for m in c), sorted(c))
+        for c in set(class_of.values())
     )
     for _, members in groups:
         factor_colours.update((m, next_colour) for m in members)

@@ -15,8 +15,8 @@ from fglift.tables import (
     MAX_CANONICAL_ARITY,
     CanonicalInfo,
     compose_axes,
-    first_match_groups,
     invert_axes,
+    table_classes,
 )
 from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2
 
@@ -241,22 +241,40 @@ def test_alignment_axes_with_ambiguous_symmetry():
     assert np.array_equal(member.array, np.transpose(rep.array, axes))
 
 
-def test_first_match_groups_follow_first_appearance():
+def test_table_classes_do_not_depend_on_key_order():
     a, b = ((2,), (1.0, 2.0)), ((2,), (3.0, 4.0))
     near_a = ((2,), (1.0 * (1 + 6e-7), 2.0 * (1 + 6e-7)))
     far_a = ((2,), (1.0 * (1 + 1.2e-6), 2.0 * (1 + 1.2e-6)))
-    keys = [b, a, near_a, b, far_a, a]
-    # exact: classes of equal keys, in order of first appearance
-    assert first_match_groups(keys, 0.0) == [[0, 3], [1, 5], [2], [4]]
-    # near_a joins a's group; far_a is near near_a but not near a, and the
-    # scan compares only against a group's first key, so the result depends
-    # on which key comes first
-    assert first_match_groups(keys, 1e-6) == [[0, 3], [1, 2, 5], [4]]
-    assert first_match_groups([near_a, a, far_a], 1e-6) == [[0, 1, 2]]
-    assert first_match_groups([], 0.0) == []
+    wide = ((3,), (1.0, 2.0, 3.0))
+    keys = [b, a, near_a, b, far_a, a, wide]
+    # exact: every key is its own class
+    assert table_classes(keys, 0.0) == {k: k for k in keys}
+    # far_a is near near_a but not near a: the chain joins all three, and
+    # the class is named by its smallest key whichever comes first
+    expected = {a: a, near_a: a, far_a: a, b: b, wide: wide}
+    for perm in permutations(keys):
+        assert table_classes(perm, 1e-6) == expected
 
 
-def test_first_match_groups_reject_negative_rtol():
+def test_table_classes_close_chains_only_within_a_shape():
+    steps = [((2,), (1.0 * (1 + k * 9e-7), 2.0)) for k in range(5)]
+    # the ends lie 3.6e-6 apart, four times rtol, and still share a class
+    assert set(table_classes(steps, 1e-6).values()) == {steps[0]}
+    # a gap wider than rtol splits the chain
+    split = steps[:2] + [((2,), (1.0 * (1 + 4e-6), 2.0))]
+    assert table_classes(split, 1e-6) == {steps[0]: steps[0], steps[1]: steps[0], split[2]: split[2]}
+    # keys of another shape never join, however close their entries
+    other = ((1, 2), (1.0, 2.0))
+    assert table_classes([steps[0], other], 1e-6) == {steps[0]: steps[0], other: other}
+
+
+def test_table_classes_of_no_keys():
+    assert table_classes([], 0.0) == {}
+    assert table_classes([], 1e-6) == {}
+
+
+def test_table_classes_reject_negative_or_nan_rtol():
     for rtol in (-1e-6, float("nan")):
-        with pytest.raises(ValueError):
-            first_match_groups([((1,), (1.0,))], rtol)
+        for keys in ([], [((1,), (1.0,))]):
+            with pytest.raises(ValueError, match="rtol must be non-negative"):
+                table_classes(keys, rtol)

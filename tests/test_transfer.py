@@ -1,4 +1,5 @@
 """Potential transfer: candidate discovery, donor selection, completion."""
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -28,18 +29,20 @@ from fglift import (
     tables_equal,
     transfer_report_text,
 )
-from fglift import transfer
-from fglift.tables import first_match_groups
+from fglift import colours, transfer
+from fglift.tables import table_classes
 from conftest import (
     ASYMMETRIC_2x2,
     T1,
     T2,
     T3,
     chain_graph,
+    completion_cases,
     epidemic_base,
     epidemic_four,
     epidemic_with_eve,
     eve_dave_bk,
+    per_core_rv,
     random_graph,
 )
 
@@ -214,7 +217,7 @@ _RTOL_ENTRY_POINTS = {
     "complete_and_lift_no_unknowns": lambda g, cs, bk, rtol: complete_and_lift(epidemic_base(), 0.5, bk, rtol),
     "initial_colouring": lambda g, cs, bk, rtol: initial_colouring(epidemic_base(), rtol),
     "run_colour_passing": lambda g, cs, bk, rtol: run_colour_passing(epidemic_base(), rtol),
-    "first_match_groups": lambda g, cs, bk, rtol: first_match_groups([], rtol),
+    "table_classes": lambda g, cs, bk, rtol: table_classes([], rtol),
 }
 
 
@@ -397,22 +400,29 @@ def _oracle_profile(fg, fid):
     return len(f.args), sorted(triples)
 
 
+def _oracle_classes(fg, rtol):
+    """Class of each known factor, as a set of ids: every pair of known
+    factors compared, and the classes of each matching pair merged."""
+    canon = {f.id: canonical_table(f.table) for f in fg.factors if not f.is_unknown}
+    class_of = {fid: frozenset([fid]) for fid in canon}
+    for a in canon:
+        for b in canon:
+            if class_of[a] != class_of[b] and tables_equal(canon[a], canon[b], rtol):
+                merged = class_of[a] | class_of[b]
+                class_of.update((m, merged) for m in merged)
+    return class_of
+
+
 def _oracle_candidate_sets(fg, rtol):
-    """Every (unknown, known) pair compared; classes by a first-match scan."""
-    known = [f.id for f in fg.factors if not f.is_unknown]
+    """Every (unknown, known) pair compared; candidates split by their class."""
+    class_of = _oracle_classes(fg, rtol)
     out = []
     for uid in sorted(fg.unknown_factor_ids):
-        cands = sorted(k for k in known if _oracle_profile(fg, uid) == _oracle_profile(fg, k))
-        groups = []
+        cands = sorted(k for k in class_of if _oracle_profile(fg, uid) == _oracle_profile(fg, k))
+        groups = {}
         for fid in cands:
-            canon = canonical_table(fg.factor(fid).table)
-            for rep, members in groups:
-                if tables_equal(rep, canon, rtol):
-                    members.append(fid)
-                    break
-            else:
-                groups.append((canon, [fid]))
-        classes = sorted((tuple(m) for _, m in groups), key=lambda c: (-len(c), c))
+            groups.setdefault(class_of[fid], []).append(fid)
+        classes = sorted((tuple(m) for m in groups.values()), key=lambda c: (-len(c), c))
         out.append(CandidateSet(uid, tuple(cands), tuple(classes)))
     return out
 
@@ -426,15 +436,13 @@ def _oracle_mirrors(fg, uid, bk, rtol):
     def known(fids):
         return [g for g in fids if fg.has_factor(g) and not fg.factor(g).is_unknown]
 
-    def canon(fid):
-        return canonical_table(fg.factor(fid).table)
-
+    class_of = _oracle_classes(fg, rtol)
     return [
         frozenset(fids)
         for other, fids in bk.groups
         if other != own
         and all(
-            any(tables_equal(canon(fl), canon(g), rtol) for g in known(fids))
+            any(class_of[fl] == class_of[g] for g in known(fids))
             for fl in known(bk.factors_of(own))
         )
     ]
@@ -463,64 +471,15 @@ def _oracle_rows(fg, theta, bk, rtol):
     return rows
 
 
-def _jittered(fg, rng):
-    """Known tables scaled by 1 + s: steps 0.6e-6 apart chain within 1e-6, 1.2e-6 does not."""
-    factors = []
-    for f in fg.factors:
-        if f.table is not None:
-            s = float(rng.choice([0.0, 0.0, 6e-7, 1.2e-6, 3e-6]))
-            f = replace(f, table=PotentialTable.from_array(f.table.array * (1.0 + s)))
-        factors.append(f)
-    return FactorGraph(fg.rvs, factors)
-
-
-def _random_individuals(fg, rng):
-    """Random individuals of one to three factors; some factors belong to none."""
-    fids = [fid for fid in fg.factor_ids if rng.random() < 0.85]
-    rng.shuffle(fids)
-    groups, i = {}, 0
-    while i < len(fids):
-        size = int(rng.integers(1, 4))
-        groups[f"ind{len(groups)}"] = fids[i : i + size]
-        i += size
-    return BackgroundKnowledge.from_dict(groups)
-
-
-def _per_core_rv(fg):
-    """One individual per core RV of a generated instance, holding its factors."""
-    return BackgroundKnowledge.from_dict(
-        {rv: fg.factors_of(rv) for rv in fg.rv_ids if rv.startswith("u_")}
-    )
-
-
-def _differential_cases(rng):
-    """(graph, background knowledge or None, theta): random graphs, then jittered cohorts."""
-    for trial in range(60):
-        fg = random_graph(
-            rng, n_rvs=7, n_factors=16, max_arity=3, pool_size=2,
-            evidence_frac=0.15, n_unknown=5,
-        )
-        if trial % 2:
-            fg = _jittered(fg, rng)
-        bk = _random_individuals(fg, rng) if trial % 3 else None
-        yield fg, bk, float(rng.choice([0.0, 0.5, 0.9]))
-    for seed in range(12):
-        cfg = ExperimentConfig(
-            d=int(rng.choice([8, 16])), p=0.5, unknown_fraction=0.2, cohorts=3,
-            queries_per_instance=3, theta=0.0, seed=seed,
-        )
-        fg = _jittered(generate_instance(cfg).incomplete, rng)
-        yield fg, _per_core_rv(fg), 0.0
-
-
 def test_key_based_completion_matches_pairwise_scan():
     rng = np.random.default_rng(2024)
     mirror_counts = set()
-    for fg, bk, theta in _differential_cases(rng):
+    for fg, bk, theta in completion_cases(rng):
         for rtol in (0.0, 1e-6):
             assert candidate_sets(fg, rtol) == _oracle_candidate_sets(fg, rtol)
             expected = _oracle_rows(fg, theta, bk, rtol)
-            rows = complete_and_lift(fg, theta, bk, rtol).report.rows
+            result = complete_and_lift(fg, theta, bk, rtol)
+            rows = result.report.rows
             assert list(rows) == expected
             for row in rows:
                 alone = select_transfer_class(fg, replace(row, chosen=None), theta, bk, rtol)
@@ -531,36 +490,82 @@ def test_key_based_completion_matches_pairwise_scan():
                         mirror_counts.add(min(len(mirrors), 2))
             factors = list(fg.factors)
             rng.shuffle(factors)
-            shuffled = FactorGraph(fg.rvs, factors)
-            assert complete_and_lift(shuffled, theta, bk, rtol).report.rows == rows
+            shuffled = complete_and_lift(FactorGraph(fg.rvs, factors), theta, bk, rtol)
+            assert shuffled.report == result.report and shuffled.grouping == result.grouping
     assert mirror_counts == {0, 1, 2}
 
 
 def test_completion_cost_is_linear_in_known_factors(monkeypatch):
-    """rtol 0: no table comparison and at most one canonicalisation per known factor."""
+    """rtol 0: no table comparison and at most one canonicalisation per
+    distinct known table, before colour passing takes over the completed graph."""
     cfg = ExperimentConfig(
         d=64, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=1
     )
     fg = generate_instance(cfg).incomplete
-    n_known = sum(1 for f in fg.factors if not f.is_unknown)
-    for bk in (None, _per_core_rv(fg)):
+    n_tables = len({f.table for f in fg.factors if not f.is_unknown})
+    for bk in (None, per_core_rv(fg)):
         calls = Counter()
+        counting = [True]
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name] += counting[0]
                 return fn(*args, **kwargs)
 
             return wrapper
 
+        def uncounted(fn):
+            def wrapper(*args, **kwargs):
+                counting[0] = False
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    counting[0] = True
+
+            return wrapper
+
         with monkeypatch.context() as m:
-            m.setattr(transfer, "canonical_info", counted("canonical", transfer.canonical_info))
-            m.setattr(transfer, "canonical_table", counted("canonical", transfer.canonical_table))
-            m.setattr(transfer, "tables_equal", counted("equal", transfer.tables_equal))
+            for module in (transfer, colours):
+                m.setattr(module, "canonical_info", counted("canonical", module.canonical_info))
+                m.setattr(module, "canonical_table", counted("canonical", module.canonical_table))
+                m.setattr(module, "tables_equal", counted("equal", module.tables_equal))
+            m.setattr(transfer, "run_colour_passing", uncounted(transfer.run_colour_passing))
             result = complete_and_lift(fg, 0.0, bk, 0.0)
         assert not result.report.unresolved
         assert calls["equal"] == 0
-        assert 0 < calls["canonical"] <= n_known
+        assert 0 < calls["canonical"] <= n_tables < len(fg.factors) - len(fg.unknown_factor_ids)
+
+
+def _near_tables_graph(order):
+    """Unary tables fa, fb, fc, each 0.9e-6 from the next, so that only
+    neighbours lie within rtol 1e-6, plus one unknown unary factor; the
+    known factors enter in ``order``."""
+    near = {
+        f"f{c}": PotentialTable((2,), (1.0 + k * 9e-7, 2.0 + k * 1.8e-6))
+        for k, c in enumerate("abc")
+    }
+    factors = [Factor(fid, (f"X{fid}",), near[fid]) for fid in order] + [Factor("u", ("Xu",))]
+    return FactorGraph(tuple(RandomVariable(f"X{f.id}", BOOL_RANGE) for f in factors), factors)
+
+
+def test_tolerance_classes_do_not_depend_on_insertion_order():
+    colourings, sets, completions = [], [], []
+    for order in itertools.permutations(["fa", "fb", "fc"]):
+        g = _near_tables_graph(order)
+        assert tables_equal(g.factor("fa").table, g.factor("fb").table, 1e-6)
+        assert not tables_equal(g.factor("fa").table, g.factor("fc").table, 1e-6)
+        colourings.append(initial_colouring(g, 1e-6, {"u": 0}))
+        sets.append(candidate_sets(g, 1e-6))
+        result = complete_and_lift(g, 0.0, None, 1e-6)
+        completions.append((result.report, result.grouping))
+    assert all(c == colourings[0] for c in colourings)
+    assert all(cs == sets[0] for cs in sets)
+    assert all(c == completions[0] for c in completions)
+    # the chain closes into one class, and the unknown joins all its donors
+    assert sets[0][0].classes == (("fa", "fb", "fc"),)
+    report, grouping = completions[0]
+    donors = set(report.rows[0].chosen.members)
+    assert any(donors | {"u"} <= c for c in grouping.factor_partition())
 
 
 def _first_appearance_tags(fg, unresolved):
