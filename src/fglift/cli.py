@@ -109,7 +109,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     if args.report:
         _write_atomic(args.report, transfer_report_text(result.report))
     if args.grouping:
-        _write_atomic(args.grouping, grouping_report(result.grouping))
+        _write_atomic(args.grouping, grouping_report(result.grouping, result.completed))
     if args.strict and result.report.unresolved:
         unresolved = ", ".join(result.report.unresolved)
         print(f"error: unresolved unknown factors: {unresolved}", file=sys.stderr)

@@ -16,6 +16,18 @@ colours are signatures too, numbered by the same rule as every round: dense
 ids in sorted-signature order, RVs first in the initial colouring and
 factors first in each round.
 
+A round runs on the graph's integer incidence index
+(``FactorGraph.incidence``), one row per argument position, with the port
+labels memoised per graph. Each half round packs (port, colour) per row
+into one integer code and groups owners by their multiset of codes with a
+fixed set of sorts (``multiset_classes``), so the work per round is a
+handful of array calls rather than a tuple per node. Those sorts only find
+the classes. Their numbers come from the real signature of one member per
+class, sorted as before: a signature determines its class, so the colour
+ids are exactly those of sorting every node's signature, also where one
+old colour mixes signature shapes (a class merged within ``rtol`` whose
+tables differ in symmetry, or a class of tagged unknown factors).
+
 The fixpoint partition is packaged as a :class:`Grouping`: classes plus one
 shared table and per-member argument alignments for every factor class.
 :func:`grounded_equivalence_check` asks that these rebuild every ground
@@ -26,20 +38,22 @@ would hide the difference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
-from typing import Hashable, Mapping
+from types import MappingProxyType
+from typing import Callable, Hashable, Mapping
 
 import numpy as np
 
 from .errors import UnknownFactorPresent
-from .model import FactorGraph
+from .model import FactorGraph, Incidence
 from .tables import (
     CanonicalKey,
     PotentialTable,
     alignment_axes,
     canonical_info,
     canonical_table,  # noqa: F401  (wrapped by name in bench/tracing.py)
+    check_rtol,
     table_classes,
     tables_equal,  # noqa: F401  (wrapped by name in bench/tracing.py)
 )
@@ -47,10 +61,16 @@ from .tables import (
 
 @dataclass(frozen=True)
 class Colouring:
-    """One colour per node id; ids from a single shared namespace."""
+    """One colour per node id; ids from a single shared namespace.
+
+    A colouring made by ``colour_passing_step`` also carries its colours as
+    arrays over the graph's incidence index, with its class counts, for the
+    next round on a graph of that index; equality ignores them.
+    """
 
     rv_colours: dict[str, int]
     factor_colours: dict[str, int]
+    _arrays: tuple | None = field(default=None, compare=False, repr=False)
 
     def rv_partition(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(c) for c in _classes(self.rv_colours))
@@ -73,15 +93,21 @@ def _recolour(sigs: dict[str, tuple], first: int) -> dict[str, int]:
     return {node: order[sig] for node, sig in sigs.items()}
 
 
-def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> dict[str, CanonicalKey]:
+def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, CanonicalKey]:
     """Table class of each known factor, by factor id, as ``tables.table_classes``
     builds it over the graph's canonical keys; one ``canonical_info`` per
-    distinct table. Raises ValueError for a negative or NaN ``rtol``.
+    distinct table. Built once per graph and ``rtol``; the mapping is
+    read-only. Raises ValueError for a negative or NaN ``rtol``.
     """
-    known = [f for f in fg.factors if f.table is not None]
-    key_of = {t: canonical_info(t).key for t in dict.fromkeys(f.table for f in known)}
-    class_of = table_classes(key_of.values(), rtol)
-    return {f.id: class_of[key_of[f.table]] for f in known}
+    check_rtol(rtol)
+
+    def build() -> Mapping[str, CanonicalKey]:
+        known = [f for f in fg.factors if f.table is not None]
+        key_of = {t: canonical_info(t).key for t in dict.fromkeys(f.table for f in known)}
+        class_of = table_classes(key_of.values(), rtol)
+        return MappingProxyType({f.id: class_of[key_of[f.table]] for f in known})
+
+    return fg.memo(("colours.table_classes", rtol), build)
 
 
 def initial_colouring(
@@ -115,7 +141,7 @@ def initial_colouring(
     return Colouring(rv_colours, _recolour(factor_sigs, len(set(rv_colours.values()))))
 
 
-def _ports(table: PotentialTable | None, n: int) -> tuple[int, ...]:
+def _port_labels(table: PotentialTable | None, n: int) -> tuple[int, ...]:
     """Port label of each of a factor's ``n`` argument positions: its
     canonical symmetry orbit in the factor's ``table``.
 
@@ -128,36 +154,162 @@ def _ports(table: PotentialTable | None, n: int) -> tuple[int, ...]:
     return tuple(info.orbit_of_position(p) for p in range(n))
 
 
+def _ports(fg: FactorGraph) -> tuple[np.ndarray, int]:
+    """Port label of every incidence row of ``fg``, and a bound on the
+    labels; memoised per graph."""
+
+    def build() -> tuple[np.ndarray, int]:
+        labels = cache(_port_labels)
+        rows = (p for f in fg.factors for p in labels(f.table, len(f.args)))
+        ports = np.fromiter(rows, np.int64, len(fg.incidence.rv))
+        return ports, int(ports.max()) + 1 if len(ports) else 1
+
+    return fg.memo("colours.ports", build)
+
+
+# packed codes stay below this bound, so no int64 product can overflow
+_CODE_LIMIT = 1 << 62
+
+
+def _compact(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of ``col`` in sorted value order, and their count."""
+    values, ids = np.unique(col, return_inverse=True)
+    return ids, len(values)
+
+
+def _pack(
+    x: np.ndarray, x_width: int, y: np.ndarray, y_width: int
+) -> tuple[np.ndarray, int]:
+    """One code per (x, y) row, injective and ordered like the rows, and a
+    bound on the codes; ``0 <= x < x_width`` and ``0 <= y < y_width``. Both
+    columns are compacted first when the plain product could overflow."""
+    if x_width * y_width > _CODE_LIMIT:
+        (x, x_width), (y, y_width) = _compact(x), _compact(y)
+    return x * y_width + y, x_width * y_width
+
+
+def _padded_width(size: int) -> int:
+    """Matrix width for owners of ``size`` pairs: 4, or the power of two at or above."""
+    return max(4, 1 << (size - 1).bit_length())
+
+
+def multiset_classes(
+    owner: np.ndarray, code: np.ndarray, code_width: int, own: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Class id of each owner, and one representative owner per class id.
+
+    Owners i and j share a class iff ``own[i] == own[j]`` and their rows
+    (those with ``owner == i``) carry the same multiset of ``code``, where
+    ``0 <= code < code_width``. Ids are dense but in no meaningful order.
+
+    Rows are first compressed to one (code, count) pair per distinct code
+    of an owner, so a hub of high degree over few kinds of neighbours keeps
+    few pairs. Owners then compare as rows of a matrix: one matrix for up
+    to four pairs, one per power of two above, each row padded with -1 to
+    its matrix's width. A row holds at most four entries or twice its
+    pairs, and the number of array calls grows with the log of the longest
+    compressed row, not with degree.
+    """
+    n = len(own)
+    key, _ = _pack(owner, n, code, code_width)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    pair, _ = _pack(code[first], code_width, counts, len(owner) + 1)
+    length = np.bincount(owner[first], minlength=n)
+    start = np.cumsum(length) - length
+    classes = np.empty(n, np.int64)
+    reps: list[int] = []
+    low, top = -1, _padded_width(int(length.max()) if n else 0)
+    for width in (1 << k for k in range(2, top.bit_length())):
+        sel = np.flatnonzero((length > low) & (length <= width))
+        low = width
+        if not len(sel):
+            continue
+        column = np.arange(width)
+        present = column < length[sel, None]
+        keys = np.full((len(sel), 1 + width), -1, np.int64)
+        keys[:, 0] = own[sel]
+        keys[:, 1:][present] = pair[(start[sel, None] + column)[present]]
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first_of, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        classes[sel] = len(reps) + inverse
+        reps.extend(sel[first_of].tolist())
+    return classes, reps
+
+
+def _ranked(
+    classes: np.ndarray, reps: list[int], signature: Callable[[int], tuple], first: int
+) -> np.ndarray:
+    """Colours from ``first`` on, numbered in the order of the real
+    signatures of the classes' representatives."""
+    sigs = [signature(r) for r in reps]
+    rank = np.empty(len(reps), np.int64)
+    rank[sorted(range(len(reps)), key=sigs.__getitem__)] = np.arange(len(reps))
+    return first + rank[classes]
+
+
+def _colour_arrays(inc: Incidence, colouring: Colouring) -> tuple[np.ndarray, np.ndarray]:
+    """RV and factor colours as arrays over ``inc``, each kind's ids below
+    the colouring's total class count and ordered like its own colours."""
+    if colouring._arrays is not None and colouring._arrays[0] is inc:
+        return colouring._arrays[1], colouring._arrays[2]
+    rv = np.fromiter(map(colouring.rv_colours.__getitem__, inc.rv_ids), np.int64, len(inc.rv_ids))
+    fac = colouring.factor_colours
+    fac = np.fromiter(map(fac.__getitem__, inc.factor_ids), np.int64, len(inc.factor_ids))
+    return _compact(rv)[0], _compact(fac)[0]
+
+
 def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     """One refinement round: factors re-colour from their arguments, then
     RVs re-colour from the new factor colours. New colour ids are dense and
     assigned in sorted-signature order, so the result is independent of node
-    insertion order."""
-    rv_col = colouring.rv_colours
-    fac_col = colouring.factor_colours
+    insertion order. Raises UnknownNode for a dangling argument.
 
-    ports_of = cache(_ports)
-    ports = [ports_of(f.table, len(f.args)) for f in fg.factors]
-    factor_sigs: dict[str, tuple] = {}
-    for f, f_ports in zip(fg.factors, ports):
+    The classes are found on the incidence index (``multiset_classes``); a
+    signature is built only for one representative per class, to number
+    the classes. Old colours enter as ids ordered like them, which leaves
+    the order of the signatures unchanged.
+    """
+    inc = fg.incidence
+    inc.check_arguments()
+    rv_old, fac_old = _colour_arrays(inc, colouring)
+    ports, n_ports = _ports(fg)
+    colour_width = len(rv_old) + len(fac_old)
+
+    arg_col = rv_old[inc.rv]
+    # signatures of representatives are read from lists: few classes, short rows
+    port_of, col_of, start = ports.tolist(), arg_col.tolist(), inc.start.tolist()
+
+    def factor_sig(f: int) -> tuple:
         per_port: dict[int, list[int]] = {}
-        for port, arg in zip(f_ports, f.args):
-            per_port.setdefault(port, []).append(rv_col[arg])
+        for r in range(start[f], start[f + 1]):
+            per_port.setdefault(port_of[r], []).append(col_of[r])
         sig = tuple((port, tuple(sorted(cols))) for port, cols in sorted(per_port.items()))
-        factor_sigs[f.id] = (fac_col[f.id], sig)
-    new_fac = _recolour(factor_sigs, 0)
+        return (int(fac_old[f]), sig)
 
-    messages: dict[str, list[tuple[int, int]]] = {rv.id: [] for rv in fg.rvs}
-    for f, f_ports in zip(fg.factors, ports):
-        for port, arg in zip(f_ports, f.args):
-            if arg in messages:
-                messages[arg].append((new_fac[f.id], port))
-    rv_sigs = {rid: (rv_col[rid], tuple(sorted(msgs))) for rid, msgs in messages.items()}
-    new_rv = _recolour(rv_sigs, len(set(new_fac.values())))
-    return Colouring(new_rv, new_fac)
+    code, width = _pack(ports, n_ports, arg_col, colour_width)
+    fac_classes, fac_reps = multiset_classes(inc.factor, code, width, fac_old)
+    fac_new = _ranked(fac_classes, fac_reps, factor_sig, 0)
+
+    msg_col = fac_new[inc.factor]
+    msg_of, by_rv, rv_start = msg_col.tolist(), inc.by_rv.tolist(), inc.rv_start.tolist()
+
+    def rv_sig(r: int) -> tuple:
+        rows = by_rv[rv_start[r] : rv_start[r + 1]]
+        return (int(rv_old[r]), tuple(sorted((msg_of[i], port_of[i]) for i in rows)))
+
+    code, width = _pack(msg_col, len(fac_reps), ports, n_ports)
+    rv_classes, rv_reps = multiset_classes(inc.rv, code, width, rv_old)
+    rv_new = _ranked(rv_classes, rv_reps, rv_sig, len(fac_reps))
+    return Colouring(
+        dict(zip(inc.rv_ids, rv_new.tolist())),
+        dict(zip(inc.factor_ids, fac_new.tolist())),
+        (inc, rv_new, fac_new, len(rv_reps), len(fac_reps)),
+    )
 
 
 def _class_counts(colouring: Colouring) -> tuple[int, int]:
+    if colouring._arrays is not None:
+        return colouring._arrays[3], colouring._arrays[4]
     return len(set(colouring.rv_colours.values())), len(set(colouring.factor_colours.values()))
 
 
@@ -273,8 +425,23 @@ def grounded_equivalence_check(fg: FactorGraph, grouping: Grouping) -> bool:
     return True
 
 
-def grouping_report(grouping: Grouping) -> str:
-    """Stable text report: one ``class`` line per class, RVs then factors."""
+def _is_exact(fg: FactorGraph, cls: FactorClass) -> bool:
+    """True iff every member's table is the class table under its alignment,
+    bit for bit: a class of unknown factors, or one canonical table."""
+    if cls.table is None:
+        return True
+    key = canonical_info(cls.table).key
+    tables = {fg.factor(m).table for m in cls.members}
+    return all(t is not None and canonical_info(t).key == key for t in tables)
+
+
+def grouping_report(grouping: Grouping, fg: FactorGraph | None = None) -> str:
+    """Stable text report: one ``class`` line per class, RVs then factors.
+
+    Given the grouped graph, a factor class whose member tables are not all
+    bit-identical to its table (a class merged within ``rtol > 0``) ends in
+    `` exact=no``.
+    """
     lines = []
     class_id = 0
     for members in grouping.rv_classes:
@@ -283,8 +450,9 @@ def grouping_report(grouping: Grouping) -> str:
         )
         class_id += 1
     for cls in grouping.factor_classes:
+        flag = "" if fg is None or _is_exact(fg, cls) else " exact=no"
         lines.append(
-            f"class {class_id} kind=factor size={cls.size} members={','.join(cls.members)}"
+            f"class {class_id} kind=factor size={cls.size} members={','.join(cls.members)}{flag}"
         )
         class_id += 1
     return "\n".join(lines) + "\n"

@@ -9,9 +9,9 @@ the normalised product of all potential tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from math import prod
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -87,13 +87,94 @@ class Factor:
         return self.table is None
 
 
+@dataclass(frozen=True, eq=False)
+class Incidence:
+    """Integer incidence index of a factor graph's structure.
+
+    RVs are numbered by the first appearance of their id in
+    ``FactorGraph.rvs``, factors by their position in ``FactorGraph.factors``.
+    There is one row per argument position, running factor by factor in
+    argument order: row i joins factor ``factor[i]`` to RV ``rv[i]`` (-1 for
+    a dangling argument), and factor f owns rows ``start[f]:start[f + 1]``.
+    ``by_rv[rv_start[r]:rv_start[r + 1]]`` are RV r's rows, one per position,
+    so a repeated argument contributes two; ``degree[r]`` counts RV r's
+    distinct factors, as ``factors_of`` lists them. ``dangling`` names the
+    first (factor, argument) pair whose argument is no RV, if any. Only ids
+    and arguments enter, so graphs that differ in tables or evidence alone
+    share one index.
+    """
+
+    rv_ids: tuple[str, ...]
+    factor_ids: tuple[str, ...]
+    rv_position: dict[str, int]
+    factor: np.ndarray
+    rv: np.ndarray
+    start: np.ndarray
+    by_rv: np.ndarray
+    rv_start: np.ndarray
+    degree: np.ndarray
+    dangling: tuple[str, str] | None
+
+    @classmethod
+    def of(cls, rv_ids: tuple[str, ...], factors: tuple[Factor, ...]) -> "Incidence":
+        position = {rid: i for i, rid in enumerate(rv_ids)}
+        arity = np.fromiter((len(f.args) for f in factors), np.int64, len(factors))
+        start = np.concatenate(([0], np.cumsum(arity)))
+        rv = np.fromiter(
+            (position.get(arg, -1) for f in factors for arg in f.args), np.int64, int(start[-1])
+        )
+        factor = np.repeat(np.arange(len(factors)), arity)
+        rows = np.flatnonzero(rv >= 0)
+        dangling = None
+        if len(rows) < len(rv):
+            row = int(np.flatnonzero(rv < 0)[0])
+            f = factors[int(factor[row])]
+            dangling = (f.id, f.args[row - int(start[factor[row]])])
+        by_rv = rows[np.argsort(rv[rows], kind="stable")]
+        per_rv = np.bincount(rv[rows], minlength=len(rv_ids))
+        # an RV's rows in one factor are adjacent in by_rv: count each factor once
+        owner, arg = factor[by_rv], rv[by_rv]
+        repeat = (owner[1:] == owner[:-1]) & (arg[1:] == arg[:-1])
+        return cls(
+            rv_ids,
+            tuple(f.id for f in factors),
+            position,
+            factor,
+            rv,
+            start,
+            by_rv,
+            np.concatenate(([0], np.cumsum(per_rv))),
+            per_rv - np.bincount(arg[1:][repeat], minlength=len(rv_ids)),
+            dangling,
+        )
+
+    def check_arguments(self) -> None:
+        """Raise UnknownNode if some argument names no RV of the graph."""
+        if self.dangling is not None:
+            factor_id, arg = self.dangling
+            raise UnknownNode(f"factor {factor_id!r} references missing RV {arg!r}")
+
+    @cached_property
+    def factors_of(self) -> dict[str, tuple[str, ...]]:
+        """Each RV's distinct factors, in factor order."""
+        out = {}
+        for rid, r in self.rv_position.items():
+            rows = self.by_rv[self.rv_start[r] : self.rv_start[r + 1]]
+            out[rid] = tuple(self.factor_ids[f] for f in dict.fromkeys(self.factor[rows].tolist()))
+        return out
+
+
 @dataclass(frozen=True)
 class FactorGraph:
     rvs: tuple[RandomVariable, ...]
     factors: tuple[Factor, ...]
     _rv_by_id: dict = field(init=False, repr=False, compare=False)
     _factor_by_id: dict = field(init=False, repr=False, compare=False)
-    _rv_factors: dict = field(init=False, repr=False, compare=False)
+    # one-element list holding the Incidence once built; graphs of one
+    # structure share the list, so whichever builds the index first builds
+    # it for all of them
+    _incidence: list = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> None:
         object.__setattr__(self, "rvs", tuple(rvs))
@@ -104,14 +185,33 @@ class FactorGraph:
         factor_by_id: dict[str, Factor] = {}
         for f in self.factors:
             factor_by_id.setdefault(f.id, f)
-        rv_factors: dict[str, list[str]] = {rv.id: [] for rv in self.rvs}
-        for f in self.factors:
-            for arg in dict.fromkeys(f.args):
-                if arg in rv_factors:
-                    rv_factors[arg].append(f.id)
         object.__setattr__(self, "_rv_by_id", rv_by_id)
         object.__setattr__(self, "_factor_by_id", factor_by_id)
-        object.__setattr__(self, "_rv_factors", {k: tuple(v) for k, v in rv_factors.items()})
+        object.__setattr__(self, "_incidence", [None])
+        object.__setattr__(self, "_memo", {})
+
+    @property
+    def incidence(self) -> Incidence:
+        """The graph's integer incidence index, built on first use."""
+        if self._incidence[0] is None:
+            self._incidence[0] = Incidence.of(tuple(self._rv_by_id), self.factors)
+        return self._incidence[0]
+
+    def memo(self, key: Hashable, build: Callable[[], object]) -> object:
+        """``build()``, computed once per graph and key: a store for views
+        derived from this graph's tables and evidence as well as its structure."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def _same_structure(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> "FactorGraph":
+        """A graph of the given nodes, which carry this graph's ids and
+        arguments in this graph's order, sharing its incidence index."""
+        out = FactorGraph(rvs, factors)
+        object.__setattr__(out, "_incidence", self._incidence)
+        return out
 
     # -- lookups ---------------------------------------------------------
 
@@ -142,12 +242,17 @@ class FactorGraph:
             raise UnknownNode(f"no factor {factor_id!r}") from None
 
     def factors_of(self, rv_id: str) -> tuple[str, ...]:
-        if rv_id not in self._rv_factors:
-            raise UnknownNode(f"no random variable {rv_id!r}")
-        return self._rv_factors[rv_id]
+        try:
+            return self.incidence.factors_of[rv_id]
+        except KeyError:
+            raise UnknownNode(f"no random variable {rv_id!r}") from None
 
     def degree(self, rv_id: str) -> int:
-        return len(self.factors_of(rv_id))
+        """Number of distinct factors of the RV."""
+        try:
+            return int(self.incidence.degree[self.incidence.rv_position[rv_id]])
+        except KeyError:
+            raise UnknownNode(f"no random variable {rv_id!r}") from None
 
     @property
     def unknown_factor_ids(self) -> tuple[str, ...]:
@@ -168,9 +273,9 @@ class FactorGraph:
             if factor_id not in self._factor_by_id:
                 raise UnknownNode(f"no factor {factor_id!r}")
         factors = tuple(
-            replace(f, table=tables[f.id]) if f.id in tables else f for f in self.factors
+            Factor(f.id, f.args, tables[f.id]) if f.id in tables else f for f in self.factors
         )
-        return FactorGraph(self.rvs, factors)
+        return self._same_structure(self.rvs, factors)
 
     def with_evidence(self, evidence: Mapping[str, str | None]) -> "FactorGraph":
         """Copy of the graph with evidence set (or cleared via None) per RV."""
@@ -188,7 +293,7 @@ class FactorGraph:
                 rvs.append(replace(rv, evidence=value))
             else:
                 rvs.append(rv)
-        return FactorGraph(rvs, self.factors)
+        return self._same_structure(rvs, self.factors)
 
 
 @dataclass(frozen=True)

@@ -14,24 +14,32 @@ unknowns share a colour).
 
 Nothing is compared pair by pair. Indistinguishability is an equivalence
 whose key is the sorted neighbour profile, so every known factor is
-bucketed once by that key and each unknown factor reads its bucket. Every
-known table belongs to one table class (``colours.known_table_classes``,
-one canonical key per distinct table), and the same map splits a bucket
-into classes, finds mirror individuals and colours the known factors. A
-mirror individual is found by set tests on each individual's set of known
-table classes, built once. At ``rtol == 0`` completion therefore costs
-O(factors + unknowns) profile and key computations, plus one set test per
-individual for each individual that holds an unknown factor.
+bucketed once by that key and each unknown factor reads its bucket. The
+profiles are read off the graph's incidence index: every RV gets one
+profile id, numbered densely in sorted-profile order, so that sorted id
+tuples order, compare and tag exactly as the profiles did, and all factors
+are bucketed by their multiset of argument ids in one array pass
+(``colours.multiset_classes``). Every known table belongs to one table
+class (``colours.known_table_classes``, one canonical key per distinct
+table, kept per graph and ``rtol``), and the same map splits a bucket into
+classes, finds mirror individuals and colours the known factors. A mirror
+individual is found by set tests on each individual's set of known table
+classes, built once per graph and background knowledge, also when
+``select_transfer_class`` is called on its own. At ``rtol == 0``
+completion therefore costs O(factors + unknowns) profile and key
+computations, plus one set test per individual for each individual that
+holds an unknown factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import Mapping
 
 import numpy as np
 
-from .colours import Grouping, known_table_classes, run_colour_passing
+from .colours import Grouping, known_table_classes, multiset_classes, run_colour_passing
+from .errors import UnknownNode
 from .model import BackgroundKnowledge, FactorGraph
 from .tables import (
     CanonicalKey,
@@ -43,13 +51,31 @@ from .tables import (
 )
 
 
-def _argument_profiles(fg: FactorGraph, factor_id: str) -> tuple[tuple, ...]:
-    """(RV signature, degree) of each argument RV, in argument order."""
-    return tuple((fg.rv(arg).signature, fg.degree(arg)) for arg in fg.factor(factor_id).args)
+def _profile_ids(fg: FactorGraph) -> list[int]:
+    """Profile id of each RV of the incidence index: its (RV signature,
+    degree) numbered densely in sorted-profile order, so that ids compare
+    like the profiles they stand for. Memoised per graph."""
+
+    def build() -> list[int]:
+        inc = fg.incidence
+        profiles = [(fg.rv(rid).signature, d) for rid, d in zip(inc.rv_ids, inc.degree.tolist())]
+        number = {p: i for i, p in enumerate(sorted(set(profiles)))}
+        return [number[p] for p in profiles]
+
+    return fg.memo("transfer.profile_ids", build)
 
 
-def _neighbour_profile(fg: FactorGraph, factor_id: str) -> tuple:
-    """Sorted multiset of argument profiles: the indistinguishability key."""
+def _argument_profiles(fg: FactorGraph, factor_id: str) -> tuple[int, ...]:
+    """Profile id of each argument RV, in argument order."""
+    ids, position = _profile_ids(fg), fg.incidence.rv_position
+    try:
+        return tuple(ids[position[arg]] for arg in fg.factor(factor_id).args)
+    except KeyError as e:
+        raise UnknownNode(f"no random variable {e.args[0]!r}") from None
+
+
+def _neighbour_profile(fg: FactorGraph, factor_id: str) -> tuple[int, ...]:
+    """Sorted multiset of argument profile ids: the indistinguishability key."""
     return tuple(sorted(_argument_profiles(fg, factor_id)))
 
 
@@ -128,27 +154,35 @@ def _candidate_classes(
     return tuple(sorted((tuple(c) for c in classes.values()), key=lambda c: (-len(c), c)))
 
 
-def candidate_sets(
-    fg: FactorGraph, rtol: float = 0.0, *, _class_of: Mapping[str, CanonicalKey] | None = None
-) -> list[CandidateSet]:
+def candidate_sets(fg: FactorGraph, rtol: float = 0.0) -> list[CandidateSet]:
     """One CandidateSet per unknown factor, in sorted id order.
 
-    Raises ValueError for a negative or NaN ``rtol``.
+    Raises ValueError for a negative or NaN ``rtol`` and UnknownNode for a
+    dangling argument.
     """
     check_rtol(rtol)
-    class_of = known_table_classes(fg, rtol) if _class_of is None else _class_of
-    buckets: dict[tuple, list[str]] = {}
-    for f in fg.factors:
-        if not f.is_unknown:
-            buckets.setdefault(_neighbour_profile(fg, f.id), []).append(f.id)
-    per_profile: dict[tuple, tuple] = {}
+    class_of = known_table_classes(fg, rtol)
+    inc = fg.incidence
+    inc.check_arguments()
+    ids = np.asarray(_profile_ids(fg), np.int64)
+    # factors share a bucket iff their neighbour profiles are equal
+    bucket, _ = multiset_classes(
+        inc.factor, ids[inc.rv], len(ids), np.zeros(len(inc.factor_ids), np.int64)
+    )
+    known: dict[int, list[str]] = {}
+    unknown: list[tuple[str, int]] = []
+    for f, b in zip(fg.factors, bucket.tolist()):
+        if f.is_unknown:
+            unknown.append((f.id, b))
+        else:
+            known.setdefault(b, []).append(f.id)
+    per_bucket: dict[int, tuple] = {}
     out = []
-    for uid in sorted(fg.unknown_factor_ids):
-        profile = _neighbour_profile(fg, uid)
-        if profile not in per_profile:
-            cands = tuple(sorted(buckets.get(profile, ())))
-            per_profile[profile] = (cands, _candidate_classes(cands, class_of))
-        out.append(CandidateSet(uid, *per_profile[profile]))
+    for uid, b in sorted(unknown):
+        if b not in per_bucket:
+            cands = tuple(sorted(known.get(b, ())))
+            per_bucket[b] = (cands, _candidate_classes(cands, class_of))
+        out.append(CandidateSet(uid, *per_bucket[b]))
     return out
 
 
@@ -192,6 +226,11 @@ class _Mirrors:
         return self._mirror[own]
 
 
+def _mirrors(fg: FactorGraph, bk: BackgroundKnowledge, rtol: float) -> _Mirrors:
+    """The graph's mirror table under ``bk`` and ``rtol``, built once per graph."""
+    return fg.memo(("transfer.mirrors", bk, rtol), lambda: _Mirrors(bk, known_table_classes(fg, rtol)))
+
+
 def _check_theta(theta: float) -> None:
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
@@ -203,8 +242,6 @@ def select_transfer_class(
     theta: float,
     bk: BackgroundKnowledge | None = None,
     rtol: float = 0.0,
-    *,
-    _mirrors: _Mirrors | None = None,
 ) -> Selection | None:
     """Pick the donor class for one candidate set.
 
@@ -224,9 +261,7 @@ def select_transfer_class(
     pool = cs.classes
     bk_state = "n/a"
     if bk is not None:
-        if _mirrors is None:
-            _mirrors = _Mirrors(bk, known_table_classes(fg, rtol))
-        mirror = _mirrors.of(cs.unknown_factor)
+        mirror = _mirrors(fg, bk, rtol).of(cs.unknown_factor)
         if mirror is not None:
             supported = tuple(c for c in cs.classes if set(c) & mirror)
             if supported:
@@ -293,8 +328,6 @@ def complete_and_lift(
     or NaN ``rtol``.
     """
     _check_theta(theta)
-    class_of = known_table_classes(fg, rtol)
-    mirrors = None if bk is None else _Mirrors(bk, class_of)
     rows: list[CandidateSet] = []
     transfers: dict[str, PotentialTable] = {}
 
@@ -305,9 +338,9 @@ def complete_and_lift(
         table = PotentialTable.from_array(np.transpose(donor.array, axes))
         return donor if table == donor else table
 
-    for cs in candidate_sets(fg, rtol, _class_of=class_of):
-        sel = select_transfer_class(fg, cs, theta, bk, rtol, _mirrors=mirrors)
-        rows.append(replace(cs, chosen=sel))
+    for cs in candidate_sets(fg, rtol):
+        sel = select_transfer_class(fg, cs, theta, bk, rtol)
+        rows.append(CandidateSet(cs.unknown_factor, cs.candidates, cs.classes, sel))
         if sel is not None and sel.accepted:
             donor_table = fg.factor(sel.donor).table
             assert donor_table is not None and sel.alignment is not None

@@ -23,7 +23,9 @@ from fglift import (
     RandomVariable,
     StateSpaceTooLarge,
     UnknownFactorPresent,
+    UnknownNode,
     alignment_axes,
+    candidate_sets,
     canonical_info,
     canonical_table,
     colour_passing_step,
@@ -40,6 +42,7 @@ from fglift import (
     state_space_size,
     tables_equal,
 )
+from fglift import transfer
 from fglift.colours import Colouring, FactorClass, Grouping
 from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
 from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2, chain_graph, epidemic_base, random_graph
@@ -489,6 +492,97 @@ def test_initial_colouring_matches_three_loop_reference():
             assert initial_colouring(g, rtol, tags) == _ref_initial_colouring(g, rtol, tags)
             cases += 1
     assert cases == 2 * (40 + 8)
+
+
+def _index_cases(rng):
+    """Generated instances at d = 128, 256 and 1024, complete and with tagged
+    unknowns, each without and with evidence on about a tenth of its RVs,
+    and one small graph whose factors repeat an argument."""
+    for d in (128, 256, 1024):
+        cfg = ExperimentConfig(
+            d=d, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0,
+            seed=d, standard_grids=False,
+        )
+        inst = generate_instance(cfg)
+        for g in (inst.truth, _with_symmetries(inst.incomplete, rng)):
+            yield g
+            observed = rng.choice(len(g.rvs), len(g.rvs) // 10, replace=False)
+            yield g.with_evidence(
+                {g.rvs[i].id: str(rng.choice(g.rvs[i].range.values)) for i in observed}
+            )
+    t = PotentialTable((2, 2), ASYMMETRIC_2x2)
+    rvs = tuple(RandomVariable(x, BOOL_RANGE) for x in "ABC")
+    yield FactorGraph(
+        rvs,
+        (
+            Factor("aa", ("A", "A"), PotentialTable((2, 2), SYMMETRIC_2x2)),
+            Factor("ab", ("A", "B"), t),
+            Factor("bb", ("B", "B"), t),
+            Factor("cc", ("C", "C")),
+            Factor("c", ("C",), PotentialTable((2,), (1.0, 2.0))),
+        ),
+    )
+
+
+def test_index_colour_passing_matches_reference_on_large_graphs():
+    rng = np.random.default_rng(813)
+    graphs = 0
+    for g in _index_cases(rng):
+        unknown = g.unknown_factor_ids
+        tags = {fid: int(rng.integers(max(1, len(unknown) // 2))) for fid in unknown}
+        for rtol in (0.0, 1e-6):
+            start = initial_colouring(g, rtol, tags)
+            current = start
+            while True:
+                nxt = colour_passing_step(g, current)
+                assert nxt == _ref_step(g, current)
+                if _ref_parts(nxt) == _ref_parts(current):
+                    break
+                current = nxt
+            assert refine_to_fixpoint(g, start) == _ref_fixpoint(g, start) == nxt
+        graphs += 1
+    assert graphs == 3 * 4 + 1
+
+
+def test_derived_graphs_share_the_index_but_not_ports_or_signatures():
+    # two symmetric pairs: all four ends share a class until a table or an
+    # observation tells them apart
+    rvs = tuple(RandomVariable(x, BOOL_RANGE) for x in "ABCD")
+    sym = PotentialTable((2, 2), SYMMETRIC_2x2)
+    g = FactorGraph(rvs, (Factor("f1", ("A", "B"), sym), Factor("f2", ("C", "D"), sym)))
+    assert as_sets(run_colour_passing(g).rv_partition()) == {frozenset("ABCD")}
+    asym = PotentialTable((2, 2), ASYMMETRIC_2x2)
+    derived = {
+        g.with_tables({"f1": asym, "f2": asym}): {frozenset("AC"), frozenset("BD")},
+        g.with_evidence({"A": "true"}): {frozenset("A"), frozenset("B"), frozenset("CD")},
+    }
+    for d, expected in derived.items():
+        assert d.incidence is g.incidence
+        fresh = FactorGraph(d.rvs, d.factors)
+        assert fresh.incidence is not g.incidence
+        start = initial_colouring(d)
+        assert start == initial_colouring(fresh)
+        assert refine_to_fixpoint(d, start) == _ref_fixpoint(fresh, start)
+        assert run_colour_passing(d) == run_colour_passing(fresh)
+        assert as_sets(run_colour_passing(d).rv_partition()) == expected
+    ev = list(derived)[1]
+    assert transfer._profile_ids(ev) == transfer._profile_ids(FactorGraph(ev.rvs, ev.factors))
+    assert transfer._profile_ids(ev) != transfer._profile_ids(g)
+
+
+def test_dangling_argument_raises():
+    g = FactorGraph(
+        (RandomVariable("A", BOOL_RANGE),),
+        (Factor("f", ("A", "Z"), PotentialTable((2, 2), ASYMMETRIC_2x2)),),
+    )
+    start = initial_colouring(g)
+    for call in (
+        lambda: colour_passing_step(g, start),
+        lambda: refine_to_fixpoint(g, start),
+        lambda: candidate_sets(g),
+    ):
+        with pytest.raises(UnknownNode, match="'Z'"):
+            call()
 
 
 # -- reference grounded check: compare the enumerated joints ------------------------

@@ -57,11 +57,21 @@ def test_graph_lookups():
     assert g.degree("B") == 2 and g.degree("A") == 1
     assert g.unknown_factor_ids == ()
     assert g.is_complete
-    for bad in (g.rv, g.factors_of):
+    for bad in (g.rv, g.factors_of, g.degree):
         with pytest.raises(UnknownNode):
             bad("nope")
     with pytest.raises(UnknownNode):
         g.factor("nope")
+
+
+def test_degree_counts_distinct_factors_of_a_repeated_argument():
+    t = PotentialTable((2, 2, 2), range(1, 9))
+    g = FactorGraph(
+        (RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)),
+        (Factor("f", ("A", "A", "B"), t), Factor("g", ("B",)), Factor("h", ("A", "B", "A"), t)),
+    )
+    assert g.factors_of("A") == ("f", "h") and g.degree("A") == 2
+    assert g.factors_of("B") == ("f", "g", "h") and g.degree("B") == 3
 
 
 def test_with_tables_fills_unknowns_without_mutating():

@@ -24,6 +24,7 @@ from fglift import (
     initial_colouring,
     possibly_identical,
     generate_instance,
+    grouping_report,
     run_colour_passing,
     select_transfer_class,
     tables_equal,
@@ -497,13 +498,15 @@ def test_key_based_completion_matches_pairwise_scan():
 
 def test_completion_cost_is_linear_in_known_factors(monkeypatch):
     """rtol 0: no table comparison and at most one canonicalisation per
-    distinct known table, before colour passing takes over the completed graph."""
+    distinct known table, before colour passing takes over the completed
+    graph. Each run gets a fresh graph, since table classes are kept per graph."""
     cfg = ExperimentConfig(
         d=64, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=1
     )
-    fg = generate_instance(cfg).incomplete
-    n_tables = len({f.table for f in fg.factors if not f.is_unknown})
-    for bk in (None, per_core_rv(fg)):
+    incomplete = generate_instance(cfg).incomplete
+    n_tables = len({f.table for f in incomplete.factors if not f.is_unknown})
+    for bk in (None, per_core_rv(incomplete)):
+        fg = FactorGraph(incomplete.rvs, incomplete.factors)
         calls = Counter()
         counting = [True]
 
@@ -566,6 +569,50 @@ def test_tolerance_classes_do_not_depend_on_insertion_order():
     report, grouping = completions[0]
     donors = set(report.rows[0].chosen.members)
     assert any(donors | {"u"} <= c for c in grouping.factor_partition())
+
+
+def test_grouping_report_flags_classes_merged_within_rtol():
+    g = _near_tables_graph(["fa", "fb", "fc"])
+    loose = complete_and_lift(g, 0.0, None, 1e-6)
+    report = grouping_report(loose.grouping, loose.completed)
+    assert report.splitlines()[-1].endswith("members=fa,fb,fc,u exact=no")
+    assert report.replace(" exact=no", "") == grouping_report(loose.grouping)
+    # identical tables, at either rtol, and rtol 0 leave the report as it was
+    exact = complete_and_lift(g, 0.0, None, 0.0)
+    assert grouping_report(exact.grouping, exact.completed) == grouping_report(exact.grouping)
+    truth = complete_and_lift(epidemic_four(), 0.0, eve_dave_bk(), 1e-6)
+    assert "exact=no" not in grouping_report(truth.grouping, truth.completed)
+
+
+def test_selection_alone_matches_completion_with_table_classes_built_once(monkeypatch):
+    cfg = ExperimentConfig(
+        d=64, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=2
+    )
+    generated = generate_instance(cfg).incomplete
+    states = set()
+    for incomplete, bk in ((generated, per_core_rv(generated)), (epidemic_four(), eve_dave_bk())):
+        for rtol in (0.0, 1e-6):
+            built = Counter()
+
+            def counted(keys, rtol):
+                built[rtol] += 1
+                return table_classes(keys, rtol)
+
+            monkeypatch.setattr(colours, "table_classes", counted)
+            fg = FactorGraph(incomplete.rvs, incomplete.factors)
+            rows = [
+                replace(cs, chosen=select_transfer_class(fg, cs, 0.0, bk, rtol))
+                for cs in candidate_sets(fg, rtol)
+            ]
+            assert built == {rtol: 1}
+            result = complete_and_lift(fg, 0.0, bk, rtol)
+            assert tuple(rows) == result.report.rows
+            states |= {row.chosen.bk_state for row in rows}
+            # one more for the completed graph
+            assert built == {rtol: 2}
+            with pytest.raises(TypeError):
+                colours.known_table_classes(fg, rtol)[fg.factors[0].id] = None
+    assert states == {"yes", "no"}
 
 
 def _first_appearance_tags(fg, unresolved):
