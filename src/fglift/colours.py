@@ -22,11 +22,13 @@ labels memoised per graph. Each half round packs (port, colour) per row
 into one integer code and groups owners by their multiset of codes with a
 fixed set of sorts (``multiset_classes``), so the work per round is a
 handful of array calls rather than a tuple per node. Those sorts only find
-the classes. Their numbers come from the real signature of one member per
-class, sorted as before: a signature determines its class, so the colour
-ids are exactly those of sorting every node's signature, also where one
-old colour mixes signature shapes (a class merged within ``rtol`` whose
-tables differ in symmetry, or a class of tagged unknown factors).
+the classes. As every signature starts with the old colour, classes are
+numbered by the old colour of one member each, and only classes that split
+one old colour compare the rest of that member's signature: a signature
+determines its class, so the colour ids are exactly those of sorting every
+node's signature, also where one old colour mixes signature shapes (a class
+merged within ``rtol`` whose tables differ in symmetry, or a class of
+tagged unknown factors).
 
 The fixpoint partition is packaged as a :class:`Grouping`: classes plus one
 shared table and per-member argument alignments for every factor class.
@@ -38,7 +40,7 @@ would hide the difference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 from typing import Callable, Hashable, Mapping
@@ -61,16 +63,11 @@ from .tables import (
 
 @dataclass(frozen=True)
 class Colouring:
-    """One colour per node id; ids from a single shared namespace.
-
-    A colouring made by ``colour_passing_step`` also carries its colours as
-    arrays over the graph's incidence index, with its class counts, for the
-    next round on a graph of that index; equality ignores them.
-    """
+    """One colour per node id; ids from a single shared namespace. Plain
+    data: any graph with these node ids can refine it."""
 
     rv_colours: dict[str, int]
     factor_colours: dict[str, int]
-    _arrays: tuple | None = field(default=None, compare=False, repr=False)
 
     def rv_partition(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(c) for c in _classes(self.rv_colours))
@@ -237,21 +234,23 @@ def multiset_classes(
 
 
 def _ranked(
-    classes: np.ndarray, reps: list[int], signature: Callable[[int], tuple], first: int
+    classes: np.ndarray, reps: list[int], old: np.ndarray, rest: Callable[[int], tuple], first: int
 ) -> np.ndarray:
-    """Colours from ``first`` on, numbered in the order of the real
-    signatures of the classes' representatives."""
-    sigs = [signature(r) for r in reps]
+    """Colours from ``first`` on, in the order of the representatives'
+    signatures ``(old[rep], rest(rep))``, with ``0 <= old < len(old)``;
+    ``rest`` is called only for representatives that share their old colour."""
+    rep_old = old[reps]
+    shared = np.flatnonzero(np.bincount(rep_old)[rep_old] > 1).tolist()
+    within = np.zeros(len(reps), np.int64)
+    within[sorted(shared, key=lambda i: rest(reps[i]))] = np.arange(len(shared))
     rank = np.empty(len(reps), np.int64)
-    rank[sorted(range(len(reps)), key=sigs.__getitem__)] = np.arange(len(reps))
+    rank[np.lexsort((within, rep_old))] = np.arange(len(reps))
     return first + rank[classes]
 
 
 def _colour_arrays(inc: Incidence, colouring: Colouring) -> tuple[np.ndarray, np.ndarray]:
-    """RV and factor colours as arrays over ``inc``, each kind's ids below
-    the colouring's total class count and ordered like its own colours."""
-    if colouring._arrays is not None and colouring._arrays[0] is inc:
-        return colouring._arrays[1], colouring._arrays[2]
+    """RV and factor colours as dense arrays over ``inc``, each ordered
+    like the colouring's own ids."""
     rv = np.fromiter(map(colouring.rv_colours.__getitem__, inc.rv_ids), np.int64, len(inc.rv_ids))
     fac = colouring.factor_colours
     fac = np.fromiter(map(fac.__getitem__, inc.factor_ids), np.int64, len(inc.factor_ids))
@@ -264,52 +263,43 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     assigned in sorted-signature order, so the result is independent of node
     insertion order. Raises UnknownNode for a dangling argument.
 
-    The classes are found on the incidence index (``multiset_classes``); a
-    signature is built only for one representative per class, to number
-    the classes. Old colours enter as ids ordered like them, which leaves
-    the order of the signatures unchanged.
+    The classes are found on the incidence index (``multiset_classes``).
+    They are numbered by the old colour of one representative each; the
+    rest of a signature is built only for representatives of classes that
+    split one old colour, from that representative's own rows.
     """
     inc = fg.incidence
     inc.check_arguments()
     rv_old, fac_old = _colour_arrays(inc, colouring)
     ports, n_ports = _ports(fg)
-    colour_width = len(rv_old) + len(fac_old)
-
     arg_col = rv_old[inc.rv]
-    # signatures of representatives are read from lists: few classes, short rows
-    port_of, col_of, start = ports.tolist(), arg_col.tolist(), inc.start.tolist()
 
-    def factor_sig(f: int) -> tuple:
+    def factor_rest(f: int) -> tuple:
+        rows = slice(inc.start[f], inc.start[f + 1])
         per_port: dict[int, list[int]] = {}
-        for r in range(start[f], start[f + 1]):
-            per_port.setdefault(port_of[r], []).append(col_of[r])
-        sig = tuple((port, tuple(sorted(cols))) for port, cols in sorted(per_port.items()))
-        return (int(fac_old[f]), sig)
+        for port, col in zip(ports[rows].tolist(), arg_col[rows].tolist()):
+            per_port.setdefault(port, []).append(col)
+        return tuple((port, tuple(sorted(cols))) for port, cols in sorted(per_port.items()))
 
-    code, width = _pack(ports, n_ports, arg_col, colour_width)
+    code, width = _pack(ports, n_ports, arg_col, len(rv_old))
     fac_classes, fac_reps = multiset_classes(inc.factor, code, width, fac_old)
-    fac_new = _ranked(fac_classes, fac_reps, factor_sig, 0)
-
+    fac_new = _ranked(fac_classes, fac_reps, fac_old, factor_rest, 0)
     msg_col = fac_new[inc.factor]
-    msg_of, by_rv, rv_start = msg_col.tolist(), inc.by_rv.tolist(), inc.rv_start.tolist()
 
-    def rv_sig(r: int) -> tuple:
-        rows = by_rv[rv_start[r] : rv_start[r + 1]]
-        return (int(rv_old[r]), tuple(sorted((msg_of[i], port_of[i]) for i in rows)))
+    def rv_rest(r: int) -> tuple:
+        rows = inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]
+        return tuple(sorted(zip(msg_col[rows].tolist(), ports[rows].tolist())))
 
     code, width = _pack(msg_col, len(fac_reps), ports, n_ports)
     rv_classes, rv_reps = multiset_classes(inc.rv, code, width, rv_old)
-    rv_new = _ranked(rv_classes, rv_reps, rv_sig, len(fac_reps))
+    rv_new = _ranked(rv_classes, rv_reps, rv_old, rv_rest, len(fac_reps))
     return Colouring(
         dict(zip(inc.rv_ids, rv_new.tolist())),
         dict(zip(inc.factor_ids, fac_new.tolist())),
-        (inc, rv_new, fac_new, len(rv_reps), len(fac_reps)),
     )
 
 
 def _class_counts(colouring: Colouring) -> tuple[int, int]:
-    if colouring._arrays is not None:
-        return colouring._arrays[3], colouring._arrays[4]
     return len(set(colouring.rv_colours.values())), len(set(colouring.factor_colours.values()))
 
 

@@ -65,9 +65,8 @@ from .errors import (
     DomainMismatch,
     InconsistentEvidence,
     InfiniteDivergence,
-    UnknownFactorPresent,
 )
-from .model import FactorGraph
+from .model import FactorGraph, check_factors
 from .colours import Grouping
 
 _ORDERS = ("min_degree", "reverse_id")
@@ -204,16 +203,15 @@ def marginals(
     configuration has a zero factor entry. Querying an observed RV yields a
     point mass on its observed value; a repeated query yields the same
     marginal twice. Non-finite or negative table entries that leave a
-    normaliser non-finite or negative raise ValueError. See the module
-    docstring for the order, the two passes and the rescaling.
+    normaliser non-finite or negative raise ValueError. The graph must pass
+    ``check_factors``, checked once per graph. See the module docstring for
+    the order, the two passes and the rescaling.
     """
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of RV ids, not one id")
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
-    unknown = fg.unknown_factor_ids
-    if unknown:
-        raise UnknownFactorPresent(f"unknown factors present: {', '.join(unknown)}")
+    fg.memo("inference.checked", lambda: check_factors(fg))
     rvs = [fg.rv(q) for q in queries]
 
     ev: dict[str, str] = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}

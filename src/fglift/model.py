@@ -426,17 +426,34 @@ def state_space_size(fg: FactorGraph) -> int:
     return prod(len(rv.range) for rv in fg.rvs)
 
 
+def check_factors(fg: FactorGraph) -> None:
+    """Raise UnknownFactorPresent if some factor lacks a table, UnknownNode
+    for an argument that names no RV (``Incidence.check_arguments``), and
+    ValueError for a factor that repeats an argument or whose table's shape
+    is not its arguments' range sizes."""
+    unknown = fg.unknown_factor_ids
+    if unknown:
+        raise UnknownFactorPresent(f"unknown factors present: {', '.join(unknown)}")
+    size = {rv_id: len(rv.range) for rv_id, rv in fg._rv_by_id.items()}
+    for f in fg.factors:
+        sizes = tuple(map(size.get, f.args))
+        if None in sizes:
+            fg.incidence.check_arguments()  # raises for f, the first factor with a missing RV
+        if len(set(f.args)) != len(f.args):
+            raise ValueError(f"factor {f.id!r} repeats arguments")
+        if f.table.shape != sizes:
+            raise ValueError(f"factor {f.id!r}: table shape {f.table.shape} != argument ranges {sizes}")
+
+
 def joint_distribution(fg: FactorGraph, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """Exact normalised joint over all RVs, axes in ``fg.rvs`` order.
 
     The joint is the normalised product of all factor tables; evidence
     stored on RVs does not restrict it (restriction is an inference-time
-    concern). Raises UnknownFactorPresent if any factor lacks a table and
-    StateSpaceTooLarge when the assignment count exceeds ``cap``.
+    concern). Raises what ``check_factors`` raises, and StateSpaceTooLarge
+    when the assignment count exceeds ``cap``.
     """
-    unknown = fg.unknown_factor_ids
-    if unknown:
-        raise UnknownFactorPresent(f"unknown factors present: {', '.join(unknown)}")
+    check_factors(fg)
     size = state_space_size(fg)
     if size > cap:
         raise StateSpaceTooLarge(f"{size} joint states exceed cap {cap}")
@@ -444,19 +461,10 @@ def joint_distribution(fg: FactorGraph, cap: int = DEFAULT_STATE_CAP) -> np.ndar
     sizes = tuple(len(rv.range) for rv in fg.rvs)
     acc = np.ones(sizes, dtype=np.float64)
     for f in fg.factors:
-        if len(set(f.args)) != len(f.args):
-            raise ValueError(f"factor {f.id!r} repeats arguments")
-        try:
-            axes = [axis_of[a] for a in f.args]
-        except KeyError as e:
-            raise UnknownNode(f"factor {f.id!r} references missing RV {e.args[0]!r}") from None
-        assert f.table is not None
-        order = sorted(range(len(axes)), key=lambda i: axes[i])
-        arr = np.transpose(f.table.array, order)
-        shape = [1] * len(sizes)
-        for i in order:
-            shape[axes[i]] = f.table.shape[i]
-        acc = acc * arr.reshape(shape)
+        axes = [axis_of[a] for a in f.args]
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        others = [i for i in range(len(sizes)) if i not in axes]
+        acc = acc * np.expand_dims(np.transpose(f.table.array, order), others)
     z = float(acc.sum())
     if not np.isfinite(z) or z <= 0.0:
         raise ValueError("partition function is not positive and finite")

@@ -23,6 +23,7 @@ from fglift import (
     PotentialTable,
     RandomVariable,
     RangeSpec,
+    UnknownNode,
     generate_instance,
 )
 
@@ -236,6 +237,23 @@ def completion_cases(rng):
         )
         fg = jittered(generate_instance(cfg).incomplete, rng)
         yield fg, per_core_rv(fg), 0.0
+
+
+def malformed_graphs():
+    """(graph, exception, message pattern) for graphs whose factors name a
+    missing RV, repeat an argument, or carry a table of the wrong shape, the
+    last alone and beside a factor that touches the same RV."""
+    a, b = RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)
+    pair = Factor("g", ("A", "B"), PotentialTable((2, 2), ASYMMETRIC_2x2))
+    three = Factor("f", ("A",), PotentialTable((3,), (1.0, 2.0, 3.0)))
+    return [
+        (FactorGraph((a, b), (pair, Factor("f", ("A", "Z"), pair.table))), UnknownNode,
+         "factor 'f' references missing RV 'Z'"),
+        (FactorGraph((a, b), (pair, Factor("f", ("A", "A"), pair.table))), ValueError,
+         "factor 'f' repeats arguments"),
+        (FactorGraph((a,), (three,)), ValueError, r"factor 'f': table shape \(3,\)"),
+        (FactorGraph((a, b), (three, pair)), ValueError, r"factor 'f': table shape \(3,\)"),
+    ]
 
 
 def range_of(k: int) -> RangeSpec:

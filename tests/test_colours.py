@@ -496,8 +496,12 @@ def test_initial_colouring_matches_three_loop_reference():
 
 def _index_cases(rng):
     """Generated instances at d = 128, 256 and 1024, complete and with tagged
-    unknowns, each without and with evidence on about a tenth of its RVs,
-    and one small graph whose factors repeat an argument."""
+    unknowns, each without and with evidence on about a tenth of its RVs;
+    one small graph whose factors repeat an argument; deep refinement: a
+    uniform 300-RV chain, which splits by distance from its ends over about
+    150 rounds, without and with evidence at one end; and a d = 128
+    instance with its own random table on every factor, whose RV classes
+    split into many siblings at once."""
     for d in (128, 256, 1024):
         cfg = ExperimentConfig(
             d=d, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0,
@@ -522,6 +526,21 @@ def _index_cases(rng):
             Factor("c", ("C",), PotentialTable((2,), (1.0, 2.0))),
         ),
     )
+    link = PotentialTable((2, 2), (1.0, 2.0, 2.0, 1.0))
+    chain = FactorGraph(
+        (RandomVariable(f"x{i}", BOOL_RANGE) for i in range(300)),
+        (Factor(f"f{i}", (f"x{i}", f"x{i + 1}"), link) for i in range(299)),
+    )
+    yield chain
+    yield chain.with_evidence({"x0": "true"})
+    cfg = ExperimentConfig(
+        d=128, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0,
+        seed=7, standard_grids=False,
+    )
+    truth = generate_instance(cfg).truth
+    yield truth.with_tables(
+        {f.id: PotentialTable.from_array(rng.uniform(0.5, 2.0, f.table.shape)) for f in truth.factors}
+    )
 
 
 def test_index_colour_passing_matches_reference_on_large_graphs():
@@ -541,7 +560,7 @@ def test_index_colour_passing_matches_reference_on_large_graphs():
                 current = nxt
             assert refine_to_fixpoint(g, start) == _ref_fixpoint(g, start) == nxt
         graphs += 1
-    assert graphs == 3 * 4 + 1
+    assert graphs == 3 * 4 + 1 + 3
 
 
 def test_derived_graphs_share_the_index_but_not_ports_or_signatures():

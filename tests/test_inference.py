@@ -43,6 +43,7 @@ from conftest import (
     chain_graph,
     enumerate_weights,
     epidemic_base,
+    malformed_graphs,
     oracle_marginal,
     random_graph,
 )
@@ -198,6 +199,10 @@ def test_variable_elimination_input_errors():
     )
     with pytest.raises(ValueError, match="finite"):
         variable_elimination(infinite, "A")
+    for bad, error, message in malformed_graphs():
+        for order in ORDERS:
+            with pytest.raises(error, match=message):
+                variable_elimination(bad, "A", order=order)
 
 
 def full_scan_elimination(fg, query, evidence=None, order="min_degree"):
@@ -523,6 +528,10 @@ def test_marginals_input_errors():
     with pytest.raises(ValueError, match="finite"):
         marginals(infinite, ["B", "A"])
     assert marginals(g, []) == ()
+    for bad, error, message in malformed_graphs():
+        for _ in range(2):  # the check is kept per graph, and so is its failure
+            with pytest.raises(error, match=message):
+                marginals(bad, ["A", "B"] if bad.has_rv("B") else ["A"])
 
 
 def test_marginals_raise_on_a_true_zero():

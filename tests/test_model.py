@@ -18,7 +18,15 @@ from fglift import (
     validate,
     validate_background,
 )
-from conftest import SYMMETRIC_2x2, chain_graph, epidemic_four, eve_dave_bk, oracle_joint, random_graph
+from conftest import (
+    SYMMETRIC_2x2,
+    chain_graph,
+    epidemic_four,
+    eve_dave_bk,
+    malformed_graphs,
+    oracle_joint,
+    random_graph,
+)
 
 
 def test_range_spec_basics():
@@ -205,6 +213,9 @@ def test_joint_refuses_unknowns_and_large_graphs():
         joint_distribution(g)
     with pytest.raises(StateSpaceTooLarge):
         joint_distribution(chain_graph(), cap=4)
+    for bad, error, message in malformed_graphs():
+        with pytest.raises(error, match=message):
+            joint_distribution(bad)
 
 
 def test_background_knowledge_lookup():
