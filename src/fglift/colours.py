@@ -30,13 +30,16 @@ node's signature, also where one old colour mixes signature shapes (a class
 merged within ``rtol`` whose tables differ in symmetry, or a class of
 tagged unknown factors).
 
-The fixpoint partition is packaged as a :class:`Grouping`: classes plus one
-shared table and per-member argument alignments for every factor class.
-:func:`grounded_equivalence_check` asks that these rebuild every ground
-factor bit for bit, in time linear in the graph. That implies equal joints,
-and is stricter than comparing them: a member that is a constant multiple
-of its class table, or only near it, is rejected although normalisation
-would hide the difference.
+The fixpoint partition is packaged as a :class:`Grouping`: the classes,
+and for each factor class one table, its first member's. A class is exact
+when every member's table is an axis permutation of that table, bit for
+bit, which is when they all share its canonical key (``_is_exact``, one
+key lookup per distinct table). :func:`grounded_equivalence_check` asks
+that of every class, in time linear in the graph, and ``grouping_report``
+marks a class that fails it. That implies equal joints, and is stricter
+than comparing them: a member that is a constant multiple of its class
+table, or only near it, is rejected although normalisation would hide the
+difference.
 """
 from __future__ import annotations
 
@@ -52,7 +55,6 @@ from .model import FactorGraph, Incidence
 from .tables import (
     CanonicalKey,
     PotentialTable,
-    alignment_axes,
     canonical_info,
     canonical_table,  # noqa: F401  (wrapped by name in bench/tracing.py)
     check_rtol,
@@ -322,27 +324,15 @@ def refine_to_fixpoint(fg: FactorGraph, colouring: Colouring) -> Colouring:
 
 @dataclass(frozen=True)
 class FactorClass:
-    """One class of mutually grouped factors.
-
-    ``table`` is the representative's positional table (None for a class of
-    unknown factors); ``alignments[i]`` are transpose axes reconstructing
-    member i's positional table from it.
-    """
+    """One class of mutually grouped factors and its representative table:
+    the first member's positional table, None for a class of unknown factors."""
 
     members: tuple[str, ...]
     table: PotentialTable | None
-    alignments: tuple[tuple[int, ...], ...] | None
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def member_table(self, index: int) -> PotentialTable:
-        if self.table is None or self.alignments is None:
-            raise UnknownFactorPresent(f"class of {self.members[0]!r} has no table")
-        return PotentialTable.from_array(
-            np.transpose(self.table.array, self.alignments[index])
-        )
 
 
 @dataclass(frozen=True)
@@ -360,20 +350,12 @@ class Grouping:
 
 
 def grouping_from_colouring(fg: FactorGraph, colouring: Colouring) -> Grouping:
-    classes: list[FactorClass] = []
-    axes_of = cache(alignment_axes)
-    for members in _classes(colouring.factor_colours):
-        rep = fg.factor(members[0])
-        if rep.table is None:
-            classes.append(FactorClass(members, None, None))
-            continue
-        alignments = []
-        for m in members:
-            mf = fg.factor(m)
-            assert mf.table is not None
-            alignments.append(axes_of(rep.table, mf.table))
-        classes.append(FactorClass(members, rep.table, tuple(alignments)))
-    return Grouping(tuple(_classes(colouring.rv_colours)), tuple(classes))
+    """The colouring's classes, each factor class with its first member's table."""
+    factor_classes = tuple(
+        FactorClass(members, fg.factor(members[0]).table)
+        for members in _classes(colouring.factor_colours)
+    )
+    return Grouping(tuple(_classes(colouring.rv_colours)), factor_classes)
 
 
 def run_colour_passing(
@@ -390,47 +372,38 @@ def run_colour_passing(
     return grouping_from_colouring(fg, colouring)
 
 
-def grounded_equivalence_check(fg: FactorGraph, grouping: Grouping) -> bool:
-    """True iff expanding the grouping rebuilds every ground factor bit for bit.
+def _is_exact(fg: FactorGraph, cls: FactorClass) -> bool:
+    """True iff every member's table is an axis permutation of the class
+    table, bit for bit: a class of unknown factors, or members that all share
+    the class table's canonical key. Above ``MAX_CANONICAL_ARITY`` the key is
+    positional, and so is the match. One key lookup per distinct table."""
+    if cls.table is None:
+        return True
+    key = canonical_info(cls.table).key
+    tables = {fg.factor(m).table for m in cls.members}
+    # t == t fails for a table holding NaN, which matches no table
+    return all(t is not None and t == t and canonical_info(t).key == key for t in tables)
 
-    Every RV and every factor must sit in exactly one class, every factor
-    class must carry a table and one argument permutation per member, and
-    each member's table must equal ``FactorClass.member_table`` exactly.
-    Linear in the graph's size; equal tables imply equal joints.
+
+def grounded_equivalence_check(fg: FactorGraph, grouping: Grouping) -> bool:
+    """True iff the grouping rebuilds every ground factor bit for bit.
+
+    Every RV and every factor must sit in exactly one class, and every
+    factor class must carry a table and be exact (``_is_exact``). Linear in
+    the graph's size; equal tables imply equal joints.
     """
     if sorted(m for c in grouping.rv_classes for m in c) != sorted(fg.rv_ids):
         return False
     if sorted(m for c in grouping.factor_classes for m in c.members) != sorted(fg.factor_ids):
         return False
-    for cls in grouping.factor_classes:
-        if cls.table is None or cls.alignments is None:
-            return False
-        if len(cls.alignments) != len(cls.members):
-            return False
-        for i, (member, axes) in enumerate(zip(cls.members, cls.alignments)):
-            if sorted(axes) != list(range(cls.table.arity)):
-                return False
-            if cls.member_table(i) != fg.factor(member).table:
-                return False
-    return True
-
-
-def _is_exact(fg: FactorGraph, cls: FactorClass) -> bool:
-    """True iff every member's table is the class table under its alignment,
-    bit for bit: a class of unknown factors, or one canonical table."""
-    if cls.table is None:
-        return True
-    key = canonical_info(cls.table).key
-    tables = {fg.factor(m).table for m in cls.members}
-    return all(t is not None and canonical_info(t).key == key for t in tables)
+    return all(cls.table is not None and _is_exact(fg, cls) for cls in grouping.factor_classes)
 
 
 def grouping_report(grouping: Grouping, fg: FactorGraph | None = None) -> str:
     """Stable text report: one ``class`` line per class, RVs then factors.
 
-    Given the grouped graph, a factor class whose member tables are not all
-    bit-identical to its table (a class merged within ``rtol > 0``) ends in
-    `` exact=no``.
+    Given the grouped graph, a factor class that is not exact (``_is_exact``),
+    such as one merged within ``rtol > 0``, ends in `` exact=no``.
     """
     lines = []
     class_id = 0

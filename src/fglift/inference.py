@@ -110,24 +110,20 @@ def _reduced_factors(
 
 
 def _product(
-    a: tuple[tuple[str, ...], np.ndarray],
-    b: tuple[tuple[str, ...], np.ndarray],
-    sizes: Mapping[str, int],
+    a: tuple[tuple[str, ...], np.ndarray], b: tuple[tuple[str, ...], np.ndarray]
 ) -> tuple[tuple[str, ...], np.ndarray]:
+    """``a * b`` over the union of their variables, ``a``'s first: ``a`` gains
+    trailing singleton axes, ``b`` is moved into union order."""
     a_vars, a_arr = a
     b_vars, b_arr = b
-    union = list(a_vars) + [v for v in b_vars if v not in a_vars]
+    union = a_vars + tuple(v for v in b_vars if v not in a_vars)
     axis = {v: i for i, v in enumerate(union)}
-
-    def expand(vars_: tuple[str, ...], arr: np.ndarray) -> np.ndarray:
-        order = sorted(range(len(vars_)), key=lambda i: axis[vars_[i]])
-        arr = np.transpose(arr, order)
-        shape = [1] * len(union)
-        for i in order:
-            shape[axis[vars_[i]]] = sizes[vars_[i]]
-        return arr.reshape(shape)
-
-    return tuple(union), expand(a_vars, a_arr) * expand(b_vars, b_arr)
+    order = sorted(range(len(b_vars)), key=lambda i: axis[b_vars[i]])
+    shape = [1] * len(union)
+    for i in order:
+        shape[axis[b_vars[i]]] = b_arr.shape[i]
+    a_arr = a_arr.reshape(a_arr.shape + (1,) * (len(union) - len(a_vars)))
+    return union, a_arr * np.transpose(b_arr, order).reshape(shape)
 
 
 def _min_degree_order(
@@ -250,7 +246,6 @@ def _beliefs(
     queries and of their ancestors; the downward pass then calibrates them
     in reverse elimination order, parents first.
     """
-    sizes = {r.id: len(r.range) for r in fg.rvs}
     tables = _reduced_factors(fg, ev)
     root, kept = hidden[0], set(hidden)
     remaining = {r.id for r in fg.rvs if r.id != root and r.id not in ev}
@@ -273,10 +268,10 @@ def _beliefs(
         if v in bucket:
             acc, *rest = bucket.pop(v)
             for table in rest:
-                vars_, arr = _product(acc, table, sizes)
+                vars_, arr = _product(acc, table)
                 acc = vars_, _in_range(arr)
         elif v in kept:
-            acc = (v,), np.ones(sizes[v], dtype=np.float64)
+            acc = (v,), np.ones(len(fg.rv(v).range), dtype=np.float64)
         else:
             continue
         if v in kept:
@@ -304,7 +299,7 @@ def _beliefs(
         passed = _sum_to(belief[parent[c]], sep)
         with np.errstate(divide="ignore", invalid="ignore"):
             down = np.where(m == 0.0, 0.0, passed / m)
-        vars_, arr = _product(cluster[c], (sep, _in_range(down)), sizes)
+        vars_, arr = _product(cluster[c], (sep, _in_range(down)))
         belief[c] = vars_, _in_range(arr)
     return belief
 

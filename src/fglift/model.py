@@ -18,7 +18,7 @@ import numpy as np
 from .errors import StateSpaceTooLarge, UnknownFactorPresent, UnknownNode
 from .tables import PotentialTable
 
-DEFAULT_STATE_CAP = 1 << 20
+STATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True, order=True)
@@ -91,8 +91,8 @@ class Factor:
 class Incidence:
     """Integer incidence index of a factor graph's structure.
 
-    RVs are numbered by the first appearance of their id in
-    ``FactorGraph.rvs``, factors by their position in ``FactorGraph.factors``.
+    RVs are numbered by their position in ``FactorGraph.rvs``, factors by
+    their position in ``FactorGraph.factors``.
     There is one row per argument position, running factor by factor in
     argument order: row i joins factor ``factor[i]`` to RV ``rv[i]`` (-1 for
     a dangling argument), and factor f owns rows ``start[f]:start[f + 1]``.
@@ -177,14 +177,18 @@ class FactorGraph:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> None:
+        """Raises ValueError when an id names two nodes: two RVs, two
+        factors, or an RV and a factor."""
         object.__setattr__(self, "rvs", tuple(rvs))
         object.__setattr__(self, "factors", tuple(factors))
-        rv_by_id: dict[str, RandomVariable] = {}
-        for rv in self.rvs:
-            rv_by_id.setdefault(rv.id, rv)
-        factor_by_id: dict[str, Factor] = {}
-        for f in self.factors:
-            factor_by_id.setdefault(f.id, f)
+        rv_by_id = {rv.id: rv for rv in self.rvs}
+        factor_by_id = {f.id: f for f in self.factors}
+        if (
+            len(rv_by_id) < len(self.rvs)
+            or len(factor_by_id) < len(self.factors)
+            or not rv_by_id.keys().isdisjoint(factor_by_id)
+        ):
+            raise ValueError(f"node id {_repeated_id(self)!r} used more than once")
         object.__setattr__(self, "_rv_by_id", rv_by_id)
         object.__setattr__(self, "_factor_by_id", factor_by_id)
         object.__setattr__(self, "_incidence", [None])
@@ -194,7 +198,7 @@ class FactorGraph:
     def incidence(self) -> Incidence:
         """The graph's integer incidence index, built on first use."""
         if self._incidence[0] is None:
-            self._incidence[0] = Incidence.of(tuple(self._rv_by_id), self.factors)
+            self._incidence[0] = Incidence.of(self.rv_ids, self.factors)
         return self._incidence[0]
 
     def memo(self, key: Hashable, build: Callable[[], object]) -> object:
@@ -296,6 +300,16 @@ class FactorGraph:
         return self._same_structure(rvs, self.factors)
 
 
+def _repeated_id(fg: FactorGraph) -> str | None:
+    """The first id that names a second node of ``fg``, if any."""
+    seen: set[str] = set()
+    for node in fg.rvs + fg.factors:
+        if node.id in seen:
+            return node.id
+        seen.add(node.id)
+    return None
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural invariant violation found by validate()."""
@@ -311,23 +325,14 @@ class Violation:
 def validate(fg: FactorGraph) -> list[Violation]:
     """Check every structural invariant; returns all violations found.
 
-    Covered: duplicate node ids, empty or repeating argument lists, dangling
-    argument references, table shape mismatches, non-positive or non-finite
-    entries, evidence outside the variable's range. The entries of each
-    distinct table are scanned once.
+    Covered: empty or repeating argument lists, dangling argument
+    references, table shape mismatches, non-positive or non-finite entries,
+    evidence outside the variable's range. The entries of each distinct
+    table are scanned once. Repeated ids never get this far: the graph's
+    constructor rejects them.
     """
     out: list[Violation] = []
     bad_entries = cache(lambda t: int(np.count_nonzero(~(np.isfinite(t.array) & (t.array > 0.0)))))
-    seen: set[str] = set()
-    for rv in fg.rvs:
-        if rv.id in seen:
-            out.append(Violation("duplicate-id", rv.id, "node id used more than once"))
-        seen.add(rv.id)
-    for f in fg.factors:
-        if f.id in seen:
-            out.append(Violation("duplicate-id", f.id, "node id used more than once"))
-        seen.add(f.id)
-
     rv_ids = {rv.id for rv in fg.rvs}
     for rv in fg.rvs:
         if rv.evidence is not None and rv.evidence not in rv.range:
@@ -445,18 +450,18 @@ def check_factors(fg: FactorGraph) -> None:
             raise ValueError(f"factor {f.id!r}: table shape {f.table.shape} != argument ranges {sizes}")
 
 
-def joint_distribution(fg: FactorGraph, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+def joint_distribution(fg: FactorGraph) -> np.ndarray:
     """Exact normalised joint over all RVs, axes in ``fg.rvs`` order.
 
     The joint is the normalised product of all factor tables; evidence
     stored on RVs does not restrict it (restriction is an inference-time
     concern). Raises what ``check_factors`` raises, and StateSpaceTooLarge
-    when the assignment count exceeds ``cap``.
+    when the assignment count exceeds ``STATE_CAP``.
     """
     check_factors(fg)
     size = state_space_size(fg)
-    if size > cap:
-        raise StateSpaceTooLarge(f"{size} joint states exceed cap {cap}")
+    if size > STATE_CAP:
+        raise StateSpaceTooLarge(f"{size} joint states exceed cap {STATE_CAP}")
     axis_of = {rv.id: i for i, rv in enumerate(fg.rvs)}
     sizes = tuple(len(rv.range) for rv in fg.rvs)
     acc = np.ones(sizes, dtype=np.float64)

@@ -172,11 +172,6 @@ def invert_axes(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def compose_axes(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Axes helper: transpose(transpose(A, p), q) == transpose(A, compose_axes(p, q))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 @dataclass(frozen=True)
 class CanonicalInfo:
     """Canonical form of one table.
@@ -227,15 +222,3 @@ def canonical_info(table: PotentialTable) -> CanonicalInfo:
 def canonical_table(table: PotentialTable) -> PotentialTable:
     info = canonical_info(table)
     return PotentialTable.from_array(np.transpose(table.array, info.perm))
-
-
-def alignment_axes(rep: PotentialTable, member: PotentialTable) -> tuple[int, ...]:
-    """Axes such that ``member.array == transpose(rep.array, axes)``.
-
-    Both tables must share a canonical form (bit-exact); callers working
-    with tolerance-grouped classes get the alignment of the exact canonical
-    forms, which is the best available.
-    """
-    rep_info = canonical_info(rep)
-    mem_info = canonical_info(member)
-    return compose_axes(rep_info.perm, invert_axes(mem_info.perm))

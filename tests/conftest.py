@@ -199,6 +199,16 @@ def jittered(fg, rng):
     return FactorGraph(fg.rvs, factors)
 
 
+def permuted(fg: FactorGraph, rng: np.random.Generator) -> FactorGraph:
+    """The same potentials with every factor's arguments in a random order."""
+    factors = []
+    for f in fg.factors:
+        perm = tuple(int(i) for i in rng.permutation(len(f.args)))
+        table = None if f.table is None else PotentialTable.from_array(np.transpose(f.table.array, perm))
+        factors.append(Factor(f.id, tuple(f.args[i] for i in perm), table))
+    return FactorGraph(fg.rvs, factors)
+
+
 def random_individuals(fg, rng):
     """Random individuals of one to three factors; some factors belong to none."""
     fids = [fid for fid in fg.factor_ids if rng.random() < 0.85]

@@ -2,14 +2,16 @@
 
 The chain and epidemic fixtures have hand-derived partitions; the random
 graphs are checked against invariants instead (soundness of classes,
-insertion-order and relabelling invariance, grounded reconstruction). Three
+insertion-order and relabelling invariance, grounded reconstruction). Four
 reference implementations are kept here: colour passing that reads argument
 positions through canonical slots, slot orbits and the inverse permutation,
 with a fixpoint that compares whole partitions (the library must give the
 same colour ids and groupings), initial colours numbered by separate
 group-and-number loops for RVs, known factors and tags (the library must
-give the same colour ids), and a grounded check that compares the two
-enumerated joints (the library's per-factor check must agree with it).
+give the same colour ids), a grounded check that compares the two
+enumerated joints, and one that rebuilds every member from its class table
+by an alignment computed here (the library's canonical-key check, and the
+``exact=no`` flags of its report, must agree with both).
 """
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from fglift import (
     StateSpaceTooLarge,
     UnknownFactorPresent,
     UnknownNode,
-    alignment_axes,
     candidate_sets,
     canonical_info,
     canonical_table,
@@ -45,7 +46,16 @@ from fglift import (
 from fglift import transfer
 from fglift.colours import Colouring, FactorClass, Grouping
 from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
-from conftest import ASYMMETRIC_2x2, SYMMETRIC_2x2, chain_graph, epidemic_base, random_graph
+from conftest import (
+    ASYMMETRIC_2x2,
+    SYMMETRIC_2x2,
+    chain_graph,
+    completion_cases,
+    epidemic_base,
+    jittered,
+    permuted,
+    random_graph,
+)
 
 
 def parts(colouring):
@@ -113,10 +123,10 @@ def test_reversed_arguments_group_when_tables_agree_canonically():
     grouping = run_colour_passing(g)
     assert grouping.factor_partition() == frozenset({frozenset({"fa", "fb"})})
     cls = grouping.factor_classes[0]
-    assert cls.members == ("fa", "fb")
-    assert cls.member_table(0) == t
-    assert cls.member_table(1) == flipped
+    assert cls.members == ("fa", "fb") and cls.table == t
+    assert np.array_equal(np.transpose(t.array, _alignment(t, flipped)), flipped.array)
     assert grounded_equivalence_check(g, grouping)
+    assert "exact=no" not in grouping_report(grouping, g)
 
 
 def test_epidemic_initial_and_final_partitions():
@@ -220,11 +230,7 @@ def test_grounded_check_rejects_wrong_merges():
     good = run_colour_passing(g)
     assert grounded_equivalence_check(g, good)
 
-    ident = ((0, 1), (0, 1))
-    merged = Grouping(
-        good.rv_classes,
-        (FactorClass(("f1", "f2"), g.factor("f1").table, ident),),
-    )
+    merged = Grouping(good.rv_classes, (FactorClass(("f1", "f2"), g.factor("f1").table),))
     assert not grounded_equivalence_check(g, merged)
 
 
@@ -242,17 +248,13 @@ def test_grounded_check_rejects_structural_mangles():
     # missing factor class
     assert not grounded_equivalence_check(g, Grouping(good.rv_classes, ()))
     cls = good.factor_classes[0]
+    # doubly grouped factor
+    assert not grounded_equivalence_check(
+        g, Grouping(good.rv_classes, good.factor_classes + (cls,))
+    )
     # table withheld
     assert not grounded_equivalence_check(
-        g, Grouping(good.rv_classes, (FactorClass(cls.members, None, None),))
-    )
-    # alignment count mismatch
-    assert not grounded_equivalence_check(
-        g,
-        Grouping(
-            good.rv_classes,
-            (FactorClass(cls.members, cls.table, cls.alignments[:1]),),
-        ),
+        g, Grouping(good.rv_classes, (FactorClass(cls.members, None),))
     )
 
 
@@ -278,8 +280,10 @@ def test_unknown_tags_control_grouping():
     split = refine_to_fixpoint(g, initial_colouring(g, unknown_tags={"u1": 0, "u2": 1}))
     assert split.factor_partition() == frozenset({frozenset({"u1"}), frozenset({"u2"})})
     grouping = grouping_from_colouring(g, shared)
-    with pytest.raises(UnknownFactorPresent):
-        grouping.factor_classes[0].member_table(0)
+    assert grouping.factor_classes == (FactorClass(("u1", "u2"), None),)
+    # a class of unknown factors rebuilds nothing, but is not reported inexact
+    assert not grounded_equivalence_check(g, grouping)
+    assert "exact=no" not in grouping_report(grouping, g)
 
 
 def test_rtol_groups_nearly_equal_tables():
@@ -372,12 +376,7 @@ def _ref_grouping(fg, colouring):
     classes = []
     for members in _ref_groups(colouring.factor_colours):
         members = tuple(sorted(members))
-        rep = fg.factor(members[0])
-        if rep.is_unknown:
-            classes.append(FactorClass(members, None, None))
-            continue
-        alignments = tuple(alignment_axes(rep.table, fg.factor(m).table) for m in members)
-        classes.append(FactorClass(members, rep.table, alignments))
+        classes.append(FactorClass(members, fg.factor(members[0]).table))
     return Grouping(rv_classes, tuple(sorted(classes, key=lambda c: c.members[0])))
 
 
@@ -604,7 +603,14 @@ def test_dangling_argument_raises():
             call()
 
 
-# -- reference grounded check: compare the enumerated joints ------------------------
+# -- reference grounded checks: enumerated joints, members rebuilt one by one -------
+
+
+def _alignment(rep, member):
+    """Axes with ``member == transpose(rep, axes)`` when the two tables share a
+    canonical form, from their canonical permutations."""
+    p, q = canonical_info(rep).perm, invert_axes(canonical_info(member).perm)
+    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def _joint_check(fg, grouping, tol=1e-12):
@@ -615,13 +621,13 @@ def _joint_check(fg, grouping, tol=1e-12):
         return False
     rebuilt = {}
     for cls in grouping.factor_classes:
-        if cls.table is None or cls.alignments is None or len(cls.alignments) != len(cls.members):
+        if cls.table is None:
             return False
-        for member, axes in zip(cls.members, cls.alignments):
+        for member in cls.members:
             original = fg.factor(member)
-            if original.table is None or sorted(axes) != list(range(cls.table.arity)):
+            if original.table is None or original.table.arity != cls.table.arity:
                 return False
-            expanded = np.transpose(cls.table.array, axes)
+            expanded = np.transpose(cls.table.array, _alignment(cls.table, original.table))
             if expanded.shape != original.table.shape:
                 return False
             rebuilt[member] = PotentialTable.from_array(expanded)
@@ -668,7 +674,7 @@ def test_grounded_check_rejects_a_scaled_member():
         (RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)),
         (Factor("u", ("A",), t), Factor("v", ("B",), PotentialTable((2,), (2.0, 6.0)))),
     )
-    scaled = Grouping((("A", "B"),), (FactorClass(("u", "v"), t, ((0,), (0,))),))
+    scaled = Grouping((("A", "B"),), (FactorClass(("u", "v"), t),))
     # normalisation hides the factor 2 from the joint, not from the tables
     assert _joint_check(g, scaled)
     assert not grounded_equivalence_check(g, scaled)
@@ -684,3 +690,65 @@ def test_grounded_check_runs_beyond_the_joint_cap():
     with pytest.raises(StateSpaceTooLarge):
         joint_distribution(result.completed)
     assert grounded_equivalence_check(result.completed, result.grouping)
+
+
+def _member_exact(fg, cls):
+    """Every member rebuilt from the class table by its own alignment, bit for bit."""
+    for member in cls.members:
+        table = fg.factor(member).table
+        if table is None or table.arity != cls.table.arity:
+            return False
+        rebuilt = PotentialTable.from_array(np.transpose(cls.table.array, _alignment(cls.table, table)))
+        if rebuilt != table:
+            return False
+    return True
+
+
+def _member_check(fg, grouping):
+    """The grounded check that rebuilds every member from its class table."""
+    if sorted(m for c in grouping.rv_classes for m in c) != sorted(fg.rv_ids):
+        return False
+    if sorted(m for c in grouping.factor_classes for m in c.members) != sorted(fg.factor_ids):
+        return False
+    return all(cls.table is not None and _member_exact(fg, cls) for cls in grouping.factor_classes)
+
+
+def _lossless_cases():
+    """744 (graph, grouping) pairs: the completion cases at rtol 0 and 1e-6,
+    and 150 random graphs of arity up to 4 with permuted arguments, plain
+    and jittered, each at rtol 0 and 1e-6."""
+    for fg, bk, theta in completion_cases(np.random.default_rng(2024)):
+        for rtol in (0.0, 1e-6):
+            result = complete_and_lift(fg, theta, bk, rtol)
+            yield result.completed, result.grouping
+    rng = np.random.default_rng(1808)
+    for trial in range(150):
+        g = random_graph(rng, n_rvs=5 + trial % 4, n_factors=8 + trial % 5, max_arity=4, pool_size=2)
+        g = permuted(g, rng)
+        for graph in (g, jittered(g, rng)):
+            for rtol in (0.0, 1e-6):
+                yield graph, run_colour_passing(graph, rtol)
+
+
+def test_lossless_rule_matches_member_by_member_rebuild():
+    verdicts, inexact = [], 0
+    for fg, grouping in _lossless_cases():
+        verdict = grounded_equivalence_check(fg, grouping)
+        assert verdict == _member_check(fg, grouping)
+        verdicts.append(verdict)
+        lines = grouping_report(grouping, fg).splitlines()[len(grouping.rv_classes) :]
+        for cls, line in zip(grouping.factor_classes, lines, strict=True):
+            flagged = cls.table is not None and not _member_exact(fg, cls)
+            assert line.endswith(" exact=no") == flagged
+            inexact += flagged
+    assert len(verdicts) == 744
+    assert 0 < sum(verdicts) < len(verdicts) and inexact
+
+
+def test_a_table_holding_nan_is_never_exact():
+    nan = PotentialTable((2,), (1.0, float("nan")))
+    g = FactorGraph((RandomVariable("A", BOOL_RANGE),), (Factor("u", ("A",), nan),))
+    grouping = Grouping((("A",),), (FactorClass(("u",), nan),))
+    assert not grounded_equivalence_check(g, grouping)
+    assert not _member_check(g, grouping)
+    assert grouping_report(grouping, g).endswith("members=u exact=no\n")

@@ -243,7 +243,7 @@ def full_scan_elimination(fg, query, evidence=None, order="min_degree"):
             continue
         acc = store.pop(touched[0])
         for fid in touched[1:]:
-            acc = _product(acc, store.pop(fid), sizes)
+            acc = _product(acc, store.pop(fid))
         for fid in touched:
             for u in set(acc[0]) | {v}:
                 var_facs.get(u, set()).discard(fid)
@@ -584,7 +584,7 @@ def _table_store_beliefs(fg, ev, hidden, order):
         if touched:
             acc = store.pop(touched[0])
             for fid in touched[1:]:
-                vars_, arr = _product(acc, store.pop(fid), sizes)
+                vars_, arr = _product(acc, store.pop(fid))
                 acc = vars_, _in_range(arr)
         elif v in wanted:
             acc = (v,), np.ones(sizes[v], dtype=np.float64)
@@ -620,7 +620,7 @@ def _table_store_beliefs(fg, ev, hidden, order):
             passed = _sum_to(belief[parent[c]], sep)
             with np.errstate(divide="ignore", invalid="ignore"):
                 down = np.where(m == 0.0, 0.0, passed / m)
-            vars_, arr = _product(cluster[c], (sep, _in_range(down)), sizes)
+            vars_, arr = _product(cluster[c], (sep, _in_range(down)))
             belief[c] = vars_, _in_range(arr)
     return belief
 

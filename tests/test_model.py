@@ -19,6 +19,7 @@ from fglift import (
     validate_background,
 )
 from conftest import (
+    ASYMMETRIC_2x2,
     SYMMETRIC_2x2,
     chain_graph,
     epidemic_four,
@@ -124,12 +125,20 @@ def _kinds(fg):
     return sorted(v.kind for v in validate(fg))
 
 
-def test_validate_duplicate_id():
-    a = RandomVariable("A", BOOL_RANGE)
-    g = FactorGraph((a, a), (Factor("f", ("A",), PotentialTable((2,), (1.0, 1.0))),))
-    assert _kinds(g) == ["duplicate-id"]
-    g = FactorGraph((a,), (Factor("A", ("A",), PotentialTable((2,), (1.0, 1.0))),))
-    assert _kinds(g) == ["duplicate-id"]  # shared with an RV counts too
+def test_constructor_rejects_duplicate_ids():
+    a, b = RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)
+    unary = Factor("f", ("A",), PotentialTable((2,), (1.0, 1.0)))
+    pair = Factor("f", ("A", "B"), PotentialTable((2, 2), ASYMMETRIC_2x2))
+    three = RandomVariable("A", RangeSpec(("x", "y", "z")))
+    cases = [
+        ((a, a), (unary,)),
+        ((a, b, three), (pair,)),  # once Boolean, once 3-valued
+        ((a, b), (unary, pair)),  # two factors named f
+        ((a,), (Factor("A", ("A",), unary.table),)),  # an RV and a factor
+    ]
+    for rvs, factors in cases:
+        with pytest.raises(ValueError, match="node id '(A|f)' used more than once"):
+            FactorGraph(rvs, factors)
 
 
 def test_validate_bad_evidence():
@@ -212,7 +221,7 @@ def test_joint_refuses_unknowns_and_large_graphs():
     with pytest.raises(UnknownFactorPresent):
         joint_distribution(g)
     with pytest.raises(StateSpaceTooLarge):
-        joint_distribution(chain_graph(), cap=4)
+        joint_distribution(FactorGraph((RandomVariable(f"x{i}", BOOL_RANGE) for i in range(21)), ()))
     for bad, error, message in malformed_graphs():
         with pytest.raises(error, match=message):
             joint_distribution(bad)

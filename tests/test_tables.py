@@ -6,7 +6,6 @@ import pytest
 
 from fglift import (
     PotentialTable,
-    alignment_axes,
     canonical_info,
     canonical_table,
     tables_equal,
@@ -14,7 +13,6 @@ from fglift import (
 from fglift.tables import (
     MAX_CANONICAL_ARITY,
     CanonicalInfo,
-    compose_axes,
     invert_axes,
     table_classes,
 )
@@ -106,11 +104,6 @@ def test_axis_algebra():
         assert np.array_equal(
             np.transpose(np.transpose(arr, p), invert_axes(p)), arr
         )
-        for q in perms:
-            assert np.array_equal(
-                np.transpose(np.transpose(arr, p), q),
-                np.transpose(arr, compose_axes(p, q)),
-            )
 
 
 def test_canonical_orbits_symmetric_vs_asymmetric():
@@ -192,6 +185,11 @@ def _union_find_info(table):
     return CanonicalInfo(best_key, perm, inv_perm, tuple(find(s) for s in range(n)))
 
 
+def _compose(p, q):
+    """transpose(transpose(A, p), q) == transpose(A, _compose(p, q))."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
 def _planted_symmetry(rng, arity):
     """Small-integer table of the given arity made invariant under one or two
     random axis permutations; ties between entries plant further symmetries."""
@@ -205,7 +203,7 @@ def _planted_symmetry(rng, arity):
             total, power = arr.copy(), sigma
             while power != tuple(range(arity)):
                 total += np.transpose(arr, power)
-                power = compose_axes(power, sigma)
+                power = _compose(power, sigma)
             arr = total
     return PotentialTable.from_array(arr)
 
@@ -219,26 +217,6 @@ def test_stabiliser_orbits_match_union_find_reference():
         assert info == _union_find_info(table)
         non_trivial += info.orbit_of_slot != tuple(range(table.arity))
     assert non_trivial > 300
-
-
-def test_alignment_axes_maps_rep_onto_member():
-    rng = np.random.default_rng(31)
-    from itertools import permutations
-
-    arr = rng.uniform(0.5, 2.0, size=(2, 3, 4))
-    rep = PotentialTable.from_array(arr)
-    for perm in permutations(range(3)):
-        member = PotentialTable.from_array(np.transpose(arr, perm))
-        axes = alignment_axes(rep, member)
-        assert np.array_equal(member.array, np.transpose(rep.array, axes))
-
-
-def test_alignment_axes_with_ambiguous_symmetry():
-    # swapping the symmetric axes is a valid alignment either way
-    rep = PotentialTable((2, 2), SYMMETRIC_2x2)
-    member = PotentialTable.from_array(rep.array.T)
-    axes = alignment_axes(rep, member)
-    assert np.array_equal(member.array, np.transpose(rep.array, axes))
 
 
 def test_table_classes_do_not_depend_on_key_order():
