@@ -147,7 +147,7 @@ def _port_labels(table: PotentialTable | None, n: int) -> tuple[int, ...]:
     Unknown factors label each position by itself, as ``canonical_info``
     does for oversized tables, so positions are then compared literally.
     """
-    if table is None or table.arity != n:
+    if table is None:
         return tuple(range(n))
     info = canonical_info(table)
     return tuple(info.orbit_of_position(p) for p in range(n))
@@ -263,7 +263,7 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     """One refinement round: factors re-colour from their arguments, then
     RVs re-colour from the new factor colours. New colour ids are dense and
     assigned in sorted-signature order, so the result is independent of node
-    insertion order. Raises UnknownNode for a dangling argument.
+    insertion order.
 
     The classes are found on the incidence index (``multiset_classes``).
     They are numbered by the old colour of one representative each; the
@@ -271,7 +271,6 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     split one old colour, from that representative's own rows.
     """
     inc = fg.incidence
-    inc.check_arguments()
     rv_old, fac_old = _colour_arrays(inc, colouring)
     ports, n_ports = _ports(fg)
     arg_col = rv_old[inc.rv]

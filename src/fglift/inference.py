@@ -199,15 +199,15 @@ def marginals(
     configuration has a zero factor entry. Querying an observed RV yields a
     point mass on its observed value; a repeated query yields the same
     marginal twice. Non-finite or negative table entries that leave a
-    normaliser non-finite or negative raise ValueError. The graph must pass
-    ``check_factors``, checked once per graph. See the module docstring for
-    the order, the two passes and the rescaling.
+    normaliser non-finite or negative raise ValueError, and an unknown
+    factor raises UnknownFactorPresent. See the module docstring for the
+    order, the two passes and the rescaling.
     """
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of RV ids, not one id")
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
-    fg.memo("inference.checked", lambda: check_factors(fg))
+    check_factors(fg)
     rvs = [fg.rv(q) for q in queries]
 
     ev: dict[str, str] = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}
@@ -337,8 +337,10 @@ def kld(p: Marginal, q: Marginal) -> float:
 
 
 def compression_ratio(grouping: Grouping, fg: FactorGraph) -> tuple[float, float]:
-    """(RV classes / RVs, factor classes / factors); lower is more lifted."""
+    """(RV classes / RVs, factor classes / factors); lower is more lifted.
+    A graph without RVs or without factors reads 1.0 on that side: nothing
+    is grouped."""
     return (
-        len(grouping.rv_classes) / len(fg.rvs),
-        len(grouping.factor_classes) / len(fg.factors),
+        len(grouping.rv_classes) / len(fg.rvs) if fg.rvs else 1.0,
+        len(grouping.factor_classes) / len(fg.factors) if fg.factors else 1.0,
     )

@@ -5,6 +5,15 @@ factors. Every factor names the variables it touches in a fixed argument
 order; a factor either carries a potential table or is *unknown* (arguments
 known, potentials missing). The joint semantics over the known-only case is
 the normalised product of all potential tables.
+
+Structural invariants are checked once, by the constructor of the node or
+graph they belong to, so every graph that exists is well-formed: an RV's
+evidence lies in its range; a factor's arguments are non-empty and distinct
+and its table has one axis per argument; every argument names an RV of the
+graph, and every table's shape is its arguments' range sizes. Ids are
+unique across the graph's nodes. Nothing downstream checks these again.
+``validate`` reports what a well-formed graph may still hold: table entries
+that are not strictly positive and finite.
 """
 from __future__ import annotations
 
@@ -60,6 +69,10 @@ class RandomVariable:
     range: RangeSpec
     evidence: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.evidence is not None and self.evidence not in self.range:
+            raise ValueError(f"evidence {self.evidence!r} not in range of {self.id!r}")
+
     @property
     def signature(self) -> tuple[tuple[str, ...], bool, str]:
         """(range values, has evidence, evidence or ""): all that tells RVs apart
@@ -72,7 +85,9 @@ class Factor:
     """A factor over an ordered argument list.
 
     ``table is None`` marks an unknown factor: its arguments are part of the
-    graph structure but its potentials are missing.
+    graph structure but its potentials are missing. Raises TypeError when
+    ``args`` is one string, and ValueError when the arguments are empty or
+    repeat, or the table's arity is not their count.
     """
 
     id: str
@@ -80,7 +95,19 @@ class Factor:
     table: PotentialTable | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+        args = self.args
+        if type(args) is not tuple:
+            if isinstance(args, str):
+                raise TypeError(f"factor {self.id!r}: args must be a sequence of RV ids, not one id")
+            args = tuple(args)
+            object.__setattr__(self, "args", args)
+        n = len(args)
+        if not n:
+            raise ValueError(f"factor {self.id!r} has no arguments")
+        if n > 1 and len(set(args)) < n:
+            raise ValueError(f"factor {self.id!r} repeats arguments")
+        if self.table is not None and self.table.arity != n:
+            raise ValueError(f"factor {self.id!r}: table arity {self.table.arity} != {n} arguments")
 
     @property
     def is_unknown(self) -> bool:
@@ -94,13 +121,11 @@ class Incidence:
     RVs are numbered by their position in ``FactorGraph.rvs``, factors by
     their position in ``FactorGraph.factors``.
     There is one row per argument position, running factor by factor in
-    argument order: row i joins factor ``factor[i]`` to RV ``rv[i]`` (-1 for
-    a dangling argument), and factor f owns rows ``start[f]:start[f + 1]``.
-    ``by_rv[rv_start[r]:rv_start[r + 1]]`` are RV r's rows, one per position,
-    so a repeated argument contributes two; ``degree[r]`` counts RV r's
-    distinct factors, as ``factors_of`` lists them. ``dangling`` names the
-    first (factor, argument) pair whose argument is no RV, if any. Only ids
-    and arguments enter, so graphs that differ in tables or evidence alone
+    argument order: row i joins factor ``factor[i]`` to RV ``rv[i]``, and
+    factor f owns rows ``start[f]:start[f + 1]``.
+    ``by_rv[rv_start[r]:rv_start[r + 1]]`` are RV r's rows, one per factor
+    of r in factor order, and ``degree[r]`` counts them. Only ids and
+    arguments enter, so graphs that differ in tables or evidence alone
     share one index.
     """
 
@@ -113,7 +138,6 @@ class Incidence:
     by_rv: np.ndarray
     rv_start: np.ndarray
     degree: np.ndarray
-    dangling: tuple[str, str] | None
 
     @classmethod
     def of(cls, rv_ids: tuple[str, ...], factors: tuple[Factor, ...]) -> "Incidence":
@@ -121,46 +145,28 @@ class Incidence:
         arity = np.fromiter((len(f.args) for f in factors), np.int64, len(factors))
         start = np.concatenate(([0], np.cumsum(arity)))
         rv = np.fromiter(
-            (position.get(arg, -1) for f in factors for arg in f.args), np.int64, int(start[-1])
+            (position[arg] for f in factors for arg in f.args), np.int64, int(start[-1])
         )
-        factor = np.repeat(np.arange(len(factors)), arity)
-        rows = np.flatnonzero(rv >= 0)
-        dangling = None
-        if len(rows) < len(rv):
-            row = int(np.flatnonzero(rv < 0)[0])
-            f = factors[int(factor[row])]
-            dangling = (f.id, f.args[row - int(start[factor[row]])])
-        by_rv = rows[np.argsort(rv[rows], kind="stable")]
-        per_rv = np.bincount(rv[rows], minlength=len(rv_ids))
-        # an RV's rows in one factor are adjacent in by_rv: count each factor once
-        owner, arg = factor[by_rv], rv[by_rv]
-        repeat = (owner[1:] == owner[:-1]) & (arg[1:] == arg[:-1])
+        degree = np.bincount(rv, minlength=len(rv_ids))
         return cls(
             rv_ids,
             tuple(f.id for f in factors),
             position,
-            factor,
+            np.repeat(np.arange(len(factors)), arity),
             rv,
             start,
-            by_rv,
-            np.concatenate(([0], np.cumsum(per_rv))),
-            per_rv - np.bincount(arg[1:][repeat], minlength=len(rv_ids)),
-            dangling,
+            np.argsort(rv, kind="stable"),
+            np.concatenate(([0], np.cumsum(degree))),
+            degree,
         )
-
-    def check_arguments(self) -> None:
-        """Raise UnknownNode if some argument names no RV of the graph."""
-        if self.dangling is not None:
-            factor_id, arg = self.dangling
-            raise UnknownNode(f"factor {factor_id!r} references missing RV {arg!r}")
 
     @cached_property
     def factors_of(self) -> dict[str, tuple[str, ...]]:
-        """Each RV's distinct factors, in factor order."""
+        """Each RV's factors, in factor order."""
         out = {}
         for rid, r in self.rv_position.items():
             rows = self.by_rv[self.rv_start[r] : self.rv_start[r + 1]]
-            out[rid] = tuple(self.factor_ids[f] for f in dict.fromkeys(self.factor[rows].tolist()))
+            out[rid] = tuple(self.factor_ids[f] for f in self.factor[rows].tolist())
         return out
 
 
@@ -177,8 +183,14 @@ class FactorGraph:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> None:
-        """Raises ValueError when an id names two nodes: two RVs, two
-        factors, or an RV and a factor."""
+        """Raises ValueError when an id names two nodes (two RVs, two
+        factors, or an RV and a factor) or a table's shape is not its
+        arguments' range sizes, and UnknownNode when an argument names no RV."""
+        self._set_nodes(rvs, factors)
+        _check_factors(self.factors, self.rvs)
+        object.__setattr__(self, "_incidence", [None])
+
+    def _set_nodes(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> None:
         object.__setattr__(self, "rvs", tuple(rvs))
         object.__setattr__(self, "factors", tuple(factors))
         rv_by_id = {rv.id: rv for rv in self.rvs}
@@ -191,7 +203,6 @@ class FactorGraph:
             raise ValueError(f"node id {_repeated_id(self)!r} used more than once")
         object.__setattr__(self, "_rv_by_id", rv_by_id)
         object.__setattr__(self, "_factor_by_id", factor_by_id)
-        object.__setattr__(self, "_incidence", [None])
         object.__setattr__(self, "_memo", {})
 
     @property
@@ -212,8 +223,11 @@ class FactorGraph:
 
     def _same_structure(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> "FactorGraph":
         """A graph of the given nodes, which carry this graph's ids and
-        arguments in this graph's order, sharing its incidence index."""
-        out = FactorGraph(rvs, factors)
+        arguments in this graph's order, sharing its incidence index. The
+        caller checks the nodes it changed; the constructor's per-factor
+        check does not run again."""
+        out = object.__new__(FactorGraph)
+        out._set_nodes(rvs, factors)
         object.__setattr__(out, "_incidence", self._incidence)
         return out
 
@@ -252,13 +266,13 @@ class FactorGraph:
             raise UnknownNode(f"no random variable {rv_id!r}") from None
 
     def degree(self, rv_id: str) -> int:
-        """Number of distinct factors of the RV."""
+        """Number of factors of the RV."""
         try:
             return int(self.incidence.degree[self.incidence.rv_position[rv_id]])
         except KeyError:
             raise UnknownNode(f"no random variable {rv_id!r}") from None
 
-    @property
+    @cached_property
     def unknown_factor_ids(self) -> tuple[str, ...]:
         return tuple(f.id for f in self.factors if f.is_unknown)
 
@@ -268,36 +282,43 @@ class FactorGraph:
 
     # -- derived graphs --------------------------------------------------
 
-    def with_tables(self, tables: Mapping[str, PotentialTable]) -> "FactorGraph":
-        """Copy of the graph with the given factors' tables replaced.
+    def with_tables(self, tables: Mapping[str, PotentialTable | None]) -> "FactorGraph":
+        """Copy of the graph with the given factors' tables replaced; None
+        makes a factor unknown.
 
-        Raises UnknownNode for an id that is not a factor of the graph.
+        Raises UnknownNode for an id that is not a factor of the graph, and
+        ValueError for a table whose shape is not its factor's argument ranges.
         """
-        for factor_id in tables:
-            if factor_id not in self._factor_by_id:
-                raise UnknownNode(f"no factor {factor_id!r}")
-        factors = tuple(
-            Factor(f.id, f.args, tables[f.id]) if f.id in tables else f for f in self.factors
-        )
-        return self._same_structure(self.rvs, factors)
+        changed = {fid: Factor(fid, self.factor(fid).args, table) for fid, table in tables.items()}
+        _check_factors(changed.values(), self.rvs)
+        return self._same_structure(self.rvs, (changed.get(f.id, f) for f in self.factors))
 
     def with_evidence(self, evidence: Mapping[str, str | None]) -> "FactorGraph":
-        """Copy of the graph with evidence set (or cleared via None) per RV."""
+        """Copy of the graph with evidence set (or cleared via None) per RV.
+
+        Raises UnknownNode for an id that is not an RV of the graph, and
+        ValueError for a value outside the RV's range.
+        """
         for rv_id in evidence:
             if rv_id not in self._rv_by_id:
                 raise UnknownNode(f"no random variable {rv_id!r}")
-        rvs = []
-        for rv in self.rvs:
-            if rv.id in evidence:
-                value = evidence[rv.id]
-                if value is not None and value not in rv.range:
-                    raise ValueError(
-                        f"evidence {value!r} not in range of {rv.id!r}"
-                    )
-                rvs.append(replace(rv, evidence=value))
-            else:
-                rvs.append(rv)
+        rvs = (
+            replace(rv, evidence=evidence[rv.id]) if rv.id in evidence else rv for rv in self.rvs
+        )
         return self._same_structure(rvs, self.factors)
+
+
+def _check_factors(factors: Iterable[Factor], rvs: Iterable[RandomVariable]) -> None:
+    """Raise UnknownNode for an argument that names none of ``rvs``, and
+    ValueError for a table whose shape is not its arguments' range sizes."""
+    size = {rv.id: len(rv.range.values) for rv in rvs}.__getitem__
+    for f in factors:
+        try:
+            sizes = tuple(map(size, f.args))
+        except KeyError as e:
+            raise UnknownNode(f"factor {f.id!r} references missing RV {e.args[0]!r}") from None
+        if f.table is not None and f.table.shape != sizes:
+            raise ValueError(f"factor {f.id!r}: table shape {f.table.shape} != argument ranges {sizes}")
 
 
 def _repeated_id(fg: FactorGraph) -> str | None:
@@ -312,7 +333,7 @@ def _repeated_id(fg: FactorGraph) -> str | None:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural invariant violation found by validate()."""
+    """One problem found by validate() or validate_background()."""
 
     kind: str
     subject: str
@@ -323,51 +344,15 @@ class Violation:
 
 
 def validate(fg: FactorGraph) -> list[Violation]:
-    """Check every structural invariant; returns all violations found.
-
-    Covered: empty or repeating argument lists, dangling argument
-    references, table shape mismatches, non-positive or non-finite entries,
-    evidence outside the variable's range. The entries of each distinct
-    table are scanned once. Repeated ids never get this far: the graph's
-    constructor rejects them.
+    """Report every factor whose table holds an entry that is not strictly
+    positive and finite, in factor order; the entries of each distinct
+    table are scanned once. Structural invariants need no report: the
+    constructors reject a graph that breaks one.
     """
-    out: list[Violation] = []
     bad_entries = cache(lambda t: int(np.count_nonzero(~(np.isfinite(t.array) & (t.array > 0.0)))))
-    rv_ids = {rv.id for rv in fg.rvs}
-    for rv in fg.rvs:
-        if rv.evidence is not None and rv.evidence not in rv.range:
-            out.append(
-                Violation(
-                    "bad-evidence",
-                    rv.id,
-                    f"evidence {rv.evidence!r} not in range {rv.range.values}",
-                )
-            )
-
+    out: list[Violation] = []
     for f in fg.factors:
-        if not f.args:
-            out.append(Violation("empty-args", f.id, "factor has no arguments"))
-            continue
-        if len(set(f.args)) != len(f.args):
-            out.append(Violation("repeated-arg", f.id, f"arguments repeat: {f.args}"))
-        dangling = [a for a in f.args if a not in rv_ids]
-        for a in dangling:
-            out.append(Violation("dangling-arg", f.id, f"argument {a!r} is not an RV"))
-        if f.table is None:
-            continue
-        if dangling or len(set(f.args)) != len(f.args):
-            continue
-        expected = tuple(len(fg.rv(a).range) for a in f.args)
-        if f.table.shape != expected:
-            out.append(
-                Violation(
-                    "shape-mismatch",
-                    f.id,
-                    f"table shape {f.table.shape} != arg ranges {expected}",
-                )
-            )
-            continue
-        bad = bad_entries(f.table)
+        bad = 0 if f.table is None else bad_entries(f.table)
         if bad:
             out.append(
                 Violation(
@@ -387,6 +372,12 @@ class BackgroundKnowledge:
 
     @classmethod
     def from_dict(cls, groups: Mapping[str, Iterable[str]]) -> "BackgroundKnowledge":
+        """Raises TypeError when an individual's factors are one string."""
+        for k, v in groups.items():
+            if isinstance(v, str):
+                raise TypeError(
+                    f"individual {k!r}: factors must be a sequence of factor ids, not one id"
+                )
         return cls(tuple((str(k), tuple(sorted(set(v)))) for k, v in groups.items()))
 
     @property
@@ -432,22 +423,11 @@ def state_space_size(fg: FactorGraph) -> int:
 
 
 def check_factors(fg: FactorGraph) -> None:
-    """Raise UnknownFactorPresent if some factor lacks a table, UnknownNode
-    for an argument that names no RV (``Incidence.check_arguments``), and
-    ValueError for a factor that repeats an argument or whose table's shape
-    is not its arguments' range sizes."""
+    """Raise UnknownFactorPresent if some factor lacks a table; the graph
+    keeps its list of unknown factors, so a second call is O(1)."""
     unknown = fg.unknown_factor_ids
     if unknown:
         raise UnknownFactorPresent(f"unknown factors present: {', '.join(unknown)}")
-    size = {rv_id: len(rv.range) for rv_id, rv in fg._rv_by_id.items()}
-    for f in fg.factors:
-        sizes = tuple(map(size.get, f.args))
-        if None in sizes:
-            fg.incidence.check_arguments()  # raises for f, the first factor with a missing RV
-        if len(set(f.args)) != len(f.args):
-            raise ValueError(f"factor {f.id!r} repeats arguments")
-        if f.table.shape != sizes:
-            raise ValueError(f"factor {f.id!r}: table shape {f.table.shape} != argument ranges {sizes}")
 
 
 def joint_distribution(fg: FactorGraph) -> np.ndarray:
@@ -455,8 +435,8 @@ def joint_distribution(fg: FactorGraph) -> np.ndarray:
 
     The joint is the normalised product of all factor tables; evidence
     stored on RVs does not restrict it (restriction is an inference-time
-    concern). Raises what ``check_factors`` raises, and StateSpaceTooLarge
-    when the assignment count exceeds ``STATE_CAP``.
+    concern). Raises UnknownFactorPresent for an unknown factor, and
+    StateSpaceTooLarge when the assignment count exceeds ``STATE_CAP``.
     """
     check_factors(fg)
     size = state_space_size(fg)

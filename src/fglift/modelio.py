@@ -48,8 +48,9 @@ def _split_csv(token: str, lineno: int, what: str) -> list[str]:
 def parse_model(text: str) -> FactorGraph:
     """Parse a model file into a FactorGraph.
 
-    Rejects malformed lines, factors over undeclared RVs, repeated names and
-    wrong-cardinality tables, always with the offending line number.
+    Rejects malformed lines, factors over undeclared RVs or repeating an
+    argument, repeated names and wrong-cardinality tables, always with the
+    offending line number.
     Factors that repeat an entries list under the same shape share one
     ``PotentialTable``, and RVs that repeat a value list share one
     ``RangeSpec``.
@@ -90,12 +91,10 @@ def parse_model(text: str) -> FactorGraph:
             for a in args:
                 if a not in rv_by_id:
                     raise ParseError(lineno, f"factor {name!r} references undeclared RV {a!r}")
-            if len(set(args)) != len(args):
-                raise ParseError(lineno, f"factor {name!r} repeats an argument")
+            table = None
             if state == "unknown":
                 if len(tokens) != 4:
                     raise ParseError(lineno, "unknown factor takes no entries")
-                factors.append(Factor(name, tuple(args)))
             elif state == "known":
                 if len(tokens) != 5:
                     raise ParseError(lineno, "known factor needs exactly one entries list")
@@ -114,9 +113,12 @@ def parse_model(text: str) -> FactorGraph:
                     except ValueError:
                         raise ParseError(lineno, f"factor {name!r} has a non-numeric entry") from None
                     table = tables[key] = PotentialTable(shape, entries)
-                factors.append(Factor(name, tuple(args), table))
             else:
                 raise ParseError(lineno, f"factor state must be 'known' or 'unknown', got {state!r}")
+            try:
+                factors.append(Factor(name, tuple(args), table))
+            except ValueError as e:
+                raise ParseError(lineno, str(e)) from None
             factor_ids.add(name)
         else:
             raise ParseError(lineno, f"unrecognised directive {kind!r}")

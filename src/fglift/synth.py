@@ -386,17 +386,9 @@ def generate_instance(cfg: ExperimentConfig) -> GeneratedInstance:
             if len(untouched) < cfg.queries_per_instance:
                 continue
             queries = rng_queries.choice(untouched, cfg.queries_per_instance, replace=False)
-            stripped_set = set(stripped)
-            incomplete = FactorGraph(
-                truth.rvs,
-                tuple(
-                    Factor(f.id, f.args, None) if f.id in stripped_set else f
-                    for f in truth.factors
-                ),
-            )
             return GeneratedInstance(
                 truth,
-                incomplete,
+                truth.with_tables(dict.fromkeys(stripped)),
                 tuple(sorted(str(q) for q in queries)),
                 stripped,
                 cohort_rvs,

@@ -39,7 +39,6 @@ from typing import Mapping
 import numpy as np
 
 from .colours import Grouping, known_table_classes, multiset_classes, run_colour_passing
-from .errors import UnknownNode
 from .model import BackgroundKnowledge, FactorGraph
 from .tables import (
     CanonicalKey,
@@ -68,10 +67,7 @@ def _profile_ids(fg: FactorGraph) -> list[int]:
 def _argument_profiles(fg: FactorGraph, factor_id: str) -> tuple[int, ...]:
     """Profile id of each argument RV, in argument order."""
     ids, position = _profile_ids(fg), fg.incidence.rv_position
-    try:
-        return tuple(ids[position[arg]] for arg in fg.factor(factor_id).args)
-    except KeyError as e:
-        raise UnknownNode(f"no random variable {e.args[0]!r}") from None
+    return tuple(ids[position[arg]] for arg in fg.factor(factor_id).args)
 
 
 def _neighbour_profile(fg: FactorGraph, factor_id: str) -> tuple[int, ...]:
@@ -157,13 +153,11 @@ def _candidate_classes(
 def candidate_sets(fg: FactorGraph, rtol: float = 0.0) -> list[CandidateSet]:
     """One CandidateSet per unknown factor, in sorted id order.
 
-    Raises ValueError for a negative or NaN ``rtol`` and UnknownNode for a
-    dangling argument.
+    Raises ValueError for a negative or NaN ``rtol``.
     """
     check_rtol(rtol)
     class_of = known_table_classes(fg, rtol)
     inc = fg.incidence
-    inc.check_arguments()
     ids = np.asarray(_profile_ids(fg), np.int64)
     # factors share a bucket iff their neighbour profiles are equal
     bucket, _ = multiset_classes(

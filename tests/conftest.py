@@ -250,19 +250,27 @@ def completion_cases(rng):
 
 
 def malformed_graphs():
-    """(graph, exception, message pattern) for graphs whose factors name a
-    missing RV, repeat an argument, or carry a table of the wrong shape, the
-    last alone and beside a factor that touches the same RV."""
+    """(build, exception, message pattern) for graphs whose factors name a
+    missing RV, have no arguments, repeat an argument, carry a table of the
+    wrong arity, or carry a table of the wrong shape, the last alone and
+    beside a factor that touches the same RV. ``build()`` raises: the
+    constructors of ``Factor`` and ``FactorGraph`` reject each of them."""
     a, b = RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)
     pair = Factor("g", ("A", "B"), PotentialTable((2, 2), ASYMMETRIC_2x2))
-    three = Factor("f", ("A",), PotentialTable((3,), (1.0, 2.0, 3.0)))
+    three = PotentialTable((3,), (1.0, 2.0, 3.0))
     return [
-        (FactorGraph((a, b), (pair, Factor("f", ("A", "Z"), pair.table))), UnknownNode,
+        (lambda: FactorGraph((a, b), (pair, Factor("f", ("A", "Z"), pair.table))), UnknownNode,
          "factor 'f' references missing RV 'Z'"),
-        (FactorGraph((a, b), (pair, Factor("f", ("A", "A"), pair.table))), ValueError,
+        (lambda: FactorGraph((a, b), (pair, Factor("f", ()))), ValueError,
+         "factor 'f' has no arguments"),
+        (lambda: FactorGraph((a, b), (pair, Factor("f", ("A", "A"), pair.table))), ValueError,
          "factor 'f' repeats arguments"),
-        (FactorGraph((a,), (three,)), ValueError, r"factor 'f': table shape \(3,\)"),
-        (FactorGraph((a, b), (three, pair)), ValueError, r"factor 'f': table shape \(3,\)"),
+        (lambda: FactorGraph((a, b), (Factor("f", ("A",), pair.table),)), ValueError,
+         r"factor 'f': table arity 2 != 1 arguments"),
+        (lambda: FactorGraph((a,), (Factor("f", ("A",), three),)), ValueError,
+         r"factor 'f': table shape \(3,\) != argument ranges \(2,\)"),
+        (lambda: FactorGraph((a, b), (Factor("f", ("A",), three), pair)), ValueError,
+         r"factor 'f': table shape \(3,\)"),
     ]
 
 

@@ -206,6 +206,15 @@ def test_query_error_paths(tmp_path, capsys):
     assert main(["query", "--model", model, "--rv", "Missing"]) == 2
     assert main(["query", "--model", str(tmp_path / "absent.txt"), "--rv", "A"]) == 2
     capsys.readouterr()
+    evidence = write(tmp_path / "e.txt", "B maybe\n")
+    assert main(["query", "--model", model, "--rv", "A", "--evidence", evidence]) == 2
+    assert "evidence 'maybe' not in range of 'B'" in capsys.readouterr().err
+
+
+def test_lift_names_the_line_of_a_repeated_argument(tmp_path, capsys):
+    bad = write(tmp_path / "m.txt", "rv A false,true\nfactor f unknown A,A\n")
+    assert main(["lift", "--model", bad, "--theta", "0.5", "--out", str(tmp_path / "o.txt")]) == 2
+    assert "line 2: factor 'f' repeats arguments" in capsys.readouterr().err
 
 
 def test_invalid_model_reports_violations(tmp_path, capsys):

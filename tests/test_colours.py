@@ -26,7 +26,6 @@ from fglift import (
     StateSpaceTooLarge,
     UnknownFactorPresent,
     UnknownNode,
-    candidate_sets,
     canonical_info,
     canonical_table,
     colour_passing_step,
@@ -496,7 +495,7 @@ def test_initial_colouring_matches_three_loop_reference():
 def _index_cases(rng):
     """Generated instances at d = 128, 256 and 1024, complete and with tagged
     unknowns, each without and with evidence on about a tenth of its RVs;
-    one small graph whose factors repeat an argument; deep refinement: a
+    one small graph with parallel factors over one pair of RVs; deep refinement: a
     uniform 300-RV chain, which splits by distance from its ends over about
     150 rounds, without and with evidence at one end; and a d = 128
     instance with its own random table on every factor, whose RV classes
@@ -514,14 +513,15 @@ def _index_cases(rng):
                 {g.rvs[i].id: str(rng.choice(g.rvs[i].range.values)) for i in observed}
             )
     t = PotentialTable((2, 2), ASYMMETRIC_2x2)
-    rvs = tuple(RandomVariable(x, BOOL_RANGE) for x in "ABC")
+    rvs = tuple(RandomVariable(x, BOOL_RANGE) for x in "ABCD")
     yield FactorGraph(
         rvs,
         (
-            Factor("aa", ("A", "A"), PotentialTable((2, 2), SYMMETRIC_2x2)),
-            Factor("ab", ("A", "B"), t),
-            Factor("bb", ("B", "B"), t),
-            Factor("cc", ("C", "C")),
+            Factor("ab", ("A", "B"), PotentialTable((2, 2), SYMMETRIC_2x2)),
+            Factor("ab2", ("A", "B"), t),
+            Factor("ba", ("B", "A"), t),
+            Factor("cd", ("C", "D")),
+            Factor("dc", ("D", "C")),
             Factor("c", ("C",), PotentialTable((2,), (1.0, 2.0))),
         ),
     )
@@ -589,18 +589,13 @@ def test_derived_graphs_share_the_index_but_not_ports_or_signatures():
 
 
 def test_dangling_argument_raises():
-    g = FactorGraph(
-        (RandomVariable("A", BOOL_RANGE),),
-        (Factor("f", ("A", "Z"), PotentialTable((2, 2), ASYMMETRIC_2x2)),),
-    )
-    start = initial_colouring(g)
-    for call in (
-        lambda: colour_passing_step(g, start),
-        lambda: refine_to_fixpoint(g, start),
-        lambda: candidate_sets(g),
-    ):
-        with pytest.raises(UnknownNode, match="'Z'"):
-            call()
+    # the constructor rejects the graph, so colour passing and candidate
+    # sets never meet an argument that names no RV
+    with pytest.raises(UnknownNode, match="factor 'f' references missing RV 'Z'"):
+        FactorGraph(
+            (RandomVariable("A", BOOL_RANGE),),
+            (Factor("f", ("A", "Z"), PotentialTable((2, 2), ASYMMETRIC_2x2)),),
+        )
 
 
 # -- reference grounded checks: enumerated joints, members rebuilt one by one -------

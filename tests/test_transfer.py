@@ -357,6 +357,15 @@ def test_unresolvable_factor_is_reported():
     )
 
 
+def test_a_donor_of_the_wrong_shape_is_rejected_before_completion():
+    # completion would copy k's (3,) table onto the Boolean u as it stands
+    with pytest.raises(ValueError, match=r"factor 'k': table shape \(3,\) != argument ranges \(2,\)"):
+        FactorGraph(
+            (RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)),
+            (Factor("k", ("A",), PotentialTable((3,), (1.0, 2.0, 3.0))), Factor("u", ("B",))),
+        )
+
+
 def test_transfer_report_text_goldens():
     g = epidemic_four()
     assert transfer_report_text(complete_and_lift(g, theta=0.0).report) == (
