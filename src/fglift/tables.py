@@ -42,7 +42,7 @@ class PotentialTable:
     equal and hash alike; a table holding NaN equals no table, itself included.
     """
 
-    __slots__ = ("_array", "_bytes", "_nan", "_hash")
+    __slots__ = ("_array", "_bytes", "_nan", "_hash", "shape")
 
     def __init__(self, shape: Sequence[int], entries: Iterable[float]) -> None:
         shape_t = tuple(int(s) for s in shape)
@@ -59,6 +59,7 @@ class PotentialTable:
         # equality and hashing compare
         data = (flat + 0.0).tobytes()
         object.__setattr__(self, "_array", np.frombuffer(data, dtype=np.float64).reshape(shape_t))
+        object.__setattr__(self, "shape", shape_t)
         object.__setattr__(self, "_bytes", data)
         object.__setattr__(self, "_nan", bool(np.isnan(flat).any()))
         object.__setattr__(self, "_hash", None)
@@ -71,10 +72,6 @@ class PotentialTable:
     def array(self) -> np.ndarray:
         """Read-only ndarray view, axes in argument order."""
         return self._array
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._array.shape
 
     @property
     def arity(self) -> int:
