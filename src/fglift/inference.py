@@ -51,11 +51,34 @@ non-negative and below 2**500, so that no single product of two tables
 overflows. InconsistentEvidence then means what it says: the evidence
 conflicts, or every configuration consistent with it has a zero factor
 entry; it is never an overflow.
+
+``lifted_marginals`` answers the same queries on the quotient of a
+grouping, by counting belief propagation (Kersting, Ahmadi and Natarajan,
+UAI 2009), when these gates hold, each checked in time linear in the
+graph: the bipartite graph is a forest (``Incidence.is_forest``, once per
+structure); no factor is unknown; every node sits in exactly one class;
+the RVs of a class share range and evidence; every member's table equals
+its class table position by position; the RV class at each argument
+position of a factor is that of its class's first member; and every RV
+sees the multiset of (factor class, position) that its class's first
+member sees. Such a grouping is equitable, so on a forest the ground
+messages along two edges of one (factor class, position) are equal, by
+induction over the subtrees they summarise, and so are the beliefs of two
+RVs of one class. Belief propagation is exact on a forest, so one message
+per edge class answers every query exactly, with a message raised to the
+power of the number of edges it stands for. Messages are kept as logs and
+shifted to maximum 0 before every ``exp``; observed RVs send indicators.
+The quotient of a forest cannot be cyclic, and a zero normaliser means a
+component without mass, where the ground path raises; either sends the
+call to ``marginals``, as any failed gate does, so errors are the ground
+path's own. A coarser grouping, a transposed member or one merged within
+``rtol > 0`` falls back too.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain, count
 from math import frexp, isfinite, log
 from typing import Mapping, Sequence
 
@@ -68,6 +91,7 @@ from .errors import (
 )
 from .model import FactorGraph, check_factors
 from .colours import Grouping
+from .tables import PotentialTable
 
 _ORDERS = ("min_degree", "reverse_id")
 # Messages whose maximum stays within these bounds are not rescaled; a
@@ -302,6 +326,239 @@ def _beliefs(
         vars_, arr = _product(cluster[c], (sep, _in_range(down)))
         belief[c] = vars_, _in_range(arr)
     return belief
+
+
+def lifted_marginals(
+    fg: FactorGraph, queries: Sequence[str], grouping: Grouping
+) -> tuple[Marginal, ...]:
+    """``marginals(fg, queries)``, answered on the quotient of ``grouping``
+    where that is exact.
+
+    Counting belief propagation runs on the quotient when ``fg`` is a
+    fully known forest and ``grouping`` is a positional equitable partition
+    of it with exact class tables (``_quotient``; any grouping may be
+    passed). Otherwise, or when a message or belief has a zero or
+    non-finite normaliser, the answer is ``marginals(fg, queries)``, with
+    its errors. Evidence is the evidence stored on the RVs.
+    """
+    lifted = None if isinstance(queries, str) else _quotient(fg, grouping)
+    if lifted is None:
+        return marginals(fg, queries)
+    try:
+        rows = list(map(fg.incidence.rv_position.__getitem__, queries))
+    except KeyError:
+        return marginals(fg, queries)
+    rv_class, probabilities = lifted[0].tolist(), lifted[1]
+    return tuple(
+        Marginal(q, fg.rvs[r].range.values, probabilities[rv_class[r]])
+        for q, r in zip(queries, rows)
+    )
+
+
+def _class_index(
+    classes: Sequence[Sequence[str]], position: Mapping[str, int], n: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The class of each of ``n`` nodes numbered by ``position``, and the
+    position of each class's first member; None unless every node sits in
+    exactly one non-empty class."""
+    sizes = np.fromiter(map(len, classes), np.int64, len(classes))
+    if sizes.sum() != n or not sizes.all():
+        return None
+    try:
+        members = np.fromiter(map(position.__getitem__, chain.from_iterable(classes)), np.int64, n)
+    except KeyError:
+        return None
+    index = np.full(n, -1, np.int64)
+    index[members] = np.repeat(np.arange(len(sizes)), sizes)
+    if (index < 0).any():
+        return None
+    return index, members[np.cumsum(sizes) - sizes]
+
+
+def _quotient(
+    fg: FactorGraph, grouping: Grouping
+) -> tuple[np.ndarray, list[tuple[float, ...]]] | None:
+    """The class of each RV (by position in ``fg.rvs``) and the marginal of
+    each RV class, by counting belief propagation on the quotient; None
+    where the lifted answer would not be exact, or a normaliser is zero or
+    non-finite.
+
+    The gates: ``fg`` is a forest with no unknown factor; every node sits in
+    exactly one class; the RVs of a class share their signature; each
+    member's table equals its class table positionally; the RV class at
+    each argument position of a factor is the one at that position of its
+    class's first member; and each RV's multiset of (factor class,
+    position) is that of its class's first member.
+    """
+    inc = fg.incidence
+    if not inc.is_forest or fg.unknown_factor_ids:
+        return None
+    n_rv, n_fac = len(inc.rv_ids), len(inc.factor_ids)
+    rvs = _class_index(grouping.rv_classes, inc.rv_position, n_rv)
+    factors = _class_index(
+        [c.members for c in grouping.factor_classes],
+        {fid: i for i, fid in enumerate(inc.factor_ids)},
+        n_fac,
+    )
+    if rvs is None or factors is None:
+        return None
+    (rv_cls, rv_rep), (fac_cls, fac_rep) = rvs, factors
+    # each RV's code is the position of the first RV with its signature
+    first: dict[tuple, int] = {}
+    code = np.fromiter(
+        map(first.setdefault, (rv.signature for rv in fg.rvs), count()), np.int64, n_rv
+    )
+    if not np.array_equal(code, code[rv_rep[rv_cls]]):
+        return None
+    tables = [c.table for c in grouping.factor_classes]
+    for f, c in zip(fg.factors, fac_cls.tolist()):
+        if not (f.table is tables[c] or f.table == tables[c]):
+            return None
+    # equal tables give every member of a factor class its class's arity
+    position = np.arange(len(inc.rv)) - inc.start[inc.factor]
+    arg_cls = rv_cls[inc.rv]
+    if not np.array_equal(arg_cls, arg_cls[inc.start[fac_rep[fac_cls[inc.factor]]] + position]):
+        return None
+    width = int(position.max()) + 1 if len(position) else 1
+    edge = fac_cls[inc.factor] * width + position
+    # each RV's edges sorted, against its representative's at the same offsets
+    n_edges = len(tables) * width
+    rep = rv_rep[rv_cls]
+    if not np.array_equal(inc.degree, inc.degree[rep]):
+        return None
+    owner, code = np.divmod(np.sort(inc.rv * n_edges + edge), n_edges)
+    offset = np.arange(len(code)) - inc.rv_start[owner]
+    if not np.array_equal(code, code[inc.rv_start[rep[owner]] + offset]):
+        return None
+    probabilities = _counting_bp(fg, rv_rep, arg_cls, edge, tables, fac_rep, width)
+    return None if probabilities is None else (rv_cls, probabilities)
+
+
+def _counting_bp(
+    fg: FactorGraph,
+    rv_rep: np.ndarray,
+    arg_cls: np.ndarray,
+    edge: np.ndarray,
+    tables: list[PotentialTable],
+    fac_rep: np.ndarray,
+    width: int,
+) -> list[tuple[float, ...]] | None:
+    """The marginal of each RV class, from log-space messages on the quotient.
+
+    Edge ``c * width + p`` is position p of factor class c. Each edge into
+    an unobserved RV class carries one factor-to-RV message, computed once,
+    dependencies first. The RV-to-factor message along an edge is the
+    count-weighted sum of the RV's incoming log messages less one copy of
+    the edge's own; an observed RV sends its indicator. Every message and
+    every unobserved class's belief must have a positive finite normaliser,
+    as must the table entry of a factor class whose arguments are all
+    observed: on a forest a zero one means a component without mass, where
+    the ground path raises. None for such a normaliser, or for a cyclic
+    quotient.
+    """
+    inc = fg.incidence
+    reps = [fg.rvs[r] for r in rv_rep.tolist()]
+    observed = [None if rv.evidence is None else rv.range.index(rv.evidence) for rv in reps]
+    # incident edges of each unobserved RV class's representative, with counts
+    counts: list[dict[int, int]] = []
+    for k, r in enumerate(rv_rep.tolist()):
+        seen: dict[int, int] = {}
+        if observed[k] is None:
+            for e in edge[inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]].tolist():
+                seen[e] = seen.get(e, 0) + 1
+        counts.append(seen)
+    # the RV class at each edge, read off the factor class's representative
+    target = {
+        c * width + p: int(arg_cls[inc.start[f] + p])
+        for c, f in enumerate(fac_rep.tolist())
+        for p in range(tables[c].arity)
+    }
+    log_mu: dict[int, np.ndarray] = {}
+    nu: dict[int, np.ndarray | None] = {}
+
+    def incoming(k: int, skip: int | None) -> list[tuple[int, int]]:
+        """(edge, count) of RV class k's incoming messages, one copy of edge
+        ``skip`` left out; an observed class has none."""
+        return [(e, n - (e == skip)) for e, n in counts[k].items() if n - (e == skip)]
+
+    def rv_side(k: int, skip: int | None) -> np.ndarray | None:
+        """Log product of RV class k's incoming messages, one copy of edge
+        ``skip`` left out, shifted to maximum 0; None for a zero normaliser."""
+        if observed[k] is not None:
+            out = np.full(len(reps[k].range), -np.inf)
+            out[observed[k]] = 0.0
+            return out
+        out = np.zeros(len(reps[k].range))
+        for e, n in incoming(k, skip):
+            out = out + n * log_mu[e]
+        top = out.max()
+        return out - top if top > -np.inf else None
+
+    def message(e: int) -> bool:
+        """Compute ``log_mu[e]``: the class table with position p first,
+        its other axes contracted with their RV-to-factor messages, last
+        first. A negative entry turns into NaN, which no belief passes."""
+        c, p = divmod(e, width)
+        others = [q for q in range(tables[c].arity) if q != p]
+        m = tables[c].array.transpose([p] + others)
+        for q in reversed(others):
+            d = c * width + q
+            if d not in nu:
+                log_nu = rv_side(target[d], d)
+                nu[d] = None if log_nu is None else np.exp(log_nu)
+            if nu[d] is None:
+                return False
+            m = m @ nu[d]
+        top = m.max()
+        if not 0.0 < top < np.inf:
+            return False
+        log_mu[e] = np.log(m / top)
+        return True
+
+    def needs(e: int) -> list[int]:
+        c, p = divmod(e, width)
+        others = (c * width + q for q in range(tables[c].arity) if q != p)
+        return [e2 for d in others for e2, _ in incoming(target[d], d)]
+
+    # depth first, dependencies first; an edge met again while still open
+    # closes a cycle of the quotient
+    done: dict[int, bool] = {}  # False while open
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        for root in target:
+            if observed[target[root]] is not None:
+                continue
+            stack = [root]
+            while stack:
+                e = stack[-1]
+                if done.get(e):
+                    stack.pop()
+                elif e in done:
+                    if not message(e):
+                        return None
+                    done[e] = True
+                    stack.pop()
+                else:
+                    done[e] = False
+                    for d in needs(e):
+                        if d not in done:
+                            stack.append(d)
+                        elif not done[d]:
+                            return None
+        for c, t in enumerate(tables):
+            at = [observed[target[c * width + p]] for p in range(t.arity)]
+            if None not in at and not 0.0 < t.array[tuple(at)] < np.inf:
+                return None
+        out: list[tuple[float, ...]] = []
+        for k, rv in enumerate(reps):
+            if observed[k] is not None:
+                out.append(tuple(1.0 if i == observed[k] else 0.0 for i in range(len(rv.range))))
+                continue
+            belief = rv_side(k, None)
+            if belief is None:
+                return None
+            b = np.exp(belief)
+            out.append(tuple((b / b.sum()).tolist()))
+    return out
 
 
 def variable_elimination(

@@ -35,12 +35,15 @@ class RangeSpec:
     """Ordered finite range of a random variable.
 
     Two ranges compare equal iff their ordered value lists are identical;
-    the same labels in a different order are a different range.
+    the same labels in a different order are a different range. Raises
+    TypeError when ``values`` is one string.
     """
 
     values: tuple[str, ...]
 
     def __init__(self, values: Iterable[str]) -> None:
+        if isinstance(values, str):
+            raise TypeError(f"range values must be a sequence of values, not one string {values!r}")
         vals = tuple(str(v) for v in values)
         if len(vals) < 2:
             raise ValueError("a range needs at least two values")
@@ -161,6 +164,34 @@ class Incidence:
         )
 
     @cached_property
+    def is_forest(self) -> bool:
+        """True iff the bipartite graph of RVs and factors has no cycle, that
+        is, iff its rows, one edge each, number its nodes less its connected
+        components.
+
+        The components come from a vectorised union-find: each round hooks
+        the larger of the two roots of every edge onto the smallest root
+        across it, then jumps pointers until every node points at its root.
+        A round merges at least two trees while an edge joins two, so it ends.
+        """
+        n_rv = len(self.rv_ids)
+        u, v = self.rv, n_rv + self.factor
+        parent = np.arange(n_rv + len(self.factor_ids))
+        while True:
+            pu, pv = parent[u], parent[v]
+            apart = pu != pv
+            if not apart.any():
+                break
+            np.minimum.at(parent, np.maximum(pu, pv)[apart], np.minimum(pu, pv)[apart])
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+        roots = int(np.count_nonzero(parent == np.arange(len(parent))))
+        return len(u) == len(parent) - roots
+
+    @cached_property
     def factors_of(self) -> dict[str, tuple[str, ...]]:
         """Each RV's factors, in factor order."""
         out = {}
@@ -187,7 +218,7 @@ class FactorGraph:
         factors, or an RV and a factor) or a table's shape is not its
         arguments' range sizes, and UnknownNode when an argument names no RV."""
         self._set_nodes(rvs, factors)
-        _check_factors(self.factors, self.rvs)
+        _check_factors(self.factors, {rv.id: len(rv.range.values) for rv in self.rvs}.__getitem__)
         object.__setattr__(self, "_incidence", [None])
 
     def _set_nodes(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> None:
@@ -290,7 +321,7 @@ class FactorGraph:
         ValueError for a table whose shape is not its factor's argument ranges.
         """
         changed = {fid: Factor(fid, self.factor(fid).args, table) for fid, table in tables.items()}
-        _check_factors(changed.values(), self.rvs)
+        _check_factors(changed.values(), lambda rv_id: len(self._rv_by_id[rv_id].range.values))
         return self._same_structure(self.rvs, (changed.get(f.id, f) for f in self.factors))
 
     def with_evidence(self, evidence: Mapping[str, str | None]) -> "FactorGraph":
@@ -308,10 +339,10 @@ class FactorGraph:
         return self._same_structure(rvs, self.factors)
 
 
-def _check_factors(factors: Iterable[Factor], rvs: Iterable[RandomVariable]) -> None:
-    """Raise UnknownNode for an argument that names none of ``rvs``, and
-    ValueError for a table whose shape is not its arguments' range sizes."""
-    size = {rv.id: len(rv.range.values) for rv in rvs}.__getitem__
+def _check_factors(factors: Iterable[Factor], size: Callable[[str], int]) -> None:
+    """Raise UnknownNode for an argument for which ``size``, the range size
+    of an RV by id, raises KeyError, and ValueError for a table whose shape
+    is not its arguments' range sizes."""
     for f in factors:
         try:
             sizes = tuple(map(size, f.args))

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationInfeasible
-from .inference import compression_ratio, kld, marginals
+from .colours import run_colour_passing
+from .inference import compression_ratio, kld, lifted_marginals, marginals
 from .model import BOOL_RANGE, Factor, FactorGraph, RandomVariable, RangeSpec
 from .tables import PotentialTable
 from .transfer import complete_and_lift
@@ -428,7 +429,10 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     """Generate, complete, lift, and compare marginals against the truth.
 
     Per query the result holds KLD(truth marginal, completed-graph
-    marginal). An instance with unresolved unknown factors is reported as
+    marginal). Both graphs answer through ``lifted_marginals``: the
+    completed graph with the grouping ``complete_and_lift`` returns, the
+    truth graph with its own colour passing, so equal graphs take the same
+    path. An instance with unresolved unknown factors is reported as
     failed (no query rows), never silently skipped.
     """
     inst = generate_instance(cfg)
@@ -436,8 +440,12 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     rv_ratio, factor_ratio = compression_ratio(result.grouping, result.completed)
     queries: list[QueryResult] = []
     if not result.report.unresolved:
-        truth = marginals(inst.truth, inst.queries)
-        completed = marginals(result.completed, inst.queries)
+        # the truth graph is coloured only where the lifted path can use it
+        if inst.truth.incidence.is_forest:
+            truth = lifted_marginals(inst.truth, inst.queries, run_colour_passing(inst.truth))
+        else:
+            truth = marginals(inst.truth, inst.queries)
+        completed = lifted_marginals(result.completed, inst.queries, result.grouping)
         queries = [QueryResult(t.rv, kld(t, c)) for t, c in zip(truth, completed)]
     return InstanceResult(
         config=cfg,

@@ -47,6 +47,14 @@ def test_range_spec_rejects(values):
         RangeSpec(values)
 
 
+def test_range_spec_rejects_one_string():
+    # a bare string would be split into one-character values
+    with pytest.raises(TypeError, match="not one string 'yes'"):
+        RangeSpec("yes")
+    with pytest.raises(TypeError):
+        RandomVariable("A", RangeSpec("ab"))
+
+
 def test_factor_unknown_flag():
     known = Factor("f", ("A",), PotentialTable((2,), (1.0, 2.0)))
     unknown = Factor("g", ("A", "B"))
@@ -92,6 +100,48 @@ def test_degree_counts_parallel_factors_once_each():
     # a repeated argument, which would count one factor twice, cannot be built
     with pytest.raises(ValueError, match="factor 'f' repeats arguments"):
         Factor("f", ("A", "A", "B"), PotentialTable((2, 2, 2), range(1, 9)))
+
+
+def _forest_by_union_find(fg):
+    """Reference: add the edges one at a time; one closing a cycle joins
+    two nodes that already share a root."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for f in fg.factors:
+        for a in f.args:
+            ra, rf = find(("rv", a)), find(("factor", f.id))
+            if ra == rf:
+                return False
+            parent[ra] = rf
+    return True
+
+
+def test_is_forest_matches_a_union_find_reference():
+    rng = np.random.default_rng(503)
+    forests = 0
+    for _ in range(400):
+        g = random_graph(
+            rng, n_rvs=int(rng.integers(1, 10)), n_factors=int(rng.integers(0, 10)), max_arity=3
+        )
+        assert g.incidence.is_forest == _forest_by_union_find(g)
+        forests += g.incidence.is_forest
+    assert 50 < forests < 350
+    # long chains, numbered from either end, then closed into a cycle
+    for ids in (range(300), range(299, -1, -1)):
+        rvs = [RandomVariable(f"x{i}", BOOL_RANGE) for i in ids]
+        chain = [Factor(f"f{i}", (f"x{i}", f"x{i + 1}")) for i in range(299)]
+        assert FactorGraph(rvs, chain).incidence.is_forest
+        assert not FactorGraph(rvs, chain + [Factor("c", ("x299", "x0"))]).incidence.is_forest
+    # parallel factors close a cycle; the empty graph is a forest
+    t = PotentialTable((2, 2), ASYMMETRIC_2x2)
+    ab = (RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE))
+    assert not FactorGraph(ab, (Factor("f", ("A", "B"), t), Factor("h", ("B", "A"), t))).incidence.is_forest
+    assert FactorGraph((), ()).incidence.is_forest
 
 
 def test_with_tables_fills_unknowns_without_mutating():
