@@ -54,7 +54,7 @@ entry; it is never an overflow.
 
 ``lifted_marginals`` answers the same queries on the quotient of a
 grouping, by counting belief propagation (Kersting, Ahmadi and Natarajan,
-UAI 2009), when these gates hold, each checked in time linear in the
+UAI 2009), when these gates hold, each checked in near-linear time in the
 graph: the bipartite graph is a forest (``Incidence.is_forest``, once per
 structure); no factor is unknown; every node sits in exactly one class;
 the RVs of a class share range and evidence; every member's table equals

@@ -165,31 +165,23 @@ class Incidence:
 
     @cached_property
     def is_forest(self) -> bool:
-        """True iff the bipartite graph of RVs and factors has no cycle, that
-        is, iff its rows, one edge each, number its nodes less its connected
-        components.
-
-        The components come from a vectorised union-find: each round hooks
-        the larger of the two roots of every edge onto the smallest root
-        across it, then jumps pointers until every node points at its root.
-        A round merges at least two trees while an edge joins two, so it ends.
-        """
+        """True iff the bipartite graph of RVs and factors has no cycle: a
+        union-find adds the rows one edge at a time, and an edge that joins
+        two nodes already sharing a root closes a cycle."""
         n_rv = len(self.rv_ids)
-        u, v = self.rv, n_rv + self.factor
-        parent = np.arange(n_rv + len(self.factor_ids))
-        while True:
-            pu, pv = parent[u], parent[v]
-            apart = pu != pv
-            if not apart.any():
-                break
-            np.minimum.at(parent, np.maximum(pu, pv)[apart], np.minimum(pu, pv)[apart])
-            while True:
-                jumped = parent[parent]
-                if np.array_equal(jumped, parent):
-                    break
-                parent = jumped
-        roots = int(np.count_nonzero(parent == np.arange(len(parent))))
-        return len(u) == len(parent) - roots
+        parent = list(range(n_rv + len(self.factor_ids)))
+
+        def root(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for r, f in zip(self.rv.tolist(), self.factor.tolist()):
+            a, b = root(r), root(n_rv + f)
+            if a == b:
+                return False
+            parent[a] = b
+        return True
 
     @cached_property
     def factors_of(self) -> dict[str, tuple[str, ...]]:

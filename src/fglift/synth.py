@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import GenerationInfeasible
 from .colours import run_colour_passing
-from .inference import compression_ratio, kld, lifted_marginals, marginals
+from .inference import compression_ratio, kld, lifted_marginals
 from .model import BOOL_RANGE, Factor, FactorGraph, RandomVariable, RangeSpec
 from .tables import PotentialTable
 from .transfer import complete_and_lift
@@ -440,11 +440,7 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     rv_ratio, factor_ratio = compression_ratio(result.grouping, result.completed)
     queries: list[QueryResult] = []
     if not result.report.unresolved:
-        # the truth graph is coloured only where the lifted path can use it
-        if inst.truth.incidence.is_forest:
-            truth = lifted_marginals(inst.truth, inst.queries, run_colour_passing(inst.truth))
-        else:
-            truth = marginals(inst.truth, inst.queries)
+        truth = lifted_marginals(inst.truth, inst.queries, run_colour_passing(inst.truth))
         completed = lifted_marginals(result.completed, inst.queries, result.grouping)
         queries = [QueryResult(t.rv, kld(t, c)) for t, c in zip(truth, completed)]
     return InstanceResult(
