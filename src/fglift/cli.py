@@ -2,9 +2,10 @@
 
 Five subcommands: ``lift`` completes a model's unknown factors and writes
 the completed model plus optional transfer/grouping reports, ``query``
-computes exact marginals, ``generate`` writes one synthetic instance,
-``evaluate`` sweeps configurations into a TSV of per-query divergences,
-``report`` aggregates such a TSV. Exit codes: 0 on success, 2 for input
+computes exact marginals (``inference.marginals``: lifted where that is
+exact, else by variable elimination in ``--order``), ``generate`` writes
+one synthetic instance, ``evaluate`` sweeps configurations into a TSV of
+per-query divergences, ``report`` aggregates such a TSV. Exit codes: 0 on success, 2 for input
 problems (unparseable or invalid files, bad flags, a ``--theta`` outside
 [0, 1] or a negative ``--rtol``), 3 for algorithmic failures (unresolved
 unknowns under --strict, inconsistent evidence, infeasible generation);
@@ -252,11 +253,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lift.add_argument("--strict", action="store_true", help="exit 3 if anything stays unresolved")
     p_lift.set_defaults(func=_cmd_lift)
 
-    p_query = sub.add_parser("query", help="exact marginals by variable elimination")
+    p_query = sub.add_parser(
+        "query",
+        help="exact marginals: lifted on a forest where that is exact, else by variable elimination",
+    )
     p_query.add_argument("--model", required=True)
     p_query.add_argument("--evidence")
     p_query.add_argument("--rv", action="append", required=True)
-    p_query.add_argument("--order", choices=("min_degree", "reverse_id"), default="min_degree")
+    p_query.add_argument(
+        "--order", choices=("min_degree", "reverse_id"), default="min_degree",
+        help="elimination order where the ground path answers",
+    )
     p_query.add_argument("--out", help="write marginals here instead of stdout")
     p_query.set_defaults(func=_cmd_query)
 

@@ -95,8 +95,9 @@ def _recolour(sigs: dict[str, tuple], first: int) -> dict[str, int]:
 def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, CanonicalKey]:
     """Table class of each known factor, by factor id, as ``tables.table_classes``
     builds it over the graph's canonical keys; one ``canonical_info`` per
-    distinct table. Built once per graph and ``rtol``; the mapping is
-    read-only. Raises ValueError for a negative or NaN ``rtol``.
+    distinct table. Built once per graph and ``rtol``, and shared with the
+    graph's ``with_evidence`` copies; the mapping is read-only. Raises
+    ValueError for a negative or NaN ``rtol``.
     """
     check_rtol(rtol)
 
@@ -106,7 +107,7 @@ def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, Cano
         class_of = table_classes(key_of.values(), rtol)
         return MappingProxyType({f.id: class_of[key_of[f.table]] for f in known})
 
-    return fg.memo(("colours.table_classes", rtol), build)
+    return fg.memo(("colours.table_classes", rtol), build, tables_only=True)
 
 
 def initial_colouring(
@@ -155,7 +156,7 @@ def _port_labels(table: PotentialTable | None, n: int) -> tuple[int, ...]:
 
 def _ports(fg: FactorGraph) -> tuple[np.ndarray, int]:
     """Port label of every incidence row of ``fg``, and a bound on the
-    labels; memoised per graph."""
+    labels; memoised per graph and shared with its ``with_evidence`` copies."""
 
     def build() -> tuple[np.ndarray, int]:
         labels = cache(_port_labels)
@@ -163,7 +164,7 @@ def _ports(fg: FactorGraph) -> tuple[np.ndarray, int]:
         ports = np.fromiter(rows, np.int64, len(fg.incidence.rv))
         return ports, int(ports.max()) + 1 if len(ports) else 1
 
-    return fg.memo("colours.ports", build)
+    return fg.memo("colours.ports", build, tables_only=True)
 
 
 # packed codes stay below this bound, so no int64 product can overflow

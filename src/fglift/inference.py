@@ -1,8 +1,11 @@
 """Exact marginal inference and distribution comparison.
 
-Variable elimination works on the factor tables directly: evidence is
-indexed out, every other variable is summed out of the product of the
-factors touching it, and the final vector over a query is normalised.
+Bucket elimination on the ground graph can answer every query; counting
+belief propagation on a lifted quotient answers where it is exact (the
+last two paragraphs). Variable elimination works on the factor tables
+directly: evidence is indexed out, every other variable is summed out of
+the product of the factors touching it, and the final vector over a query
+is normalised.
 Two elimination orders are available, the greedy min-degree heuristic
 (default) and reverse lexicographic id order; both must agree, which the
 tests exploit.
@@ -52,27 +55,39 @@ overflows. InconsistentEvidence then means what it says: the evidence
 conflicts, or every configuration consistent with it has a zero factor
 entry; it is never an overflow.
 
-``lifted_marginals`` answers the same queries on the quotient of a
-grouping, by counting belief propagation (Kersting, Ahmadi and Natarajan,
-UAI 2009), when these gates hold, each checked in near-linear time in the
-graph: the bipartite graph is a forest (``Incidence.is_forest``, once per
-structure); no factor is unknown; every node sits in exactly one class;
-the RVs of a class share range and evidence; every member's table equals
-its class table position by position; the RV class at each argument
+``marginals`` and ``variable_elimination`` choose their path per call.
+When some query is unobserved and the graph is a forest
+(``Incidence.is_forest``, once per structure), the passed evidence is
+stored on the RVs (``with_evidence``) and the answer comes from the
+quotient of that graph's colour-passing grouping, by counting belief
+propagation (Kersting, Ahmadi and Natarajan, UAI 2009), when the gates
+below hold; otherwise bucket elimination answers in the given ``order``,
+bit for bit and errors included, so ``order`` applies only there. A graph
+keeps its own grouping in its memo; an evidence call colours its own
+``with_evidence`` copy, whose memo is separate. Nothing query- or
+evidence-specific is kept: every call runs the messages.
+``lifted_marginals`` answers on the quotient of a caller's grouping instead.
+
+The gates, each checked in near-linear time in the graph: the bipartite
+graph is a forest; no factor is unknown; every node sits in exactly one
+class; the RVs of a class share range and evidence; every member's table
+equals its class table position by position; the RV class at each argument
 position of a factor is that of its class's first member; and every RV
 sees the multiset of (factor class, position) that its class's first
-member sees. Such a grouping is equitable, so on a forest the ground
-messages along two edges of one (factor class, position) are equal, by
-induction over the subtrees they summarise, and so are the beliefs of two
-RVs of one class. Belief propagation is exact on a forest, so one message
-per edge class answers every query exactly, with a message raised to the
-power of the number of edges it stands for. Messages are kept as logs and
-shifted to maximum 0 before every ``exp``; observed RVs send indicators.
-The quotient of a forest cannot be cyclic, and a zero normaliser means a
-component without mass, where the ground path raises; either sends the
-call to ``marginals``, as any failed gate does, so errors are the ground
-path's own. A coarser grouping, a transposed member or one merged within
-``rtol > 0`` falls back too.
+member sees. The forest and unknown-factor tests, the RVs' signature codes
+and the factors' positions are kept per graph, so a repeated call checks
+only what depends on the grouping. Such a grouping is equitable, so on a
+forest the ground messages along two edges of one (factor class, position)
+are equal, by induction over the subtrees they summarise, and so are the
+beliefs of two RVs of one class. Belief propagation is exact on a forest,
+so one message per edge class answers every query exactly, with a message
+raised to the power of the number of edges it stands for. Messages are
+kept as logs and shifted to maximum 0 before every ``exp``; observed RVs
+send indicators. The quotient of a forest cannot be cyclic, and a zero
+normaliser means a component without mass, where the ground path raises;
+either sends the call to bucket elimination, as any failed gate does, so
+errors are the ground path's own. A coarser grouping, a transposed member
+or one merged within ``rtol > 0`` falls back too.
 """
 from __future__ import annotations
 
@@ -80,7 +95,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import chain, count
 from math import frexp, isfinite, log
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -90,7 +105,7 @@ from .errors import (
     InfiniteDivergence,
 )
 from .model import FactorGraph, check_factors
-from .colours import Grouping
+from .colours import Grouping, run_colour_passing
 from .tables import PotentialTable
 
 _ORDERS = ("min_degree", "reverse_id")
@@ -224,24 +239,73 @@ def marginals(
     point mass on its observed value; a repeated query yields the same
     marginal twice. Non-finite or negative table entries that leave a
     normaliser non-finite or negative raise ValueError, and an unknown
-    factor raises UnknownFactorPresent. See the module docstring for the
-    order, the two passes and the rescaling.
+    factor raises UnknownFactorPresent.
+
+    On a forest the answer comes from counting belief propagation on the
+    quotient of the graph's colour-passing grouping, with the passed
+    evidence stored on the RVs, wherever that is exact; otherwise bucket
+    elimination in ``order`` answers, with its errors. See the module
+    docstring for both paths.
     """
+    return _marginals(fg, queries, evidence, order, _own_grouping)
+
+
+def _ground_marginals(
+    fg: FactorGraph,
+    queries: Sequence[str],
+    evidence: Mapping[str, str] | None = None,
+    order: str = "min_degree",
+) -> tuple[Marginal, ...]:
+    """``marginals`` by bucket elimination on the ground graph, always."""
+    return _marginals(fg, queries, evidence, order, None)
+
+
+def _own_grouping(fg: FactorGraph) -> Grouping:
+    """``fg``'s colour-passing grouping, kept per graph."""
+    return fg.memo("inference.grouping", lambda: run_colour_passing(fg))
+
+
+def _marginals(
+    fg: FactorGraph,
+    queries: Sequence[str],
+    evidence: Mapping[str, str] | None,
+    order: str,
+    grouping_of: Callable[[FactorGraph], Grouping] | None,
+) -> tuple[Marginal, ...]:
+    """The argument checks, then the lifted path on the quotient of
+    ``grouping_of`` (the graph with the passed evidence stored), where that is
+    exact and some query is unobserved, else bucket elimination."""
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of RV ids, not one id")
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
     check_factors(fg)
     rvs = [fg.rv(q) for q in queries]
-
-    ev: dict[str, str] = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}
+    # passed evidence on RVs that store none
+    extra: dict[str, str] = {}
     for k, v in (evidence or {}).items():
         target = fg.rv(k)
         if v not in target.range:
             raise ValueError(f"evidence {v!r} not in range of {k!r}")
-        if k in ev and ev[k] != v:
-            raise InconsistentEvidence(f"conflicting evidence for {k!r}: {ev[k]!r} vs {v!r}")
-        ev[k] = v
+        if target.evidence is None:
+            extra[k] = v
+        elif target.evidence != v:
+            raise InconsistentEvidence(f"conflicting evidence for {k!r}: {target.evidence!r} vs {v!r}")
+    if (
+        grouping_of is not None
+        and any(rv.evidence is None and rv.id not in extra for rv in rvs)
+        and fg.incidence.is_forest
+    ):
+        g = fg.with_evidence(extra) if extra else fg
+        lifted = _quotient(g, grouping_of(g))
+        if lifted is not None:
+            rv_class, probabilities = lifted[0].tolist(), lifted[1]
+            position = g.incidence.rv_position
+            return tuple(
+                Marginal(rv.id, rv.range.values, probabilities[rv_class[position[rv.id]]])
+                for rv in rvs
+            )
+    ev = {r.id: r.evidence for r in fg.rvs if r.evidence is not None} | extra
     hidden = list(dict.fromkeys(rv.id for rv in rvs if rv.id not in ev))
     beliefs = _beliefs(fg, ev, hidden, order) if hidden else {}
 
@@ -331,28 +395,17 @@ def _beliefs(
 def lifted_marginals(
     fg: FactorGraph, queries: Sequence[str], grouping: Grouping
 ) -> tuple[Marginal, ...]:
-    """``marginals(fg, queries)``, answered on the quotient of ``grouping``
-    where that is exact.
+    """``marginals(fg, queries)``, answered on the quotient of a caller's
+    ``grouping`` where that is exact.
 
     Counting belief propagation runs on the quotient when ``fg`` is a
     fully known forest and ``grouping`` is a positional equitable partition
     of it with exact class tables (``_quotient``; any grouping may be
     passed). Otherwise, or when a message or belief has a zero or
-    non-finite normaliser, the answer is ``marginals(fg, queries)``, with
-    its errors. Evidence is the evidence stored on the RVs.
+    non-finite normaliser, bucket elimination answers, with its errors.
+    Evidence is the evidence stored on the RVs.
     """
-    lifted = None if isinstance(queries, str) else _quotient(fg, grouping)
-    if lifted is None:
-        return marginals(fg, queries)
-    try:
-        rows = list(map(fg.incidence.rv_position.__getitem__, queries))
-    except KeyError:
-        return marginals(fg, queries)
-    rv_class, probabilities = lifted[0].tolist(), lifted[1]
-    return tuple(
-        Marginal(q, fg.rvs[r].range.values, probabilities[rv_class[r]])
-        for q, r in zip(queries, rows)
-    )
+    return _marginals(fg, queries, None, "min_degree", lambda _: grouping)
 
 
 def _class_index(
@@ -375,6 +428,18 @@ def _class_index(
     return index, members[np.cumsum(sizes) - sizes]
 
 
+def _signature_codes(fg: FactorGraph) -> np.ndarray:
+    """Each RV's position among the first RVs of each signature, in
+    ``fg.rvs`` order; kept per graph."""
+
+    def build() -> np.ndarray:
+        first: dict[tuple, int] = {}
+        signatures = (rv.signature for rv in fg.rvs)
+        return np.fromiter(map(first.setdefault, signatures, count()), np.int64, len(fg.rvs))
+
+    return fg.memo("inference.signature_codes", build)
+
+
 def _quotient(
     fg: FactorGraph, grouping: Grouping
 ) -> tuple[np.ndarray, list[tuple[float, ...]]] | None:
@@ -395,19 +460,11 @@ def _quotient(
         return None
     n_rv, n_fac = len(inc.rv_ids), len(inc.factor_ids)
     rvs = _class_index(grouping.rv_classes, inc.rv_position, n_rv)
-    factors = _class_index(
-        [c.members for c in grouping.factor_classes],
-        {fid: i for i, fid in enumerate(inc.factor_ids)},
-        n_fac,
-    )
+    factors = _class_index([c.members for c in grouping.factor_classes], inc.factor_position, n_fac)
     if rvs is None or factors is None:
         return None
     (rv_cls, rv_rep), (fac_cls, fac_rep) = rvs, factors
-    # each RV's code is the position of the first RV with its signature
-    first: dict[tuple, int] = {}
-    code = np.fromiter(
-        map(first.setdefault, (rv.signature for rv in fg.rvs), count()), np.int64, n_rv
-    )
+    code = _signature_codes(fg)
     if not np.array_equal(code, code[rv_rep[rv_cls]]):
         return None
     tables = [c.table for c in grouping.factor_classes]
@@ -567,7 +624,9 @@ def variable_elimination(
     evidence: Mapping[str, str] | None = None,
     order: str = "min_degree",
 ) -> Marginal:
-    """Exact posterior marginal of ``query`` given evidence, as ``marginals`` gives it."""
+    """Exact posterior marginal of ``query`` given evidence, as ``marginals``
+    gives it: lifted on a forest where that is exact, else by bucket
+    elimination in ``order``."""
     return marginals(fg, (query,), evidence, order)[0]
 
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationInfeasible
-from .colours import run_colour_passing
-from .inference import compression_ratio, kld, lifted_marginals
+from .inference import compression_ratio, kld, lifted_marginals, marginals
 from .model import BOOL_RANGE, Factor, FactorGraph, RandomVariable, RangeSpec
 from .tables import PotentialTable
 from .transfer import complete_and_lift
@@ -429,10 +428,11 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     """Generate, complete, lift, and compare marginals against the truth.
 
     Per query the result holds KLD(truth marginal, completed-graph
-    marginal). Both graphs answer through ``lifted_marginals``: the
-    completed graph with the grouping ``complete_and_lift`` returns, the
-    truth graph with its own colour passing, so equal graphs take the same
-    path. An instance with unresolved unknown factors is reported as
+    marginal). Both graphs answer on the quotient of a colour-passing
+    grouping where that is exact: the truth graph through ``marginals``,
+    which colours it, the completed graph through ``lifted_marginals`` with
+    the grouping ``complete_and_lift`` returns, so equal graphs take the
+    same path. An instance with unresolved unknown factors is reported as
     failed (no query rows), never silently skipped.
     """
     inst = generate_instance(cfg)
@@ -440,7 +440,7 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     rv_ratio, factor_ratio = compression_ratio(result.grouping, result.completed)
     queries: list[QueryResult] = []
     if not result.report.unresolved:
-        truth = lifted_marginals(inst.truth, inst.queries, run_colour_passing(inst.truth))
+        truth = marginals(inst.truth, inst.queries)
         completed = lifted_marginals(result.completed, inst.queries, result.grouping)
         queries = [QueryResult(t.rv, kld(t, c)) for t, c in zip(truth, completed)]
     return InstanceResult(

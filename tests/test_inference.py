@@ -1,4 +1,8 @@
-"""Variable elimination and several marginals from one elimination against the enumeration oracle, plus divergence."""
+"""Variable elimination and several marginals from one elimination against the enumeration oracle, plus divergence.
+
+Oracle checks run on both the public entries, which answer on the lifted
+quotient where that is exact, and the ground function, which always
+eliminates; bit-for-bit checks of elimination run on the ground function."""
 import math
 import warnings
 
@@ -32,6 +36,7 @@ from fglift import (
 )
 from fglift.inference import (
     _beliefs,
+    _ground_marginals,
     _in_range,
     _min_degree_order,
     _product,
@@ -51,13 +56,23 @@ from conftest import (
 ORDERS = ("min_degree", "reverse_id")
 
 
+def ground_elimination(fg, query, evidence=None, order="min_degree"):
+    """``variable_elimination`` on the ground graph, always."""
+    return _ground_marginals(fg, (query,), evidence, order)[0]
+
+
+# (several queries, one query): the public entries, then the ground path
+ENTRIES = ((marginals, variable_elimination), (_ground_marginals, ground_elimination))
+
+
 def assert_matches_oracle(fg, query, evidence=None, tol=1e-12):
     expected = oracle_marginal(fg, query, evidence)
     for order in ORDERS:
-        got = variable_elimination(fg, query, evidence, order=order)
-        assert got.rv == query
-        assert got.values == fg.rv(query).range.values
-        assert np.allclose(got.probabilities, expected, atol=tol)
+        for _, single in ENTRIES:
+            got = single(fg, query, evidence, order=order)
+            assert got.rv == query
+            assert got.values == fg.rv(query).range.values
+            assert np.allclose(got.probabilities, expected, atol=tol)
 
 
 def test_single_unary_factor():
@@ -271,7 +286,7 @@ def _random_evidence(rng, fg, query, count):
 
 def assert_bit_identical_to_full_scan(fg, query, evidence=None):
     for order in ORDERS:
-        got = variable_elimination(fg, query, evidence, order=order)
+        got = ground_elimination(fg, query, evidence, order=order)
         assert got.probabilities == full_scan_elimination(fg, query, evidence, order)
 
 
@@ -385,11 +400,12 @@ def _has_mass(fg, evidence=None):
 
 def assert_marginals_match_oracle(fg, queries, evidence=None, tol=1e-12):
     for order in ORDERS:
-        got = marginals(fg, queries, evidence, order=order)
-        assert [m.rv for m in got] == list(queries)
-        for q, m in zip(queries, got):
-            assert m.values == fg.rv(q).range.values
-            assert np.allclose(m.probabilities, oracle_marginal(fg, q, evidence), rtol=0.0, atol=tol)
+        for several, _ in ENTRIES:
+            got = several(fg, queries, evidence, order=order)
+            assert [m.rv for m in got] == list(queries)
+            for q, m in zip(queries, got):
+                assert m.values == fg.rv(q).range.values
+                assert np.allclose(m.probabilities, oracle_marginal(fg, q, evidence), rtol=0.0, atol=tol)
 
 
 def test_marginals_match_enumeration():
@@ -409,8 +425,9 @@ def test_marginals_match_enumeration():
             for ev in (None, evidence):
                 observed = {r.id for r in g.rvs if r.evidence is not None} | set(ev or ())
                 if not _has_mass(g, ev) and set(all_rvs) - observed:
-                    with pytest.raises(InconsistentEvidence):
-                        marginals(g, all_rvs, ev)
+                    for several, _ in ENTRIES:
+                        with pytest.raises(InconsistentEvidence):
+                            several(g, all_rvs, ev)
             continue
         zeros_seen += i % 4 >= 2
         # every RV in one call, observed ones included, then passed evidence
@@ -442,14 +459,16 @@ def test_marginals_across_connected_components():
 
 def assert_marginals_match_elimination(fg, queries, evidence=None, tol=1e-12):
     for order in ORDERS:
-        got = marginals(fg, queries, evidence, order=order)
-        # the first query is the root of the elimination tree, so it is the
-        # single-query answer bit for bit
-        assert got[0] == variable_elimination(fg, queries[0], evidence, order=order)
-        for q, m in zip(queries, got):
-            expected = variable_elimination(fg, q, evidence, order=order)
-            assert m.rv == q and m.values == expected.values
-            assert np.allclose(m.probabilities, expected.probabilities, rtol=0.0, atol=tol)
+        for several, single in ENTRIES:
+            got = several(fg, queries, evidence, order=order)
+            # the first query is the root of the elimination tree, so it is
+            # the single-query answer bit for bit; the lifted path answers
+            # every query from one set of messages
+            assert got[0] == single(fg, queries[0], evidence, order=order)
+            for q, m in zip(queries, got):
+                expected = single(fg, q, evidence, order=order)
+                assert m.rv == q and m.values == expected.values
+                assert np.allclose(m.probabilities, expected.probabilities, rtol=0.0, atol=tol)
 
 
 def test_marginals_match_elimination_on_criterion_6_graphs():
@@ -710,8 +729,8 @@ def _run_experiment_per_query(cfg):
     queries = []
     if not result.report.unresolved:
         for q in inst.queries:
-            truth_marginal = variable_elimination(inst.truth, q)
-            completed_marginal = variable_elimination(result.completed, q)
+            truth_marginal = ground_elimination(inst.truth, q)
+            completed_marginal = ground_elimination(result.completed, q)
             queries.append(QueryResult(q, kld(truth_marginal, completed_marginal)))
     return InstanceResult(
         config=cfg,

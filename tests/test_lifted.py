@@ -1,5 +1,10 @@
 """Lifted marginals: counting belief propagation on the quotient of a
-grouping, against ground ``marginals``, and the fallback to it."""
+grouping, against the ground function ``_ground_marginals``, and the
+fallback to it; the path ``marginals`` and ``variable_elimination`` choose;
+and the per-graph state that path keeps."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,16 +27,25 @@ from fglift import (
     parse_model,
     run_colour_passing,
     state_space_size,
+    variable_elimination,
 )
-from fglift.inference import _quotient
+import fglift.inference as inference
+import fglift.model as model
+from fglift.colours import _ports, known_table_classes
+from fglift.inference import _ground_marginals, _quotient, _signature_codes
+from fglift.transfer import _profile_ids
 from fglift.synth import max_cohorts
 from conftest import ASYMMETRIC_2x2, chain_graph, random_graph
+from test_inference import _with_zero_entries
 from test_acceptance import SWEEP_D, SWEEP_P, SWEEP_SEEDS, SWEEP_UF, _sweep_config
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+ORDERS = ("min_degree", "reverse_id")
 
 
 def assert_close_to_ground(fg, grouping, queries, tol=1e-12):
     got = lifted_marginals(fg, queries, grouping)
-    expected = marginals(fg, queries)
+    expected = _ground_marginals(fg, queries)
     assert [m.rv for m in got] == list(queries)
     for m, e in zip(got, expected):
         assert m.values == e.values
@@ -40,7 +54,7 @@ def assert_close_to_ground(fg, grouping, queries, tol=1e-12):
 
 def assert_falls_back(fg, grouping, queries):
     assert _quotient(fg, grouping) is None
-    assert lifted_marginals(fg, queries, grouping) == marginals(fg, queries)
+    assert lifted_marginals(fg, queries, grouping) == _ground_marginals(fg, queries)
 
 
 def cycles_sharing_tables():
@@ -229,7 +243,7 @@ def test_errors_are_those_of_the_ground_path():
     grouping = run_colour_passing(zero)
     assert _quotient(zero, grouping) is None
     with pytest.raises(InconsistentEvidence) as ground:
-        marginals(zero, ["A"])
+        _ground_marginals(zero, ["A"])
     with pytest.raises(InconsistentEvidence) as lifted:
         lifted_marginals(zero, ["A"], grouping)
     assert str(lifted.value) == str(ground.value)
@@ -240,7 +254,7 @@ def test_errors_are_those_of_the_ground_path():
     with pytest.raises(InconsistentEvidence, match="zeroes out factor 'f1'"):
         lifted_marginals(both, ["C"], grouping)
     # only observed queries: ground answers without looking at the zero
-    assert lifted_marginals(both, ["A", "B"], grouping) == marginals(both, ["A", "B"])
+    assert lifted_marginals(both, ["A", "B"], grouping) == _ground_marginals(both, ["A", "B"])
 
     # disjoint unary supports on B: B's message to f2, and B's belief, are zero
     rvs = (RandomVariable("B", BOOL_RANGE), RandomVariable("C", BOOL_RANGE))
@@ -251,7 +265,7 @@ def test_errors_are_those_of_the_ground_path():
         grouping = run_colour_passing(zero)
         assert _quotient(zero, grouping) is None
         with pytest.raises(InconsistentEvidence) as ground:
-            marginals(zero, ["B"])
+            _ground_marginals(zero, ["B"])
         with pytest.raises(InconsistentEvidence) as lifted:
             lifted_marginals(zero, ["B"], grouping)
         assert str(lifted.value) == str(ground.value)
@@ -261,3 +275,223 @@ def test_errors_are_those_of_the_ground_path():
         lifted_marginals(g, "A", run_colour_passing(g))
     with pytest.raises(UnknownNode, match="no random variable 'Z'"):
         lifted_marginals(g, ["Z"], run_colour_passing(g))
+
+
+# -- the path marginals and variable_elimination choose ------------------------
+
+
+def lifts(fg, evidence=None):
+    """Whether ``marginals(fg, ..., evidence)`` can answer on the quotient."""
+    g = fg.with_evidence(evidence) if evidence else fg
+    return _quotient(g, run_colour_passing(g)) is not None
+
+
+def assert_public_close_to_ground(fg, queries, evidence=None, tol=1e-12):
+    """``marginals`` and ``variable_elimination`` within ``tol`` of the ground
+    function, in both orders."""
+    for order in ORDERS:
+        expected = _ground_marginals(fg, queries, evidence, order)
+        got = marginals(fg, queries, evidence, order)
+        assert [m.rv for m in got] == list(queries)
+        for q, m, e in zip(queries, got, expected):
+            assert m.values == e.values
+            assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=tol)
+            single = variable_elimination(fg, q, evidence, order)
+            assert single.values == e.values
+            assert np.allclose(single.probabilities, e.probabilities, rtol=0.0, atol=tol)
+
+
+def outcome(answer, *args):
+    """The answer, or the type and text of the error raised instead."""
+    try:
+        return answer(*args)
+    except (InconsistentEvidence, UnknownFactorPresent, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_public_is_ground(fg, queries, evidence=None):
+    """``marginals`` and ``variable_elimination`` give the ground function's
+    answers or errors, bit for bit, in both orders."""
+    for order in ORDERS:
+        expected = outcome(_ground_marginals, fg, queries, evidence, order)
+        assert outcome(marginals, fg, queries, evidence, order) == expected
+        for q in queries:
+            ground = outcome(lambda *args: _ground_marginals(*args)[0], fg, [q], evidence, order)
+            assert outcome(variable_elimination, fg, q, evidence, order) == ground
+
+
+def test_the_public_entry_lifts_generated_forests():
+    rng = np.random.default_rng(821)
+    for d, p, seed in [(8, 0.5, 1), (32, 0.7, 3), (128, 0.3, 5), (512, 0.5, 2)]:
+        cfg = ExperimentConfig(
+            d=d, p=p, unknown_fraction=0.2, cohorts=min(3 + seed % 3, max_cohorts(d, p)),
+            queries_per_instance=3, theta=0.0, seed=seed, standard_grids=False,
+        )
+        inst = generate_instance(cfg)
+        fg = inst.truth
+        others = [r for r in fg.rv_ids if r not in inst.queries]
+        picked = [str(r) for r in rng.choice(others, 6, replace=False)]
+        stored = fg.with_evidence({r: fg.rv(r).range.values[-1] for r in picked[:2]})
+        passed = {r: fg.rv(r).range.values[0] for r in picked[2:4]}
+        # several queries, one observed by each kind of evidence, one repeated
+        queries = list(inst.queries) + [picked[4], picked[0], picked[2], inst.queries[0]]
+        for g, ev in ((fg, None), (stored, None), (fg, passed), (stored, passed)):
+            assert lifts(g, ev)
+            assert_public_close_to_ground(g, queries, ev)
+        assert_public_close_to_ground(fg, list(fg.rv_ids))
+
+
+def test_the_public_entry_lifts_the_benchmark_query_pool():
+    """Every instance of the ``query`` workload's pool (d = 64-88, and the
+    three d = 128 instances elimination once overflowed on) lifts, with and
+    without evidence on three leaves."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+    from tracing import Calls
+
+    rng = np.random.default_rng(823)
+    pool = workloads._query_pool("query", 1, "full", Calls())
+    assert len(pool) == 10 and sum(inst.fails_today for inst in pool) == 3
+    for inst in pool:
+        fg = inst.graph
+        ids = sorted(fg.rv_ids)
+        queries = [inst.first_query] + [str(q) for q in rng.choice(ids, 3, replace=False)]
+        leaves = [v for v in ids if v not in queries and fg.degree(v) == 1]
+        evidence = {str(v): fg.rv(str(v)).range.values[1] for v in rng.choice(leaves, 3, replace=False)}
+        for ev in (None, evidence):
+            assert lifts(fg, ev)
+            assert_public_close_to_ground(fg, queries, ev)
+
+
+def test_the_public_entry_falls_back_to_the_ground_function():
+    # cyclic criterion-6 graphs, with stored evidence on every other one and
+    # passed evidence; the forests among them lift
+    rng = np.random.default_rng(827)
+    cyclic = 0
+    for g in criterion_6_graphs():
+        queries = list(g.rv_ids)
+        free = [r.id for r in g.rvs if r.evidence is None]
+        evidence = {r: g.rv(r).range.values[0] for r in rng.choice(free, min(2, len(free)), replace=False)}
+        for ev in (None, evidence):
+            if g.incidence.is_forest:
+                assert_public_close_to_ground(g, queries, ev)
+            else:
+                assert_public_is_ground(g, queries, ev)
+        cyclic += not g.incidence.is_forest
+    assert cyclic == 262
+    # larger non-forest random graphs, every other one with zero entries
+    for i in range(20):
+        g = random_graph(rng, n_rvs=16, n_factors=20, evidence_frac=0.1)
+        if i % 2:
+            g = _with_zero_entries(rng, g, 0.3)
+        assert not g.incidence.is_forest
+        assert_public_is_ground(g, list(g.rv_ids)[:5])
+    # colour passing merges a triangle with the hexagon
+    assert_public_is_ground(cycles_sharing_tables(), ["t0", "h0", "u2"])
+    # unknown factors
+    with_unknown = chain_graph().with_tables({"f2": None})
+    assert outcome(marginals, with_unknown, ["A"])[0] is UnknownFactorPresent
+    assert_public_is_ground(with_unknown, ["A"])
+    # a forest whose grouping is not positional
+    assert not lifts(chain_graph())
+    assert_public_is_ground(chain_graph(), ["A", "B", "C"], {"C": "true"})
+    # zero mass: evidence selects an all-zero column, stored or passed
+    zero = chain_graph(t1=(1.0, 0.0, 1.0, 0.0), t2=ASYMMETRIC_2x2)
+    for g, ev in ((zero, {"B": "true"}), (zero.with_evidence({"B": "true"}), None)):
+        assert outcome(marginals, g, ["A"], ev)[0] is InconsistentEvidence
+        assert_public_is_ground(g, ["A", "C"], ev)
+    # both arguments observed, and only observed queries
+    assert_public_is_ground(zero, ["C"], {"A": "true", "B": "true"})
+    assert_public_is_ground(zero, ["A", "B"], {"A": "true", "B": "true"})
+    rvs = (RandomVariable("B", BOOL_RANGE), RandomVariable("C", BOOL_RANGE))
+    disjoint = FactorGraph(rvs, (
+        Factor("u1", ("B",), PotentialTable((2,), (1.0, 0.0))),
+        Factor("u2", ("B",), PotentialTable((2,), (0.0, 1.0))),
+        Factor("f2", ("B", "C"), PotentialTable((2, 2), ASYMMETRIC_2x2)),
+    ))
+    assert outcome(marginals, disjoint, ["C"])[0] is InconsistentEvidence
+    assert_public_is_ground(disjoint, ["C", "B"])
+
+
+def test_passed_evidence_is_stored_evidence_and_colours_its_own_copy(monkeypatch):
+    cfg = ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    )
+    inst = generate_instance(cfg)
+    fg = inst.truth
+    leaves = [r for r in fg.rv_ids if fg.degree(r) == 1 and r not in inst.queries][:3]
+    evidence = {r: fg.rv(r).range.values[1] for r in leaves}
+    coloured, passes = [], []
+    colour = inference.run_colour_passing
+    bp = inference._counting_bp
+    monkeypatch.setattr(inference, "run_colour_passing", lambda g: coloured.append(g) or colour(g))
+    monkeypatch.setattr(inference, "_counting_bp", lambda *a: passes.append(a) or bp(*a))
+
+    plain = marginals(fg, inst.queries)
+    assert coloured == [fg] and len(passes) == 1
+    # the graph's grouping is kept, the marginals are not
+    assert marginals(fg, inst.queries) == plain
+    assert coloured == [fg] and len(passes) == 2
+    own = fg.memo("inference.grouping", lambda: None)
+    assert own == run_colour_passing(fg)
+
+    observed = fg.with_evidence(evidence)
+    assert marginals(fg, inst.queries, evidence) == marginals(observed, inst.queries)
+    # the evidence call coloured a copy of fg carrying the evidence, not fg
+    assert len(coloured) == 3 and len(passes) == 4
+    copy = coloured[1]
+    assert copy is not fg and copy == observed and coloured[2] is observed
+    assert copy.memo("inference.grouping", lambda: None) == run_colour_passing(observed) != own
+    assert fg.memo("inference.grouping", lambda: None) is own
+    # passed evidence that repeats stored evidence is no new evidence
+    assert marginals(observed, inst.queries, evidence) == marginals(observed, inst.queries)
+    assert len(coloured) == 3
+
+
+def test_gate_data_is_kept_per_graph(monkeypatch):
+    inst = generate_instance(ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    ))
+    result = complete_and_lift(inst.incomplete, 0.0)
+    fg, grouping = result.completed, result.grouping
+    other = run_colour_passing(fg)
+    queries = list(fg.rv_ids)
+    first = lifted_marginals(fg, queries, grouping)
+    signatures = []
+    signature = model.RandomVariable.signature
+    monkeypatch.setattr(
+        model.RandomVariable, "signature", property(lambda rv: signatures.append(rv) or signature.fget(rv))
+    )
+    # a repeated call, and a call with another grouping, read no RV's
+    # signature: the codes are the graph's own
+    assert lifted_marginals(fg, queries, grouping) == first
+    assert lifted_marginals(fg, queries, other) == first
+    assert signatures == []
+
+
+def test_evidence_copies_share_the_table_views_and_nothing_else():
+    inst = generate_instance(ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    ))
+    fg = inst.truth
+    marginals(fg, inst.queries)
+    leaves = [r for r in fg.rv_ids if fg.degree(r) == 1][:3]
+    copy = fg.with_evidence({r: fg.rv(r).range.values[1] for r in leaves})
+    fresh = FactorGraph(copy.rvs, copy.factors)
+    for rtol in (0.0, 1e-6):
+        assert known_table_classes(copy, rtol) is known_table_classes(fg, rtol)
+        assert known_table_classes(copy, rtol) == known_table_classes(fresh, rtol)
+    assert _ports(copy) is _ports(fg)
+    assert np.array_equal(_ports(copy)[0], _ports(fresh)[0]) and _ports(copy)[1] == _ports(fresh)[1]
+    assert copy.unknown_factor_ids == fresh.unknown_factor_ids == ()
+    # views that read the RVs' evidence are the copy's own
+    assert _profile_ids(copy) == _profile_ids(fresh) != _profile_ids(fg)
+    assert np.array_equal(_signature_codes(copy), _signature_codes(fresh))
+    assert not np.array_equal(_signature_codes(copy), _signature_codes(fg))
+    assert copy.memo("inference.grouping", lambda: None) is None
+    # new tables share nothing
+    f = next(f for f in fg.factors if len(f.args) == 2)
+    changed = fg.with_tables({f.id: PotentialTable(f.table.shape, [1.0] * f.table.array.size)})
+    assert known_table_classes(changed) is not known_table_classes(fg)
+    assert known_table_classes(changed) == known_table_classes(FactorGraph(changed.rvs, changed.factors))
