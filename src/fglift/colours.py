@@ -30,6 +30,28 @@ node's signature, also where one old colour mixes signature shapes (a class
 merged within ``rtol`` whose tables differ in symmetry, or a class of
 tagged unknown factors).
 
+Evidence changes only the signatures of the observed RVs, so inference
+does not colour a graph with evidence from its initial colours.
+``_refined_grouping`` starts from the stable colouring of the same graph
+with its evidence cleared, built once per structure and tables and shared
+with the graph's ``with_evidence`` copies, and splits what the evidence
+tells apart with a worklist of splitter classes: counting colour
+refinement that processes all but the largest part of each split class
+(Berkholz, Bonsma and Grohe, ESA 2013), so it revisits only the
+neighbourhoods of classes that split. Its partition is exactly that of
+colour passing on the observed graph. The observed graph's initial colours
+refine the evidence-free ones, and refinement to a stable colouring
+preserves that, so the observed stable colouring refines the meet of the
+evidence-free stable colouring and the observed initial colours, which is
+where the worklist starts. Being the coarsest stable partition that
+refines the observed initial colours, it is then also the coarsest stable
+refinement of that start, which is where the worklist stops. The start
+must be evidence-free: from a
+colouring that already holds some evidence, a newly observed RV can belong
+with an RV observed before to the same value, and refinement never merges.
+The round-based loop above stays the from-scratch path: its colour ids
+are those of sorted signatures, which the worklist does not produce.
+
 The fixpoint partition is packaged as a :class:`Grouping`: the classes,
 and for each factor class one table, its first member's. A class is exact
 when every member's table is an axis permutation of that table, bit for
@@ -46,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -370,6 +392,136 @@ def run_colour_passing(
     """
     colouring = refine_to_fixpoint(fg, initial_colouring(fg, rtol, unknown_tags))
     return grouping_from_colouring(fg, colouring)
+
+
+def _evidence_free_grouping(fg: FactorGraph) -> Grouping:
+    """``run_colour_passing`` of ``fg`` with every RV's evidence cleared.
+    Built once per structure and tables, and shared with the graph's
+    ``with_evidence`` copies."""
+
+    def build() -> Grouping:
+        stored = {rv.id: None for rv in fg.rvs if rv.evidence is not None}
+        return run_colour_passing(fg.with_evidence(stored) if stored else fg)
+
+    return fg.memo("colours.evidence_free", build, tables_only=True)
+
+
+@dataclass(frozen=True, eq=False)
+class _StableColouring:
+    """A stable colouring over node numbers: RVs by position in
+    ``FactorGraph.rvs``, then factors by position after them. ``members``
+    lists each class's nodes and ``classes`` each class as a ``Grouping``
+    holds it: sorted RV ids, or a ``FactorClass``."""
+
+    colour: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[str, ...] | FactorClass, ...]
+
+
+def _evidence_free_colouring(fg: FactorGraph) -> _StableColouring:
+    """``_evidence_free_grouping`` over node numbers; shared like it."""
+
+    def build() -> _StableColouring:
+        grouping = _evidence_free_grouping(fg)
+        inc = fg.incidence
+        n_rv = len(inc.rv_ids)
+        members = tuple(tuple(map(inc.rv_position.__getitem__, c)) for c in grouping.rv_classes)
+        members += tuple(
+            tuple(n_rv + inc.factor_position[f] for f in c.members) for c in grouping.factor_classes
+        )
+        colour = [0] * (n_rv + len(inc.factor_ids))
+        for c, part in enumerate(members):
+            for v in part:
+                colour[v] = c
+        classes = (*grouping.rv_classes, *grouping.factor_classes)
+        return _StableColouring(tuple(colour), members, classes)
+
+    return fg.memo("colours.evidence_free_numbered", build, tables_only=True)
+
+
+def _class_of(fg: FactorGraph, part: Sequence[int]) -> tuple[str, ...] | FactorClass:
+    """Nodes ``part`` of one class as a ``Grouping`` holds them."""
+    inc = fg.incidence
+    n_rv = len(inc.rv_ids)
+    if part[0] < n_rv:
+        return tuple(sorted(inc.rv_ids[v] for v in part))
+    members = tuple(sorted(inc.factor_ids[v - n_rv] for v in part))
+    return FactorClass(members, fg.factor(members[0]).table)
+
+
+def _adjacency(fg: FactorGraph) -> tuple[list[int], list[int], list[int]]:
+    """Neighbours and ports of every node, numbered as in ``_StableColouring``:
+    node u's are ``neighbour[i]`` and ``port[i]`` for ``offset[u] <= i <
+    offset[u + 1]``. Shared with the graph's ``with_evidence`` copies."""
+
+    def build() -> tuple[list[int], list[int], list[int]]:
+        inc = fg.incidence
+        ports = _ports(fg)[0]
+        neighbour = np.concatenate((inc.factor[inc.by_rv] + len(inc.rv_ids), inc.rv))
+        port = np.concatenate((ports[inc.by_rv], ports))
+        offset = np.concatenate((inc.rv_start, inc.start[1:] + len(inc.rv)))
+        return neighbour.tolist(), port.tolist(), offset.tolist()
+
+    return fg.memo("colours.adjacency", build, tables_only=True)
+
+
+def _refined_grouping(fg: FactorGraph) -> Grouping:
+    """The grouping of ``run_colour_passing(fg)`` for a fully known ``fg``,
+    refined from its kept evidence-free colouring (``_evidence_free_colouring``)
+    by a splitter worklist, so the work follows what the evidence splits.
+
+    The observed RVs' classes split by evidence value. Whenever a class
+    splits, every part but the largest joins the worklist; a class waiting
+    there keeps its place, so then every part waits. A splitter class gives
+    each neighbour the multiset of ports of its edges into the class, and
+    only the classes of those neighbours split, by that multiset. The
+    worklist empties at the coarsest stable refinement of the start.
+    """
+    observed = {v: rv.evidence for v, rv in enumerate(fg.rvs) if rv.evidence is not None}
+    if not observed:
+        return _evidence_free_grouping(fg)
+    base = _evidence_free_colouring(fg)
+    colour = list(base.colour)
+    members: list[Sequence[int]] = list(base.members)
+    work: list[int] = []
+
+    def split(keys: Mapping[int, Hashable]) -> None:
+        """Split each class met in ``keys`` by key, its other members apart."""
+        touched: dict[int, dict[Hashable, list[int]]] = {}
+        for v, key in keys.items():
+            touched.setdefault(colour[v], {}).setdefault(key, []).append(v)
+        for c, by_key in touched.items():
+            parts = list(by_key.values())
+            if sum(map(len, parts)) < len(members[c]):
+                parts.append([v for v in members[c] if v not in keys])
+            if len(parts) == 1:
+                continue
+            parts.sort(key=len, reverse=True)
+            members[c] = parts[0]
+            for part in parts[1:]:
+                for v in part:
+                    colour[v] = len(members)
+                work.append(len(members))
+                members.append(part)
+
+    neighbour, port, offset = _adjacency(fg)
+    split(observed)
+    while work:
+        ports: dict[int, list[int]] = {}
+        for u in members[work.pop()]:
+            for i in range(offset[u], offset[u + 1]):
+                ports.setdefault(neighbour[i], []).append(port[i])
+        split({v: tuple(sorted(p)) for v, p in ports.items()})
+    kept = len(base.members)
+    classes = [
+        base.classes[c] if c < kept and part is base.members[c] else _class_of(fg, part)
+        for c, part in enumerate(members)
+    ]
+    factor_classes = [c for c in classes if isinstance(c, FactorClass)]
+    return Grouping(
+        tuple(sorted(c for c in classes if not isinstance(c, FactorClass))),
+        tuple(sorted(factor_classes, key=lambda c: c.members)),
+    )
 
 
 def _is_exact(fg: FactorGraph, cls: FactorClass) -> bool:

@@ -62,10 +62,15 @@ stored on the RVs (``with_evidence``) and the answer comes from the
 quotient of that graph's colour-passing grouping, by counting belief
 propagation (Kersting, Ahmadi and Natarajan, UAI 2009), when the gates
 below hold; otherwise bucket elimination answers in the given ``order``,
-bit for bit and errors included, so ``order`` applies only there. A graph
-keeps its own grouping in its memo; an evidence call colours its own
-``with_evidence`` copy, whose memo is separate. Nothing query- or
-evidence-specific is kept: every call runs the messages.
+bit for bit and errors included, so ``order`` applies only there. The
+grouping is refined from the stable colouring of the graph with its
+evidence cleared, which the graph and its ``with_evidence`` copies share,
+by splitting only what the evidence tells apart
+(``colours._refined_grouping``); its partition is that of colouring the
+observed graph from scratch. A graph keeps its own grouping in its memo;
+an evidence call refines the grouping of its ``with_evidence`` copy, which
+lives as long as the call. Nothing query- or evidence-specific is kept:
+every call runs the messages.
 ``lifted_marginals`` answers on the quotient of a caller's grouping instead.
 
 The gates, each checked in near-linear time in the graph: the bipartite
@@ -105,7 +110,7 @@ from .errors import (
     InfiniteDivergence,
 )
 from .model import FactorGraph, check_factors
-from .colours import Grouping, run_colour_passing
+from .colours import Grouping, _refined_grouping
 from .tables import PotentialTable
 
 _ORDERS = ("min_degree", "reverse_id")
@@ -242,10 +247,11 @@ def marginals(
     factor raises UnknownFactorPresent.
 
     On a forest the answer comes from counting belief propagation on the
-    quotient of the graph's colour-passing grouping, with the passed
-    evidence stored on the RVs, wherever that is exact; otherwise bucket
-    elimination in ``order`` answers, with its errors. See the module
-    docstring for both paths.
+    quotient of the colour-passing grouping of the graph with the passed
+    evidence stored on its RVs, wherever that is exact; that grouping is
+    refined from the graph's kept evidence-free colouring, where the
+    evidence splits it. Otherwise bucket elimination in ``order`` answers,
+    with its errors. See the module docstring for both paths.
     """
     return _marginals(fg, queries, evidence, order, _own_grouping)
 
@@ -262,7 +268,7 @@ def _ground_marginals(
 
 def _own_grouping(fg: FactorGraph) -> Grouping:
     """``fg``'s colour-passing grouping, kept per graph."""
-    return fg.memo("inference.grouping", lambda: run_colour_passing(fg))
+    return fg.memo("inference.grouping", lambda: _refined_grouping(fg))
 
 
 def _marginals(

@@ -23,6 +23,7 @@ from fglift import (
     FactorGraph,
     PotentialTable,
     RandomVariable,
+    RangeSpec,
     StateSpaceTooLarge,
     UnknownFactorPresent,
     UnknownNode,
@@ -43,7 +44,8 @@ from fglift import (
     tables_equal,
 )
 from fglift import transfer
-from fglift.colours import Colouring, FactorClass, Grouping
+from fglift.colours import Colouring, FactorClass, Grouping, _refined_grouping
+from fglift.synth import max_cohorts
 from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
 from conftest import (
     ASYMMETRIC_2x2,
@@ -55,6 +57,7 @@ from conftest import (
     permuted,
     random_graph,
 )
+from test_lifted import criterion_6_graphs
 
 
 def parts(colouring):
@@ -747,3 +750,167 @@ def test_a_table_holding_nan_is_never_exact():
     assert not grounded_equivalence_check(g, grouping)
     assert not _member_check(g, grouping)
     assert grouping_report(grouping, g).endswith("members=u exact=no\n")
+
+
+# -- refinement of the kept evidence-free colouring -------------------------
+
+
+def assert_refines_like_scratch(fg, evidence=None):
+    """The grouping refined from the kept evidence-free colouring, for ``fg``
+    with ``evidence`` stored, is the from-scratch one, tables included."""
+    observed = fg.with_evidence(evidence) if evidence else fg
+    assert _refined_grouping(observed) == run_colour_passing(observed)
+    return observed
+
+
+def _observe(fg, rvs, rng):
+    """A random value for each of ``rvs``."""
+    return {str(r): str(rng.choice(fg.rv(str(r)).range.values)) for r in rvs}
+
+
+def test_refinement_matches_scratch_on_generated_forests():
+    rng = np.random.default_rng(839)
+    for d, p, seed in [(8, 0.5, 1), (32, 0.7, 3), (128, 0.3, 5), (512, 0.5, 2)]:
+        cfg = ExperimentConfig(
+            d=d, p=p, unknown_fraction=0.2, cohorts=min(3 + seed % 3, max_cohorts(d, p)),
+            queries_per_instance=3, theta=0.0, seed=seed, standard_grids=False,
+        )
+        fg = generate_instance(cfg).truth
+        degree = {r: fg.degree(r) for r in fg.rv_ids}
+        leaves = [r for r in fg.rv_ids if degree[r] == 1]
+        inner = [r for r in fg.rv_ids if degree[r] > 1]
+        hub = max(fg.rv_ids, key=degree.__getitem__)
+        assert degree[hub] > 2 and inner
+        assert_refines_like_scratch(fg)
+        for picked in (
+            rng.choice(leaves, 3, replace=False),
+            rng.choice(inner, min(3, len(inner)), replace=False),
+            [hub],
+            rng.choice(fg.rv_ids, 8, replace=False),
+        ):
+            assert_refines_like_scratch(fg, _observe(fg, picked, rng))
+
+
+def test_refinement_matches_scratch_on_the_criterion_6_graphs():
+    # cyclic graphs of two- and three-valued RVs, every other one with stored
+    # evidence; passed evidence lands on top of it
+    rng = np.random.default_rng(853)
+    for g in criterion_6_graphs():
+        free = [r.id for r in g.rvs if r.evidence is None]
+        assert_refines_like_scratch(g)
+        assert_refines_like_scratch(g, _observe(g, rng.choice(free, min(2, len(free)), replace=False), rng))
+
+
+def test_refinement_matches_scratch_on_a_long_chain_and_a_ring():
+    rvs = [RandomVariable(f"x{i}", BOOL_RANGE) for i in range(200)]
+    for values in (SYMMETRIC_2x2, ASYMMETRIC_2x2):
+        table = PotentialTable((2, 2), values)
+        fg = FactorGraph(rvs, [Factor(f"f{i}", (f"x{i}", f"x{i + 1}"), table) for i in range(199)])
+        for end in ("x0", "x199"):
+            observed = assert_refines_like_scratch(fg, {end: "true"})
+            # seen from one observed end, every RV is told apart
+            assert len(run_colour_passing(observed).rv_classes) == 200
+        # on a ring every RV sits at port 0 of one factor and port 1 of the
+        # next, so where the table is asymmetric only the ports tell the two
+        # directions from an observed RV apart
+        ring = FactorGraph(rvs[:12], [Factor(f"f{i}", (f"x{i}", f"x{(i + 1) % 12}"), table) for i in range(12)])
+        assert len(run_colour_passing(ring).rv_classes) == 1
+        observed = assert_refines_like_scratch(ring, {"x0": "true"})
+        assert len(run_colour_passing(observed).rv_classes) == (7 if values == SYMMETRIC_2x2 else 12)
+
+
+def test_refinement_matches_scratch_on_multi_valued_ranges():
+    rng = np.random.default_rng(857)
+    for _ in range(40):
+        g = random_graph(rng, n_rvs=10, n_factors=12, max_arity=3, pool_size=2)
+        assert_refines_like_scratch(g, _observe(g, rng.choice(g.rv_ids, 3, replace=False), rng))
+    # a star of four-valued leaves around a three-valued hub
+    four = RangeSpec(("a", "b", "c", "d"))
+    rvs = [RandomVariable("h", RangeSpec(("x", "y", "z")))]
+    rvs += [RandomVariable(f"l{i}", four) for i in range(6)]
+    table = PotentialTable((3, 4), [float(k % 5 + 1) for k in range(12)])
+    fg = FactorGraph(rvs, [Factor(f"f{i}", ("h", f"l{i}"), table) for i in range(6)])
+    observed = assert_refines_like_scratch(fg, {"l0": "a", "l1": "b", "l2": "a", "l3": "d"})
+    assert run_colour_passing(observed).rv_partition() == {
+        frozenset({"h"}), frozenset({"l0", "l2"}), frozenset({"l1"}), frozenset({"l3"}),
+        frozenset({"l4", "l5"}),
+    }
+
+
+def test_refinement_of_a_whole_class_observed():
+    inst = generate_instance(ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    ))
+    fg = inst.truth
+    free = run_colour_passing(fg)
+    largest = max(free.rv_classes, key=len)
+    assert len(largest) > 4
+    values = fg.rv(largest[0]).range.values
+    # one value: the class stays whole, and so does every other class
+    observed = assert_refines_like_scratch(fg, {r: values[0] for r in largest})
+    assert run_colour_passing(observed).rv_partition() == free.rv_partition()
+    # mixed values: the class splits by value
+    mixed = {r: values[i % 2] for i, r in enumerate(largest)}
+    observed = assert_refines_like_scratch(fg, mixed)
+    by_value = {frozenset(r for r in largest if mixed[r] == v) for v in values[:2]}
+    assert by_value <= run_colour_passing(observed).rv_partition()
+
+
+def test_refinement_with_stored_and_passed_evidence():
+    rng = np.random.default_rng(859)
+    inst = generate_instance(ExperimentConfig(
+        d=64, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=6,
+    ))
+    fg = inst.truth
+    picked = [str(r) for r in rng.choice(fg.rv_ids, 6, replace=False)]
+    stored = assert_refines_like_scratch(fg, _observe(fg, picked[:3], rng))
+    assert_refines_like_scratch(stored, _observe(fg, picked[3:], rng))
+    # clearing stored evidence is evidence too
+    assert_refines_like_scratch(stored, {picked[0]: None})
+    # stored and passed evidence of one value merge two RVs that the stored
+    # evidence alone tells apart
+    unary = PotentialTable((2,), (1.0, 2.0))
+    pair = FactorGraph(
+        [RandomVariable("a", BOOL_RANGE, "true"), RandomVariable("b", BOOL_RANGE)],
+        [Factor("ua", ("a",), unary), Factor("ub", ("b",), unary)],
+    )
+    assert len(assert_refines_like_scratch(pair).rvs) == 2
+    assert run_colour_passing(pair).rv_partition() == {frozenset({"a"}), frozenset({"b"})}
+    both = assert_refines_like_scratch(pair, {"b": "true"})
+    assert run_colour_passing(both).rv_partition() == {frozenset({"a", "b"})}
+
+
+def test_refinement_with_symmetric_arity_3_tables():
+    # ports are orbits: a table symmetric in all three axes, with the hub at
+    # a different position in every other factor, and one symmetric in its
+    # last two axes only
+    rng = np.random.default_rng(863)
+    weight = rng.uniform(0.5, 4.0, (2, 2, 2))
+    cells = list(np.ndindex(2, 2, 2))
+    full = PotentialTable((2, 2, 2), [float(weight[tuple(sorted(c))]) for c in cells])
+    last_two = PotentialTable((2, 2, 2), [float(weight[(c[0], *sorted(c[1:]))]) for c in cells])
+    for table in (full, last_two):
+        rvs = [RandomVariable("h", BOOL_RANGE)]
+        factors = []
+        for i in range(5):
+            rvs += [RandomVariable(f"a{i}", BOOL_RANGE), RandomVariable(f"b{i}", BOOL_RANGE)]
+            args = ("h", f"a{i}", f"b{i}") if table is last_two or i % 2 else (f"a{i}", "h", f"b{i}")
+            factors.append(Factor(f"g{i}", args, table))
+        fg = FactorGraph(rvs, factors)
+        leaves = frozenset(r for r in fg.rv_ids if r != "h")
+        assert run_colour_passing(fg).rv_partition() == {frozenset({"h"}), leaves}
+        for evidence in ({"a0": "true"}, {"a0": "true", "b1": "true"}, {"h": "false", "b2": "true"}):
+            assert_refines_like_scratch(fg, evidence)
+
+
+def test_refinement_is_independent_of_insertion_order():
+    rng = np.random.default_rng(877)
+    for d, seed in [(32, 2), (128, 7)]:
+        fg = generate_instance(ExperimentConfig(
+            d=d, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=seed,
+        )).truth
+        backwards = FactorGraph(fg.rvs[::-1], fg.factors[::-1])
+        evidence = _observe(fg, rng.choice(fg.rv_ids, 5, replace=False), rng)
+        grouping = _refined_grouping(fg.with_evidence(evidence))
+        assert_refines_like_scratch(backwards, evidence)
+        assert _refined_grouping(backwards.with_evidence(evidence)) == grouping

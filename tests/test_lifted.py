@@ -29,9 +29,16 @@ from fglift import (
     state_space_size,
     variable_elimination,
 )
+import fglift.colours as colours
 import fglift.inference as inference
 import fglift.model as model
-from fglift.colours import _ports, known_table_classes
+from fglift.colours import (
+    _adjacency,
+    _evidence_free_colouring,
+    _evidence_free_grouping,
+    _ports,
+    known_table_classes,
+)
 from fglift.inference import _ground_marginals, _quotient, _signature_codes
 from fglift.transfer import _profile_ids
 from fglift.synth import max_cohorts
@@ -414,7 +421,7 @@ def test_the_public_entry_falls_back_to_the_ground_function():
     assert_public_is_ground(disjoint, ["C", "B"])
 
 
-def test_passed_evidence_is_stored_evidence_and_colours_its_own_copy(monkeypatch):
+def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monkeypatch):
     cfg = ExperimentConfig(
         d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
     )
@@ -422,31 +429,36 @@ def test_passed_evidence_is_stored_evidence_and_colours_its_own_copy(monkeypatch
     fg = inst.truth
     leaves = [r for r in fg.rv_ids if fg.degree(r) == 1 and r not in inst.queries][:3]
     evidence = {r: fg.rv(r).range.values[1] for r in leaves}
-    coloured, passes = [], []
-    colour = inference.run_colour_passing
+    steps, used, passes = [], [], []
+    step = colours.colour_passing_step
+    quotient = inference._quotient
     bp = inference._counting_bp
-    monkeypatch.setattr(inference, "run_colour_passing", lambda g: coloured.append(g) or colour(g))
+    monkeypatch.setattr(colours, "colour_passing_step", lambda g, c: steps.append(g) or step(g, c))
+    monkeypatch.setattr(inference, "_quotient", lambda g, grouping: used.append(grouping) or quotient(g, grouping))
     monkeypatch.setattr(inference, "_counting_bp", lambda *a: passes.append(a) or bp(*a))
 
     plain = marginals(fg, inst.queries)
-    assert coloured == [fg] and len(passes) == 1
+    assert steps and len(passes) == 1
     # the graph's grouping is kept, the marginals are not
     assert marginals(fg, inst.queries) == plain
-    assert coloured == [fg] and len(passes) == 2
+    assert len(passes) == 2
     own = fg.memo("inference.grouping", lambda: None)
-    assert own == run_colour_passing(fg)
+    assert used == [own, own]
+    scratch = run_colour_passing(fg)
+    assert own == scratch
 
     observed = fg.with_evidence(evidence)
+    expected = run_colour_passing(observed)
+    del steps[:], used[:]
     assert marginals(fg, inst.queries, evidence) == marginals(observed, inst.queries)
-    # the evidence call coloured a copy of fg carrying the evidence, not fg
-    assert len(coloured) == 3 and len(passes) == 4
-    copy = coloured[1]
-    assert copy is not fg and copy == observed and coloured[2] is observed
-    assert copy.memo("inference.grouping", lambda: None) == run_colour_passing(observed) != own
-    assert fg.memo("inference.grouping", lambda: None) is own
+    # both calls refined the kept colouring: no colour-passing round ran, and
+    # the grouping they used is the observed graph's own
+    assert steps == [] and len(passes) == 4
+    assert used == [expected, expected] and expected != own
+    assert fg.memo("inference.grouping", lambda: None) is own == scratch
     # passed evidence that repeats stored evidence is no new evidence
     assert marginals(observed, inst.queries, evidence) == marginals(observed, inst.queries)
-    assert len(coloured) == 3
+    assert steps == [] and len(passes) == 6
 
 
 def test_gate_data_is_kept_per_graph(monkeypatch):
@@ -485,6 +497,12 @@ def test_evidence_copies_share_the_table_views_and_nothing_else():
     assert _ports(copy) is _ports(fg)
     assert np.array_equal(_ports(copy)[0], _ports(fresh)[0]) and _ports(copy)[1] == _ports(fresh)[1]
     assert copy.unknown_factor_ids == fresh.unknown_factor_ids == ()
+    # the evidence-free colouring and the adjacency read no evidence
+    assert _evidence_free_grouping(copy) is _evidence_free_grouping(fg)
+    assert _evidence_free_colouring(copy) is _evidence_free_colouring(fg)
+    assert vars(_evidence_free_colouring(copy)) == vars(_evidence_free_colouring(fresh))
+    assert _adjacency(copy) is _adjacency(fg)
+    assert _adjacency(copy) == _adjacency(fresh)
     # views that read the RVs' evidence are the copy's own
     assert _profile_ids(copy) == _profile_ids(fresh) != _profile_ids(fg)
     assert np.array_equal(_signature_codes(copy), _signature_codes(fresh))
@@ -495,3 +513,6 @@ def test_evidence_copies_share_the_table_views_and_nothing_else():
     changed = fg.with_tables({f.id: PotentialTable(f.table.shape, [1.0] * f.table.array.size)})
     assert known_table_classes(changed) is not known_table_classes(fg)
     assert known_table_classes(changed) == known_table_classes(FactorGraph(changed.rvs, changed.factors))
+    assert _evidence_free_grouping(changed) is not _evidence_free_grouping(fg)
+    assert _evidence_free_colouring(changed) is not _evidence_free_colouring(fg)
+    assert _adjacency(changed) is not _adjacency(fg)
