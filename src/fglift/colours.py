@@ -30,33 +30,43 @@ node's signature, also where one old colour mixes signature shapes (a class
 merged within ``rtol`` whose tables differ in symmetry, or a class of
 tagged unknown factors).
 
-Evidence changes only the signatures of the observed RVs, so inference
-does not colour a graph with evidence from its initial colours.
-``_refined_grouping`` starts from the stable colouring of the same graph
-with its evidence cleared, built once per structure and tables and shared
-with the graph's ``with_evidence`` copies, and splits what the evidence
-tells apart with a worklist of splitter classes: counting colour
-refinement that processes all but the largest part of each split class
-(Berkholz, Bonsma and Grohe, ESA 2013), so it revisits only the
-neighbourhoods of classes that split. Its partition is exactly that of
-colour passing on the observed graph. The observed graph's initial colours
-refine the evidence-free ones, and refinement to a stable colouring
-preserves that, so the observed stable colouring refines the meet of the
-evidence-free stable colouring and the observed initial colours, which is
-where the worklist starts. Being the coarsest stable partition that
-refines the observed initial colours, it is then also the coarsest stable
-refinement of that start, which is where the worklist stops. The start
-must be evidence-free: from a
-colouring that already holds some evidence, a newly observed RV can belong
-with an RV observed before to the same value, and refinement never merges.
-The round-based loop above stays the from-scratch path: its colour ids
-are those of sorted signatures, which the worklist does not produce.
+The rounds above are the reference that defines colour ids
+(``colour_passing_step``, ``refine_to_fixpoint``). The library itself
+colours a graph with a worklist of splitter classes instead: counting
+colour refinement (Berkholz, Bonsma and Grohe, ESA 2013), which runs on
+classes of node numbers (``_Partition``) and revisits only the
+neighbourhoods of classes that split (``_refine``). A splitter class gives
+each neighbour the multiset of ports of its edges into the class, and the
+neighbours' classes split by it. The coarsest stable refinement of a start
+is unique, so the worklist finds the partition of ``refine_to_fixpoint``;
+only the colour ids differ, and a ``Grouping`` has none. There are two
+starts:
+
+- From scratch (``run_colour_passing``): the initial colours, every class
+  a splitter. No class may be left out, because the initial colours do
+  not encode degree.
+- Evidence (``_refined_grouping``): evidence changes only the signatures
+  of the observed RVs, so inference refines the stable colouring of the
+  same graph with its evidence cleared, built once per structure and
+  tables and shared with the graph's ``with_evidence`` copies. The
+  observed RVs' classes split by value, and only the parts split off
+  become splitters. The observed graph's initial colours refine the
+  evidence-free ones, and refinement to a stable colouring preserves
+  that, so the observed stable colouring refines the meet of the
+  evidence-free stable colouring and the observed initial colours, which
+  is where the worklist starts. Being the coarsest stable partition that
+  refines the observed initial colours, it is then also the coarsest
+  stable refinement of that start, which is where the worklist stops. The
+  start must be evidence-free: from a colouring that already holds some
+  evidence, a newly observed RV can belong with an RV observed before to
+  the same value, and refinement never merges.
 
 The fixpoint partition is packaged as a :class:`Grouping`: the classes,
-and for each factor class one table, its first member's. A class is exact
-when every member's table is an axis permutation of that table, bit for
-bit, which is when they all share its canonical key (``_is_exact``, one
-key lookup per distinct table). :func:`grounded_equivalence_check` asks
+each sorted by id once, when the grouping is built, and for each factor
+class one table, its first member's. A class is exact when every
+member's table is an axis permutation of that table, bit for bit, which
+is when they all share its canonical key (``_is_exact``, one key lookup
+per distinct table). :func:`grounded_equivalence_check` asks
 that of every class, in time linear in the graph, and ``grouping_report``
 marks a class that fails it. That implies equal joints, and is stricter
 than comparing them: a member that is a constant multiple of its class
@@ -65,6 +75,7 @@ difference.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
@@ -385,58 +396,137 @@ def run_colour_passing(
     rtol: float = 0.0,
     unknown_tags: Mapping[str, Hashable] | None = None,
 ) -> Grouping:
-    """Full colour passing: initial colours, refinement, grouping.
+    """Full colour passing: the grouping of ``refine_to_fixpoint`` from
+    ``initial_colouring``, found by the splitter worklist (``_refine``) with
+    every initial class queued.
 
     ``unknown_tags`` pre-colours unknown factors (see initial_colouring);
     without it the graph must be fully known.
     """
-    colouring = refine_to_fixpoint(fg, initial_colouring(fg, rtol, unknown_tags))
-    return grouping_from_colouring(fg, colouring)
+    return _stable_colouring(fg, rtol, unknown_tags).grouping
 
 
-def _evidence_free_grouping(fg: FactorGraph) -> Grouping:
-    """``run_colour_passing`` of ``fg`` with every RV's evidence cleared.
-    Built once per structure and tables, and shared with the graph's
+@dataclass
+class _Partition:
+    """Classes of node numbers: RVs by position in ``FactorGraph.rvs``, then
+    factors by position after them. Class c holds ``order[start[c]:end[c]]``,
+    and node v sits at ``order[place[v]]`` in class ``colour[v]``, so a
+    split moves only the nodes it touches."""
+
+    colour: list[int]
+    order: list[int]
+    place: list[int]
+    start: list[int]
+    end: list[int]
+
+    @classmethod
+    def of(cls, colour: list[int]) -> "_Partition":
+        """The classes of dense colours ``0 <= colour[v] < k``, class c for colour c."""
+        order = np.argsort(colour, kind="stable")
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        size = np.bincount(colour)
+        end = np.cumsum(size)
+        return cls(colour, order.tolist(), place.tolist(), (end - size).tolist(), end.tolist())
+
+    def copy(self) -> "_Partition":
+        return _Partition(*map(list, vars(self).values()))
+
+    def members(self, c: int) -> list[int]:
+        return self.order[self.start[c] : self.end[c]]
+
+    def split(self, keys: Mapping[int, Hashable]) -> list[int]:
+        """Split each class met in ``keys`` by key, its nodes outside ``keys``
+        apart, and return the new class ids. The largest part of a class
+        keeps its id. The touched nodes move to the front of their class, so
+        this costs what it touches."""
+        colour, order, place, start, end = self.colour, self.order, self.place, self.start, self.end
+        touched: dict[int, dict[Hashable, list[int]]] = defaultdict(lambda: defaultdict(list))
+        for v, key in keys.items():
+            touched[colour[v]][key].append(v)
+        new: list[int] = []
+        for c, by_key in touched.items():
+            parts = list(by_key.values())
+            i, b = start[c], end[c]
+            if len(parts) == 1 and len(parts[0]) == b - i:
+                continue
+            cuts = [i]
+            for part in parts:
+                for v in part:
+                    j, w = place[v], order[i]
+                    order[i], order[j], place[v], place[w] = v, w, i, j
+                    i += 1
+                cuts.append(i)
+            if i < b:
+                cuts.append(b)
+            ranges = list(zip(cuts, cuts[1:]))
+            keep = max(ranges, key=lambda r: r[1] - r[0])
+            start[c], end[c] = keep
+            for x, y in ranges:
+                if (x, y) != keep:
+                    for v in order[x:y]:
+                        colour[v] = len(start)
+                    new.append(len(start))
+                    start.append(x)
+                    end.append(y)
+        return new
+
+
+def _adjacency(fg: FactorGraph) -> tuple[list[int], list[int], list[int]]:
+    """Neighbours of every node, numbered as in ``_Partition``, and a weight
+    per edge: node u's are ``neighbour[i]`` and ``weight[i]`` for
+    ``offset[u] <= i < offset[u + 1]``. An edge at port p weighs ``B**p``,
+    with B above every node's degree, so a sum of weights over some of a
+    node's edges names the multiset of their ports. Shared with the graph's
     ``with_evidence`` copies."""
 
-    def build() -> Grouping:
-        stored = {rv.id: None for rv in fg.rvs if rv.evidence is not None}
-        return run_colour_passing(fg.with_evidence(stored) if stored else fg)
+    def build() -> tuple[list[int], list[int], list[int]]:
+        inc = fg.incidence
+        ports, n_ports = _ports(fg)
+        arity = np.diff(inc.start)
+        base = max(int(inc.degree.max(initial=0)), int(arity.max(initial=0))) + 1
+        weight_of = [base**p for p in range(n_ports)]
+        neighbour = np.concatenate((inc.factor[inc.by_rv] + len(inc.rv_ids), inc.rv))
+        port = np.concatenate((ports[inc.by_rv], ports)).tolist()
+        offset = np.concatenate((inc.rv_start, inc.start[1:] + len(inc.rv)))
+        return neighbour.tolist(), list(map(weight_of.__getitem__, port)), offset.tolist()
 
-    return fg.memo("colours.evidence_free", build, tables_only=True)
+    return fg.memo("colours.adjacency", build, tables_only=True)
+
+
+def _refine(fg: FactorGraph, partition: _Partition, work: list[int]) -> None:
+    """Refine ``partition`` in place to its coarsest stable refinement by a
+    splitter worklist, starting with the classes ``work``.
+
+    A splitter class gives each neighbour the multiset of ports of its
+    edges into the class (a sum of edge weights, ``_adjacency``), and only
+    the classes of those neighbours split, by that multiset. Whenever a
+    class splits, every part but the largest joins the worklist; a class
+    waiting there keeps its place, so then every part waits. The largest
+    part may wait out because the neighbours already agreed on their edges
+    into the whole class, and then agree on the edges into it once they
+    agree on those into the other parts. So ``work`` may leave out only a
+    class whose neighbours agree on their edges into it.
+    """
+    neighbour, weight, offset = _adjacency(fg)
+    members, split = partition.members, partition.split
+    while work:
+        keys: dict[int, int] = {}
+        for u in members(work.pop()):
+            for i in range(offset[u], offset[u + 1]):
+                v = neighbour[i]
+                keys[v] = keys.get(v, 0) + weight[i]
+        work += split(keys)
 
 
 @dataclass(frozen=True, eq=False)
 class _StableColouring:
-    """A stable colouring over node numbers: RVs by position in
-    ``FactorGraph.rvs``, then factors by position after them. ``members``
-    lists each class's nodes and ``classes`` each class as a ``Grouping``
-    holds it: sorted RV ids, or a ``FactorClass``."""
+    """A stable ``partition``, each class as ``grouping`` holds it
+    (``classes``: sorted RV ids, or a ``FactorClass``), and the grouping."""
 
-    colour: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
+    partition: _Partition
     classes: tuple[tuple[str, ...] | FactorClass, ...]
-
-
-def _evidence_free_colouring(fg: FactorGraph) -> _StableColouring:
-    """``_evidence_free_grouping`` over node numbers; shared like it."""
-
-    def build() -> _StableColouring:
-        grouping = _evidence_free_grouping(fg)
-        inc = fg.incidence
-        n_rv = len(inc.rv_ids)
-        members = tuple(tuple(map(inc.rv_position.__getitem__, c)) for c in grouping.rv_classes)
-        members += tuple(
-            tuple(n_rv + inc.factor_position[f] for f in c.members) for c in grouping.factor_classes
-        )
-        colour = [0] * (n_rv + len(inc.factor_ids))
-        for c, part in enumerate(members):
-            for v in part:
-                colour[v] = c
-        classes = (*grouping.rv_classes, *grouping.factor_classes)
-        return _StableColouring(tuple(colour), members, classes)
-
-    return fg.memo("colours.evidence_free_numbered", build, tables_only=True)
+    grouping: Grouping
 
 
 def _class_of(fg: FactorGraph, part: Sequence[int]) -> tuple[str, ...] | FactorClass:
@@ -449,79 +539,64 @@ def _class_of(fg: FactorGraph, part: Sequence[int]) -> tuple[str, ...] | FactorC
     return FactorClass(members, fg.factor(members[0]).table)
 
 
-def _adjacency(fg: FactorGraph) -> tuple[list[int], list[int], list[int]]:
-    """Neighbours and ports of every node, numbered as in ``_StableColouring``:
-    node u's are ``neighbour[i]`` and ``port[i]`` for ``offset[u] <= i <
-    offset[u + 1]``. Shared with the graph's ``with_evidence`` copies."""
-
-    def build() -> tuple[list[int], list[int], list[int]]:
-        inc = fg.incidence
-        ports = _ports(fg)[0]
-        neighbour = np.concatenate((inc.factor[inc.by_rv] + len(inc.rv_ids), inc.rv))
-        port = np.concatenate((ports[inc.by_rv], ports))
-        offset = np.concatenate((inc.rv_start, inc.start[1:] + len(inc.rv)))
-        return neighbour.tolist(), port.tolist(), offset.tolist()
-
-    return fg.memo("colours.adjacency", build, tables_only=True)
-
-
-def _refined_grouping(fg: FactorGraph) -> Grouping:
-    """The grouping of ``run_colour_passing(fg)`` for a fully known ``fg``,
-    refined from its kept evidence-free colouring (``_evidence_free_colouring``)
-    by a splitter worklist, so the work follows what the evidence splits.
-
-    The observed RVs' classes split by evidence value. Whenever a class
-    splits, every part but the largest joins the worklist; a class waiting
-    there keeps its place, so then every part waits. A splitter class gives
-    each neighbour the multiset of ports of its edges into the class, and
-    only the classes of those neighbours split, by that multiset. The
-    worklist empties at the coarsest stable refinement of the start.
-    """
-    observed = {v: rv.evidence for v, rv in enumerate(fg.rvs) if rv.evidence is not None}
-    if not observed:
-        return _evidence_free_grouping(fg)
-    base = _evidence_free_colouring(fg)
-    colour = list(base.colour)
-    members: list[Sequence[int]] = list(base.members)
-    work: list[int] = []
-
-    def split(keys: Mapping[int, Hashable]) -> None:
-        """Split each class met in ``keys`` by key, its other members apart."""
-        touched: dict[int, dict[Hashable, list[int]]] = {}
-        for v, key in keys.items():
-            touched.setdefault(colour[v], {}).setdefault(key, []).append(v)
-        for c, by_key in touched.items():
-            parts = list(by_key.values())
-            if sum(map(len, parts)) < len(members[c]):
-                parts.append([v for v in members[c] if v not in keys])
-            if len(parts) == 1:
-                continue
-            parts.sort(key=len, reverse=True)
-            members[c] = parts[0]
-            for part in parts[1:]:
-                for v in part:
-                    colour[v] = len(members)
-                work.append(len(members))
-                members.append(part)
-
-    neighbour, port, offset = _adjacency(fg)
-    split(observed)
-    while work:
-        ports: dict[int, list[int]] = {}
-        for u in members[work.pop()]:
-            for i in range(offset[u], offset[u + 1]):
-                ports.setdefault(neighbour[i], []).append(port[i])
-        split({v: tuple(sorted(p)) for v, p in ports.items()})
-    kept = len(base.members)
-    classes = [
-        base.classes[c] if c < kept and part is base.members[c] else _class_of(fg, part)
-        for c, part in enumerate(members)
-    ]
+def _grouping(classes: Sequence[tuple[str, ...] | FactorClass]) -> Grouping:
+    """The grouping of ``classes``, each as a ``Grouping`` holds it."""
     factor_classes = [c for c in classes if isinstance(c, FactorClass)]
     return Grouping(
         tuple(sorted(c for c in classes if not isinstance(c, FactorClass))),
         tuple(sorted(factor_classes, key=lambda c: c.members)),
     )
+
+
+def _stable_colouring(
+    fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
+) -> _StableColouring:
+    """The coarsest stable refinement of ``initial_colouring(fg, rtol,
+    unknown_tags)``. Every initial class is a splitter, since the initial
+    colours do not encode degree."""
+    start = initial_colouring(fg, rtol, unknown_tags)
+    inc = fg.incidence
+    colour = list(map(start.rv_colours.__getitem__, inc.rv_ids))
+    colour += map(start.factor_colours.__getitem__, inc.factor_ids)
+    partition = _Partition.of(colour)
+    _refine(fg, partition, list(range(len(partition.start))))
+    classes = tuple(_class_of(fg, partition.members(c)) for c in range(len(partition.start)))
+    return _StableColouring(partition, classes, _grouping(classes))
+
+
+def _evidence_free_colouring(fg: FactorGraph) -> _StableColouring:
+    """The stable colouring of ``fg`` with every RV's evidence cleared.
+    Built once per structure and tables, and shared with the graph's
+    ``with_evidence`` copies."""
+
+    def build() -> _StableColouring:
+        stored = {rv.id: None for rv in fg.rvs if rv.evidence is not None}
+        free = fg.with_evidence(stored) if stored else fg
+        return _stable_colouring(free)
+
+    return fg.memo("colours.evidence_free", build, tables_only=True)
+
+
+def _refined_grouping(fg: FactorGraph) -> Grouping:
+    """The grouping of ``run_colour_passing(fg)`` for a fully known ``fg``,
+    refined from its kept evidence-free colouring (``_evidence_free_colouring``):
+    the observed RVs' classes split by evidence value, and only the parts
+    split off join the worklist (``_refine``), so the work follows what the
+    evidence splits. A class that did not split keeps its kept entry.
+    """
+    base = _evidence_free_colouring(fg)
+    observed = {v: rv.evidence for v, rv in enumerate(fg.rvs) if rv.evidence is not None}
+    if not observed:
+        return base.grouping
+    kept = base.partition
+    partition = kept.copy()
+    _refine(fg, partition, partition.split(observed))
+    sizes = [y - x for x, y in zip(partition.start, partition.end)]
+    return _grouping([
+        base.classes[c] if c < len(base.classes) and size == kept.end[c] - kept.start[c]
+        else _class_of(fg, partition.members(c))
+        for c, size in enumerate(sizes)
+    ])
 
 
 def _is_exact(fg: FactorGraph, cls: FactorClass) -> bool:

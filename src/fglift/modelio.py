@@ -57,7 +57,7 @@ def parse_model(text: str) -> FactorGraph:
     """
     rvs: list[RandomVariable] = []
     factors: list[Factor] = []
-    rv_by_id: dict[str, RandomVariable] = {}
+    size: dict[str, int] = {}  # each declared RV's range size
     factor_ids: set[str] = set()
     # a token enters these only once it has parsed, so a malformed one is
     # reported, with its line, wherever it first appears
@@ -69,7 +69,7 @@ def parse_model(text: str) -> FactorGraph:
             if len(tokens) != 3:
                 raise ParseError(lineno, f"expected 'rv <name> <values>', got {len(tokens)} tokens")
             name = tokens[1]
-            if name in rv_by_id or name in factor_ids:
+            if name in size or name in factor_ids:
                 raise ParseError(lineno, f"duplicate node name {name!r}")
             spec = ranges.get(tokens[2])
             if spec is None:
@@ -78,19 +78,20 @@ def parse_model(text: str) -> FactorGraph:
                     spec = ranges[tokens[2]] = RangeSpec(values)
                 except ValueError as e:
                     raise ParseError(lineno, str(e)) from None
-            rv = RandomVariable(name, spec)
-            rvs.append(rv)
-            rv_by_id[name] = rv
+            rvs.append(RandomVariable(name, spec))
+            size[name] = len(spec.values)
         elif kind == "factor":
             if len(tokens) < 4:
                 raise ParseError(lineno, "expected 'factor <name> known|unknown <args> [<entries>]'")
             name, state = tokens[1], tokens[2]
-            if name in rv_by_id or name in factor_ids:
+            if name in size or name in factor_ids:
                 raise ParseError(lineno, f"duplicate node name {name!r}")
             args = _split_csv(tokens[3], lineno, "argument")
-            for a in args:
-                if a not in rv_by_id:
-                    raise ParseError(lineno, f"factor {name!r} references undeclared RV {a!r}")
+            try:
+                shape = tuple(map(size.__getitem__, args))
+            except KeyError:
+                undeclared = next(a for a in args if a not in size)
+                raise ParseError(lineno, f"factor {name!r} references undeclared RV {undeclared!r}") from None
             table = None
             if state == "unknown":
                 if len(tokens) != 4:
@@ -98,7 +99,6 @@ def parse_model(text: str) -> FactorGraph:
             elif state == "known":
                 if len(tokens) != 5:
                     raise ParseError(lineno, "known factor needs exactly one entries list")
-                shape = tuple(len(rv_by_id[a].range) for a in args)
                 key = (shape, tokens[4])
                 table = tables.get(key)
                 if table is None:
@@ -138,17 +138,19 @@ def _fmt(x: float) -> str:
 def serialize_model(fg: FactorGraph) -> str:
     """Render a FactorGraph in the model format (evidence is not part of it).
 
-    Each distinct table's entries are formatted once.
+    Each distinct range's values are checked and joined once, and each
+    distinct table's entries formatted once. Arguments are not checked
+    again: each names an RV whose id was checked on its ``rv`` line.
     """
     lines: list[str] = []
+    values_of = cache(lambda spec: ",".join(_check_token(v, "range value") for v in spec.values))
     entries_of = cache(lambda table: ",".join(_fmt(x) for x in table.entries))
     for rv in fg.rvs:
         _check_token(rv.id, "rv name")
-        values = ",".join(_check_token(v, "range value") for v in rv.range.values)
-        lines.append(f"rv {rv.id} {values}")
+        lines.append(f"rv {rv.id} {values_of(rv.range)}")
     for f in fg.factors:
         _check_token(f.id, "factor name")
-        args = ",".join(_check_token(a, "argument") for a in f.args)
+        args = ",".join(f.args)
         if f.table is None:
             lines.append(f"factor {f.id} unknown {args}")
         else:

@@ -11,7 +11,11 @@ group-and-number loops for RVs, known factors and tags (the library must
 give the same colour ids), a grounded check that compares the two
 enumerated joints, and one that rebuilds every member from its class table
 by an alignment computed here (the library's canonical-key check, and the
-``exact=no`` flags of its report, must agree with both).
+``exact=no`` flags of its report, must agree with both). The library's own
+round loop (``refine_to_fixpoint``), checked against the first reference,
+is in turn the reference for the splitter worklist that
+``run_colour_passing`` and evidence refinement run: their groupings must
+be the same, tables included.
 """
 import numpy as np
 import pytest
@@ -752,14 +756,161 @@ def test_a_table_holding_nan_is_never_exact():
     assert grouping_report(grouping, g).endswith("members=u exact=no\n")
 
 
+# -- the splitter worklist against the round loop ---------------------------
+
+
+def rounds_grouping(fg, rtol=0.0, tags=None):
+    """The reference grouping: the round loop from the initial colours."""
+    return grouping_from_colouring(fg, refine_to_fixpoint(fg, initial_colouring(fg, rtol, tags)))
+
+
+def assert_colours_like_rounds(fg, rtol=0.0, tags=None):
+    """``run_colour_passing`` gives the round loop's grouping, tables included."""
+    grouping = run_colour_passing(fg, rtol, tags)
+    assert grouping == rounds_grouping(fg, rtol, tags)
+    return grouping
+
+
+def chain_of(n, table):
+    """A path of ``n`` boolean RVs, one ``table`` factor per link."""
+    rvs = [RandomVariable(f"x{i}", BOOL_RANGE) for i in range(n)]
+    return FactorGraph(rvs, [Factor(f"f{i}", (f"x{i}", f"x{i + 1}"), table) for i in range(n - 1)])
+
+
+def ring_of(n, table):
+    """A cycle of ``n`` boolean RVs, one ``table`` factor per link."""
+    rvs = [RandomVariable(f"x{i}", BOOL_RANGE) for i in range(n)]
+    return FactorGraph(rvs, [Factor(f"f{i}", (f"x{i}", f"x{(i + 1) % n}"), table) for i in range(n)])
+
+
+def arity_3_stars(rng):
+    """Two stars of five arity-3 factors around a hub ``h``: one table
+    symmetric in all three axes, with the hub at a different position in
+    every other factor, and one symmetric in its last two axes only."""
+    weight = rng.uniform(0.5, 4.0, (2, 2, 2))
+    cells = list(np.ndindex(2, 2, 2))
+    full = PotentialTable((2, 2, 2), [float(weight[tuple(sorted(c))]) for c in cells])
+    last_two = PotentialTable((2, 2, 2), [float(weight[(c[0], *sorted(c[1:]))]) for c in cells])
+    for table in (full, last_two):
+        rvs = [RandomVariable("h", BOOL_RANGE)]
+        factors = []
+        for i in range(5):
+            rvs += [RandomVariable(f"a{i}", BOOL_RANGE), RandomVariable(f"b{i}", BOOL_RANGE)]
+            args = ("h", f"a{i}", f"b{i}") if table is last_two or i % 2 else (f"a{i}", "h", f"b{i}")
+            factors.append(Factor(f"g{i}", args, table))
+        yield FactorGraph(rvs, factors)
+
+
+def test_worklist_matches_rounds_on_generated_forests():
+    # complete graphs, with stored evidence, and incomplete ones with their
+    # unknowns tagged, from d = 4 to 2048
+    rng = np.random.default_rng(887)
+    for d, p, seed in [(4, 0.5, 1), (8, 0.3, 2), (16, 0.7, 3), (64, 0.5, 4), (256, 0.3, 5), (2048, 0.5, 1)]:
+        cfg = ExperimentConfig(
+            d=d, p=p, unknown_fraction=0.2, cohorts=min(3 + seed % 3, max_cohorts(d, p)),
+            queries_per_instance=3, theta=0.0, seed=seed, standard_grids=False,
+        )
+        inst = generate_instance(cfg)
+        truth = inst.truth
+        assert_colours_like_rounds(truth)
+        observed = _observe(truth, rng.choice(truth.rv_ids, 5, replace=False), rng)
+        assert_colours_like_rounds(truth.with_evidence(observed))
+        unknown = inst.incomplete.unknown_factor_ids
+        assert unknown
+        for n_tags in (1, 3):
+            tags = {u: int(rng.integers(n_tags)) for u in unknown}
+            assert_colours_like_rounds(inst.incomplete, 0.0, tags)
+
+
+def test_worklist_matches_rounds_where_unknowns_stay_unresolved():
+    # theta = 1 leaves every unknown without a unanimous donor class
+    # unresolved; complete_and_lift colours the completed graph with the
+    # unresolved unknowns tagged by their neighbour profiles
+    unresolved = 0
+    for fg, bk, _ in completion_cases(np.random.default_rng(2029)):
+        for rtol in (0.0, 1e-6):
+            result = complete_and_lift(fg, 1.0, bk, rtol)
+            tags = {u: transfer._neighbour_profile(fg, u) for u in result.report.unresolved}
+            assert result.grouping == rounds_grouping(result.completed, rtol, tags)
+            unresolved += len(tags)
+    assert unresolved > 100
+
+
+def test_worklist_matches_rounds_within_rtol():
+    # near-equal tables: steps of 0.6e-6 chain into one class within 1e-6,
+    # steps of 1.2e-6 and more do not
+    rng = np.random.default_rng(889)
+    for trial in range(60):
+        g = random_graph(rng, n_rvs=6 + trial % 5, n_factors=8 + trial % 7, max_arity=3, pool_size=2)
+        for graph in (g, jittered(g, rng), jittered(permuted(g, rng), rng)):
+            for rtol in (0.0, 1e-6):
+                assert_colours_like_rounds(graph, rtol)
+    truth = generate_instance(ExperimentConfig(
+        d=128, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=9,
+    )).truth
+    near = jittered(truth, rng)
+    assert len(assert_colours_like_rounds(near, 1e-6).factor_classes) < len(
+        assert_colours_like_rounds(near).factor_classes
+    )
+
+
+def test_worklist_matches_rounds_on_the_criterion_6_graphs():
+    for g in criterion_6_graphs():
+        assert_colours_like_rounds(g)
+
+
+def test_worklist_matches_rounds_on_a_long_chain_and_a_ring():
+    for values in (SYMMETRIC_2x2, ASYMMETRIC_2x2):
+        table = PotentialTable((2, 2), values)
+        chain = chain_of(200, table)
+        # the chain splits by distance from its ends, one link per round
+        assert len(assert_colours_like_rounds(chain).rv_classes) == (100 if values == SYMMETRIC_2x2 else 200)
+        assert len(assert_colours_like_rounds(chain.with_evidence({"x7": "true"})).rv_classes) == 200
+        ring = ring_of(12, table)
+        assert len(assert_colours_like_rounds(ring).rv_classes) == 1
+        assert_colours_like_rounds(ring.with_evidence({"x0": "true"}))
+
+
+def test_worklist_matches_rounds_with_symmetric_arity_3_tables():
+    for fg in arity_3_stars(np.random.default_rng(863)):
+        leaves = frozenset(r for r in fg.rv_ids if r != "h")
+        assert assert_colours_like_rounds(fg).rv_partition() == {frozenset({"h"}), leaves}
+        assert_colours_like_rounds(fg.with_evidence({"a0": "true", "b1": "false"}))
+
+
+def test_worklist_tells_port_multisets_apart():
+    # x sits at port 0 of two factors, y1 and y2 at port 1 of one each:
+    # neither the degree nor the sum of port labels alone tells them apart
+    table = PotentialTable((2, 2), ASYMMETRIC_2x2)
+    rvs = [RandomVariable(r, BOOL_RANGE) for r in ("x", "y1", "y2")]
+    fg = FactorGraph(rvs, [Factor("f1", ("x", "y1"), table), Factor("f2", ("x", "y2"), table)])
+    assert assert_colours_like_rounds(fg).rv_partition() == {frozenset({"x"}), frozenset({"y1", "y2"})}
+
+
+def test_worklist_is_independent_of_insertion_order():
+    rng = np.random.default_rng(893)
+    graphs = [chain_of(60, PotentialTable((2, 2), ASYMMETRIC_2x2))]
+    graphs += list(arity_3_stars(rng))
+    for d, seed in [(32, 2), (128, 7)]:
+        inst = generate_instance(ExperimentConfig(
+            d=d, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=seed,
+        ))
+        graphs += [inst.truth, inst.incomplete]
+    for fg in graphs:
+        tags = {u: len(fg.factor(u).args) for u in fg.unknown_factor_ids}
+        backwards = FactorGraph(fg.rvs[::-1], fg.factors[::-1])
+        assert assert_colours_like_rounds(backwards, 0.0, tags) == run_colour_passing(fg, 0.0, tags)
+
+
 # -- refinement of the kept evidence-free colouring -------------------------
 
 
 def assert_refines_like_scratch(fg, evidence=None):
     """The grouping refined from the kept evidence-free colouring, for ``fg``
-    with ``evidence`` stored, is the from-scratch one, tables included."""
+    with ``evidence`` stored, is the round loop's from the observed graph's
+    initial colours, tables included."""
     observed = fg.with_evidence(evidence) if evidence else fg
-    assert _refined_grouping(observed) == run_colour_passing(observed)
+    assert _refined_grouping(observed) == rounds_grouping(observed)
     return observed
 
 
@@ -802,10 +953,9 @@ def test_refinement_matches_scratch_on_the_criterion_6_graphs():
 
 
 def test_refinement_matches_scratch_on_a_long_chain_and_a_ring():
-    rvs = [RandomVariable(f"x{i}", BOOL_RANGE) for i in range(200)]
     for values in (SYMMETRIC_2x2, ASYMMETRIC_2x2):
         table = PotentialTable((2, 2), values)
-        fg = FactorGraph(rvs, [Factor(f"f{i}", (f"x{i}", f"x{i + 1}"), table) for i in range(199)])
+        fg = chain_of(200, table)
         for end in ("x0", "x199"):
             observed = assert_refines_like_scratch(fg, {end: "true"})
             # seen from one observed end, every RV is told apart
@@ -813,7 +963,7 @@ def test_refinement_matches_scratch_on_a_long_chain_and_a_ring():
         # on a ring every RV sits at port 0 of one factor and port 1 of the
         # next, so where the table is asymmetric only the ports tell the two
         # directions from an observed RV apart
-        ring = FactorGraph(rvs[:12], [Factor(f"f{i}", (f"x{i}", f"x{(i + 1) % 12}"), table) for i in range(12)])
+        ring = ring_of(12, table)
         assert len(run_colour_passing(ring).rv_classes) == 1
         observed = assert_refines_like_scratch(ring, {"x0": "true"})
         assert len(run_colour_passing(observed).rv_classes) == (7 if values == SYMMETRIC_2x2 else 12)
@@ -881,22 +1031,8 @@ def test_refinement_with_stored_and_passed_evidence():
 
 
 def test_refinement_with_symmetric_arity_3_tables():
-    # ports are orbits: a table symmetric in all three axes, with the hub at
-    # a different position in every other factor, and one symmetric in its
-    # last two axes only
-    rng = np.random.default_rng(863)
-    weight = rng.uniform(0.5, 4.0, (2, 2, 2))
-    cells = list(np.ndindex(2, 2, 2))
-    full = PotentialTable((2, 2, 2), [float(weight[tuple(sorted(c))]) for c in cells])
-    last_two = PotentialTable((2, 2, 2), [float(weight[(c[0], *sorted(c[1:]))]) for c in cells])
-    for table in (full, last_two):
-        rvs = [RandomVariable("h", BOOL_RANGE)]
-        factors = []
-        for i in range(5):
-            rvs += [RandomVariable(f"a{i}", BOOL_RANGE), RandomVariable(f"b{i}", BOOL_RANGE)]
-            args = ("h", f"a{i}", f"b{i}") if table is last_two or i % 2 else (f"a{i}", "h", f"b{i}")
-            factors.append(Factor(f"g{i}", args, table))
-        fg = FactorGraph(rvs, factors)
+    # ports are orbits (see arity_3_stars)
+    for fg in arity_3_stars(np.random.default_rng(863)):
         leaves = frozenset(r for r in fg.rv_ids if r != "h")
         assert run_colour_passing(fg).rv_partition() == {frozenset({"h"}), leaves}
         for evidence in ({"a0": "true"}, {"a0": "true", "b1": "true"}, {"h": "false", "b2": "true"}):

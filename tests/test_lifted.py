@@ -35,7 +35,6 @@ import fglift.model as model
 from fglift.colours import (
     _adjacency,
     _evidence_free_colouring,
-    _evidence_free_grouping,
     _ports,
     known_table_classes,
 )
@@ -429,16 +428,16 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     fg = inst.truth
     leaves = [r for r in fg.rv_ids if fg.degree(r) == 1 and r not in inst.queries][:3]
     evidence = {r: fg.rv(r).range.values[1] for r in leaves}
-    steps, used, passes = [], [], []
-    step = colours.colour_passing_step
+    starts, used, passes = [], [], []
+    start = colours.initial_colouring
     quotient = inference._quotient
     bp = inference._counting_bp
-    monkeypatch.setattr(colours, "colour_passing_step", lambda g, c: steps.append(g) or step(g, c))
+    monkeypatch.setattr(colours, "initial_colouring", lambda g, *a: starts.append(g) or start(g, *a))
     monkeypatch.setattr(inference, "_quotient", lambda g, grouping: used.append(grouping) or quotient(g, grouping))
     monkeypatch.setattr(inference, "_counting_bp", lambda *a: passes.append(a) or bp(*a))
 
     plain = marginals(fg, inst.queries)
-    assert steps and len(passes) == 1
+    assert starts and len(passes) == 1
     # the graph's grouping is kept, the marginals are not
     assert marginals(fg, inst.queries) == plain
     assert len(passes) == 2
@@ -449,16 +448,16 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
 
     observed = fg.with_evidence(evidence)
     expected = run_colour_passing(observed)
-    del steps[:], used[:]
+    del starts[:], used[:]
     assert marginals(fg, inst.queries, evidence) == marginals(observed, inst.queries)
-    # both calls refined the kept colouring: no colour-passing round ran, and
-    # the grouping they used is the observed graph's own
-    assert steps == [] and len(passes) == 4
+    # both calls refined the kept colouring: neither coloured a graph from
+    # its initial colours, and the grouping they used is the observed graph's own
+    assert starts == [] and len(passes) == 4
     assert used == [expected, expected] and expected != own
     assert fg.memo("inference.grouping", lambda: None) is own == scratch
     # passed evidence that repeats stored evidence is no new evidence
     assert marginals(observed, inst.queries, evidence) == marginals(observed, inst.queries)
-    assert steps == [] and len(passes) == 6
+    assert starts == [] and len(passes) == 6
 
 
 def test_gate_data_is_kept_per_graph(monkeypatch):
@@ -498,7 +497,6 @@ def test_evidence_copies_share_the_table_views_and_nothing_else():
     assert np.array_equal(_ports(copy)[0], _ports(fresh)[0]) and _ports(copy)[1] == _ports(fresh)[1]
     assert copy.unknown_factor_ids == fresh.unknown_factor_ids == ()
     # the evidence-free colouring and the adjacency read no evidence
-    assert _evidence_free_grouping(copy) is _evidence_free_grouping(fg)
     assert _evidence_free_colouring(copy) is _evidence_free_colouring(fg)
     assert vars(_evidence_free_colouring(copy)) == vars(_evidence_free_colouring(fresh))
     assert _adjacency(copy) is _adjacency(fg)
@@ -513,6 +511,5 @@ def test_evidence_copies_share_the_table_views_and_nothing_else():
     changed = fg.with_tables({f.id: PotentialTable(f.table.shape, [1.0] * f.table.array.size)})
     assert known_table_classes(changed) is not known_table_classes(fg)
     assert known_table_classes(changed) == known_table_classes(FactorGraph(changed.rvs, changed.factors))
-    assert _evidence_free_grouping(changed) is not _evidence_free_grouping(fg)
     assert _evidence_free_colouring(changed) is not _evidence_free_colouring(fg)
     assert _adjacency(changed) is not _adjacency(fg)

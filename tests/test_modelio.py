@@ -5,6 +5,7 @@ import pytest
 from fglift import (
     ParseError,
     PotentialTable,
+    RangeSpec,
     parse_background,
     parse_evidence,
     parse_model,
@@ -77,6 +78,8 @@ def test_serialize_omits_evidence():
         ("rv A false\n", 1, "at least two"),
         ("rv A false,,true\n", 1, "empty entry"),
         ("factor f known A 1,2\n", 1, "undeclared"),
+        ("rv A false,true\nfactor f unknown A,Z\n", 2, "undeclared RV 'Z'"),
+        ("rv A false,true\nfactor f maybe Y,A,Z 1,2\n", 2, "factor 'f' references undeclared RV 'Y'"),
         ("rv A false,true\nfactor f known A,A 1,2,3,4\n", 2, "repeats"),
         ("rv A false,true\nfactor f known A 1,2,3\n", 2, "needs 2 entries"),
         ("rv A false,true\nfactor f known A 1,x\n", 2, "non-numeric"),
@@ -106,6 +109,13 @@ def test_serialize_rejects_unwritable_names():
     comma = FactorGraph((RandomVariable("a,b", g.rv("A").range),), ())
     with pytest.raises(ValueError):
         serialize_model(comma)
+    # a range is checked where it first appears, whichever RVs share it
+    spaced = RangeSpec(("no", "a b"))
+    shared = FactorGraph((RandomVariable("x y", spaced), RandomVariable("z", spaced)), ())
+    with pytest.raises(ValueError, match="rv name 'x y'"):
+        serialize_model(shared)
+    with pytest.raises(ValueError, match="range value 'a b'"):
+        serialize_model(FactorGraph(shared.rvs[1:], ()))
 
 
 def test_evidence_round_trip():
