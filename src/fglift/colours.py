@@ -42,10 +42,13 @@ is unique, so the worklist finds the partition of ``refine_to_fixpoint``;
 only the colour ids differ, and a ``Grouping`` has none. There are two
 starts:
 
-- From scratch (``run_colour_passing``): the initial colours, every class
+- From scratch (``_stable_colours``): the initial colours, every class
   a splitter. No class may be left out, because the initial colours do
-  not encode degree.
-- Evidence (``_refined_grouping``): evidence changes only the signatures
+  not encode degree. ``run_colour_passing`` at ``rtol == 0`` on a graph
+  with no tags and no evidence keeps this colouring per structure and
+  tables (``_evidence_free_colours``), so a graph is coloured from
+  scratch once.
+- Evidence (``_refined_colours``): evidence changes only the signatures
   of the observed RVs, so inference refines the stable colouring of the
   same graph with its evidence cleared, built once per structure and
   tables and shared with the graph's ``with_evidence`` copies. The
@@ -401,9 +404,13 @@ def run_colour_passing(
     every initial class queued.
 
     ``unknown_tags`` pre-colours unknown factors (see initial_colouring);
-    without it the graph must be fully known.
+    without it the graph must be fully known. At ``rtol == 0``, with no
+    tags and no evidence, the colouring is the graph's kept evidence-free
+    one, which inference refines and reads.
     """
-    return _stable_colouring(fg, rtol, unknown_tags).grouping
+    if rtol == 0.0 and not unknown_tags and not _observed(fg):
+        return _grouping(fg, _evidence_free_colours(fg))
+    return _grouping(fg, _stable_colours(fg, rtol, unknown_tags))
 
 
 @dataclass
@@ -420,17 +427,14 @@ class _Partition:
     end: list[int]
 
     @classmethod
-    def of(cls, colour: list[int]) -> "_Partition":
+    def of(cls, colour: np.ndarray) -> "_Partition":
         """The classes of dense colours ``0 <= colour[v] < k``, class c for colour c."""
         order = np.argsort(colour, kind="stable")
         place = np.empty_like(order)
         place[order] = np.arange(len(order))
         size = np.bincount(colour)
         end = np.cumsum(size)
-        return cls(colour, order.tolist(), place.tolist(), (end - size).tolist(), end.tolist())
-
-    def copy(self) -> "_Partition":
-        return _Partition(*map(list, vars(self).values()))
+        return cls(colour.tolist(), order.tolist(), place.tolist(), (end - size).tolist(), end.tolist())
 
     def members(self, c: int) -> list[int]:
         return self.order[self.start[c] : self.end[c]]
@@ -477,26 +481,24 @@ def _adjacency(fg: FactorGraph) -> tuple[list[int], list[int], list[int]]:
     per edge: node u's are ``neighbour[i]`` and ``weight[i]`` for
     ``offset[u] <= i < offset[u + 1]``. An edge at port p weighs ``B**p``,
     with B above every node's degree, so a sum of weights over some of a
-    node's edges names the multiset of their ports. Shared with the graph's
-    ``with_evidence`` copies."""
-
-    def build() -> tuple[list[int], list[int], list[int]]:
-        inc = fg.incidence
-        ports, n_ports = _ports(fg)
-        arity = np.diff(inc.start)
-        base = max(int(inc.degree.max(initial=0)), int(arity.max(initial=0))) + 1
-        weight_of = [base**p for p in range(n_ports)]
-        neighbour = np.concatenate((inc.factor[inc.by_rv] + len(inc.rv_ids), inc.rv))
-        port = np.concatenate((ports[inc.by_rv], ports)).tolist()
-        offset = np.concatenate((inc.rv_start, inc.start[1:] + len(inc.rv)))
-        return neighbour.tolist(), list(map(weight_of.__getitem__, port)), offset.tolist()
-
-    return fg.memo("colours.adjacency", build, tables_only=True)
+    node's edges names the multiset of their ports."""
+    inc = fg.incidence
+    ports, n_ports = _ports(fg)
+    arity = np.diff(inc.start)
+    base = max(int(inc.degree.max(initial=0)), int(arity.max(initial=0))) + 1
+    weight_of = [base**p for p in range(n_ports)]
+    neighbour = np.concatenate((inc.factor[inc.by_rv] + len(inc.rv_ids), inc.rv))
+    port = np.concatenate((ports[inc.by_rv], ports)).tolist()
+    offset = np.concatenate((inc.rv_start, inc.start[1:] + len(inc.rv)))
+    return neighbour.tolist(), list(map(weight_of.__getitem__, port)), offset.tolist()
 
 
-def _refine(fg: FactorGraph, partition: _Partition, work: list[int]) -> None:
+def _refine(
+    partition: _Partition, adjacency: tuple[list[int], list[int], list[int]], work: list[int]
+) -> None:
     """Refine ``partition`` in place to its coarsest stable refinement by a
-    splitter worklist, starting with the classes ``work``.
+    splitter worklist over the graph's ``adjacency``, starting with the
+    classes ``work``.
 
     A splitter class gives each neighbour the multiset of ports of its
     edges into the class (a sum of edge weights, ``_adjacency``), and only
@@ -508,7 +510,7 @@ def _refine(fg: FactorGraph, partition: _Partition, work: list[int]) -> None:
     agree on those into the other parts. So ``work`` may leave out only a
     class whose neighbours agree on their edges into it.
     """
-    neighbour, weight, offset = _adjacency(fg)
+    neighbour, weight, offset = adjacency
     members, split = partition.members, partition.split
     while work:
         keys: dict[int, int] = {}
@@ -517,16 +519,6 @@ def _refine(fg: FactorGraph, partition: _Partition, work: list[int]) -> None:
                 v = neighbour[i]
                 keys[v] = keys.get(v, 0) + weight[i]
         work += split(keys)
-
-
-@dataclass(frozen=True, eq=False)
-class _StableColouring:
-    """A stable ``partition``, each class as ``grouping`` holds it
-    (``classes``: sorted RV ids, or a ``FactorClass``), and the grouping."""
-
-    partition: _Partition
-    classes: tuple[tuple[str, ...] | FactorClass, ...]
-    grouping: Grouping
 
 
 def _class_of(fg: FactorGraph, part: Sequence[int]) -> tuple[str, ...] | FactorClass:
@@ -539,8 +531,11 @@ def _class_of(fg: FactorGraph, part: Sequence[int]) -> tuple[str, ...] | FactorC
     return FactorClass(members, fg.factor(members[0]).table)
 
 
-def _grouping(classes: Sequence[tuple[str, ...] | FactorClass]) -> Grouping:
-    """The grouping of ``classes``, each as a ``Grouping`` holds it."""
+def _grouping(fg: FactorGraph, colour: np.ndarray) -> Grouping:
+    """The grouping of the dense node colours ``colour``, nodes numbered as
+    in ``_Partition``: each class sorted by id once."""
+    partition = _Partition.of(colour)
+    classes = [_class_of(fg, partition.members(c)) for c in range(len(partition.start))]
     factor_classes = [c for c in classes if isinstance(c, FactorClass)]
     return Grouping(
         tuple(sorted(c for c in classes if not isinstance(c, FactorClass))),
@@ -548,55 +543,58 @@ def _grouping(classes: Sequence[tuple[str, ...] | FactorClass]) -> Grouping:
     )
 
 
-def _stable_colouring(
+def _stable_colours(
     fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
-) -> _StableColouring:
-    """The coarsest stable refinement of ``initial_colouring(fg, rtol,
-    unknown_tags)``. Every initial class is a splitter, since the initial
-    colours do not encode degree."""
+) -> np.ndarray:
+    """The class of each node, numbered as in ``_Partition``, in the coarsest
+    stable refinement of ``initial_colouring(fg, rtol, unknown_tags)``. Every
+    initial class is a splitter, since the initial colours do not encode
+    degree."""
     start = initial_colouring(fg, rtol, unknown_tags)
     inc = fg.incidence
     colour = list(map(start.rv_colours.__getitem__, inc.rv_ids))
     colour += map(start.factor_colours.__getitem__, inc.factor_ids)
-    partition = _Partition.of(colour)
-    _refine(fg, partition, list(range(len(partition.start))))
-    classes = tuple(_class_of(fg, partition.members(c)) for c in range(len(partition.start)))
-    return _StableColouring(partition, classes, _grouping(classes))
+    partition = _Partition.of(np.array(colour, np.int64))
+    _refine(partition, _adjacency(fg), list(range(len(partition.start))))
+    return np.array(partition.colour, np.int64)
 
 
-def _evidence_free_colouring(fg: FactorGraph) -> _StableColouring:
-    """The stable colouring of ``fg`` with every RV's evidence cleared.
-    Built once per structure and tables, and shared with the graph's
+def _observed(fg: FactorGraph) -> dict[int, str]:
+    """The evidence of each observed RV, by node number."""
+    return {v: rv.evidence for v, rv in enumerate(fg.rvs) if rv.evidence is not None}
+
+
+def _evidence_free_colours(fg: FactorGraph) -> np.ndarray:
+    """``_stable_colours`` of ``fg`` with every RV's evidence cleared. Built
+    once per structure and tables, and shared with the graph's
     ``with_evidence`` copies."""
 
-    def build() -> _StableColouring:
+    def build() -> np.ndarray:
         stored = {rv.id: None for rv in fg.rvs if rv.evidence is not None}
-        free = fg.with_evidence(stored) if stored else fg
-        return _stable_colouring(free)
+        return _stable_colours(fg.with_evidence(stored) if stored else fg)
 
     return fg.memo("colours.evidence_free", build, tables_only=True)
 
 
-def _refined_grouping(fg: FactorGraph) -> Grouping:
-    """The grouping of ``run_colour_passing(fg)`` for a fully known ``fg``,
-    refined from its kept evidence-free colouring (``_evidence_free_colouring``):
+def _refined_colours(fg: FactorGraph) -> np.ndarray:
+    """The partition of ``_stable_colours(fg)`` for a fully known ``fg``,
+    refined from its kept evidence-free colouring (``_evidence_free_colours``):
     the observed RVs' classes split by evidence value, and only the parts
     split off join the worklist (``_refine``), so the work follows what the
-    evidence splits. A class that did not split keeps its kept entry.
-    """
-    base = _evidence_free_colouring(fg)
-    observed = {v: rv.evidence for v, rv in enumerate(fg.rvs) if rv.evidence is not None}
-    if not observed:
-        return base.grouping
-    kept = base.partition
-    partition = kept.copy()
-    _refine(fg, partition, partition.split(observed))
-    sizes = [y - x for x, y in zip(partition.start, partition.end)]
-    return _grouping([
-        base.classes[c] if c < len(base.classes) and size == kept.end[c] - kept.start[c]
-        else _class_of(fg, partition.members(c))
-        for c, size in enumerate(sizes)
-    ])
+    evidence splits. Kept per graph; the adjacency it refines on is kept
+    per structure and tables."""
+
+    def build() -> np.ndarray:
+        free = _evidence_free_colours(fg)
+        observed = _observed(fg)
+        if not observed:
+            return free
+        partition = _Partition.of(free)
+        adjacency = fg.memo("colours.adjacency", lambda: _adjacency(fg), tables_only=True)
+        _refine(partition, adjacency, partition.split(observed))
+        return np.array(partition.colour, np.int64)
+
+    return fg.memo("colours.refined", build)
 
 
 def _is_exact(fg: FactorGraph, cls: FactorClass) -> bool:

@@ -56,51 +56,50 @@ conflicts, or every configuration consistent with it has a zero factor
 entry; it is never an overflow.
 
 ``marginals`` and ``variable_elimination`` choose their path per call.
-When some query is unobserved and the graph is a forest
-(``Incidence.is_forest``, once per structure), the passed evidence is
-stored on the RVs (``with_evidence``) and the answer comes from the
-quotient of that graph's colour-passing grouping, by counting belief
-propagation (Kersting, Ahmadi and Natarajan, UAI 2009), when the gates
-below hold; otherwise bucket elimination answers in the given ``order``,
-bit for bit and errors included, so ``order`` applies only there. The
-grouping is refined from the stable colouring of the graph with its
-evidence cleared, which the graph and its ``with_evidence`` copies share,
-by splitting only what the evidence tells apart
-(``colours._refined_grouping``); its partition is that of colouring the
-observed graph from scratch. A graph keeps its own grouping in its memo;
-an evidence call refines the grouping of its ``with_evidence`` copy, which
-lives as long as the call. Nothing query- or evidence-specific is kept:
-every call runs the messages.
-``lifted_marginals`` answers on the quotient of a caller's grouping instead.
+When some query is unobserved, the passed evidence is stored on the RVs
+(``with_evidence``) and the answer comes from the quotient of that graph's
+stable colouring, by counting belief propagation (Kersting, Ahmadi and
+Natarajan, UAI 2009), when the gates below hold; otherwise bucket
+elimination answers in the given ``order``, bit for bit and errors
+included, so ``order`` applies only there. The colouring is refined from
+the stable colouring of the graph with its evidence cleared, which the
+graph and its ``with_evidence`` copies share, by splitting only what the
+evidence tells apart (``colours._refined_colours``); its partition is that
+of colouring the observed graph from scratch. The quotient reads the
+colouring as one class number per node, kept per graph, and never as a
+``Grouping``. An evidence call refines the colouring of its
+``with_evidence`` copy, which lives as long as the call. Nothing query- or
+evidence-specific is kept: every call runs the messages.
 
-The gates, each checked in near-linear time in the graph: the bipartite
-graph is a forest; no factor is unknown; every node sits in exactly one
-class; the RVs of a class share range and evidence; every member's table
-equals its class table position by position; the RV class at each argument
-position of a factor is that of its class's first member; and every RV
-sees the multiset of (factor class, position) that its class's first
-member sees. The forest and unknown-factor tests, the RVs' signature codes
-and the factors' positions are kept per graph, so a repeated call checks
-only what depends on the grouping. Such a grouping is equitable, so on a
-forest the ground messages along two edges of one (factor class, position)
-are equal, by induction over the subtrees they summarise, and so are the
-beliefs of two RVs of one class. Belief propagation is exact on a forest,
-so one message per edge class answers every query exactly, with a message
-raised to the power of the number of edges it stands for. Messages are
-kept as logs and shifted to maximum 0 before every ``exp``; observed RVs
-send indicators. The quotient of a forest cannot be cyclic, and a zero
-normaliser means a component without mass, where the ground path raises;
-either sends the call to bucket elimination, as any failed gate does, so
-errors are the ground path's own. A coarser grouping, a transposed member
-or one merged within ``rtol > 0`` falls back too.
+The stable colouring guarantees, by construction, that every node sits in
+exactly one class, that the RVs of a class share range and evidence (the
+initial colours), and that they see equal multisets of (factor class,
+port), so equal degrees. ``check_factors`` has already refused unknown
+factors. What it does not guarantee is checked, each in near-linear time
+in the graph: the bipartite graph is a forest (once per structure); every
+member's table equals its class table position by position; the RV class
+at each argument position of a factor is that of its class's first
+member; and every RV sees the multiset of (factor class, position) that
+its class's first member sees, since a symmetric table gives two
+positions one port. A class's first member is its lowest node number.
+Such a partition is equitable, so on a forest the ground messages along
+two edges of one (factor class, position) are equal, by induction over the
+subtrees they summarise, and so are the beliefs of two RVs of one class.
+Belief propagation is exact on a forest, so one message per edge class
+answers every query exactly, with a message raised to the power of the
+number of edges it stands for. Messages are kept as logs and shifted to
+maximum 0 before every ``exp``; observed RVs send indicators. The quotient
+of a forest cannot be cyclic, and a zero normaliser means a component
+without mass, where the ground path raises; either sends the call to
+bucket elimination, as any failed gate does, so errors are the ground
+path's own. A transposed member falls back too.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, count
 from math import frexp, isfinite, log
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -110,7 +109,7 @@ from .errors import (
     InfiniteDivergence,
 )
 from .model import FactorGraph, check_factors
-from .colours import Grouping, _refined_grouping
+from .colours import Grouping, _refined_colours
 from .tables import PotentialTable
 
 _ORDERS = ("min_degree", "reverse_id")
@@ -247,13 +246,13 @@ def marginals(
     factor raises UnknownFactorPresent.
 
     On a forest the answer comes from counting belief propagation on the
-    quotient of the colour-passing grouping of the graph with the passed
-    evidence stored on its RVs, wherever that is exact; that grouping is
-    refined from the graph's kept evidence-free colouring, where the
-    evidence splits it. Otherwise bucket elimination in ``order`` answers,
-    with its errors. See the module docstring for both paths.
+    quotient of the stable colouring of the graph with the passed evidence
+    stored on its RVs, wherever that is exact; that colouring is refined
+    from the graph's kept evidence-free colouring, where the evidence
+    splits it. Otherwise bucket elimination in ``order`` answers, with its
+    errors. See the module docstring for both paths.
     """
-    return _marginals(fg, queries, evidence, order, _own_grouping)
+    return _marginals(fg, queries, evidence, order, True)
 
 
 def _ground_marginals(
@@ -263,12 +262,7 @@ def _ground_marginals(
     order: str = "min_degree",
 ) -> tuple[Marginal, ...]:
     """``marginals`` by bucket elimination on the ground graph, always."""
-    return _marginals(fg, queries, evidence, order, None)
-
-
-def _own_grouping(fg: FactorGraph) -> Grouping:
-    """``fg``'s colour-passing grouping, kept per graph."""
-    return fg.memo("inference.grouping", lambda: _refined_grouping(fg))
+    return _marginals(fg, queries, evidence, order, False)
 
 
 def _marginals(
@@ -276,11 +270,11 @@ def _marginals(
     queries: Sequence[str],
     evidence: Mapping[str, str] | None,
     order: str,
-    grouping_of: Callable[[FactorGraph], Grouping] | None,
+    lifted: bool,
 ) -> tuple[Marginal, ...]:
-    """The argument checks, then the lifted path on the quotient of
-    ``grouping_of`` (the graph with the passed evidence stored), where that is
-    exact and some query is unobserved, else bucket elimination."""
+    """The argument checks, then, if ``lifted``, the lifted path on the graph
+    with the passed evidence stored, where that is exact and some query is
+    unobserved, else bucket elimination."""
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of RV ids, not one id")
     if order not in _ORDERS:
@@ -297,15 +291,11 @@ def _marginals(
             extra[k] = v
         elif target.evidence != v:
             raise InconsistentEvidence(f"conflicting evidence for {k!r}: {target.evidence!r} vs {v!r}")
-    if (
-        grouping_of is not None
-        and any(rv.evidence is None and rv.id not in extra for rv in rvs)
-        and fg.incidence.is_forest
-    ):
+    if lifted and any(rv.evidence is None and rv.id not in extra for rv in rvs):
         g = fg.with_evidence(extra) if extra else fg
-        lifted = _quotient(g, grouping_of(g))
-        if lifted is not None:
-            rv_class, probabilities = lifted[0].tolist(), lifted[1]
+        answer = _quotient(g)
+        if answer is not None:
+            rv_class, probabilities = answer[0].tolist(), answer[1]
             position = g.incidence.rv_position
             return tuple(
                 Marginal(rv.id, rv.range.values, probabilities[rv_class[position[rv.id]]])
@@ -398,82 +388,27 @@ def _beliefs(
     return belief
 
 
-def lifted_marginals(
-    fg: FactorGraph, queries: Sequence[str], grouping: Grouping
-) -> tuple[Marginal, ...]:
-    """``marginals(fg, queries)``, answered on the quotient of a caller's
-    ``grouping`` where that is exact.
-
-    Counting belief propagation runs on the quotient when ``fg`` is a
-    fully known forest and ``grouping`` is a positional equitable partition
-    of it with exact class tables (``_quotient``; any grouping may be
-    passed). Otherwise, or when a message or belief has a zero or
-    non-finite normaliser, bucket elimination answers, with its errors.
-    Evidence is the evidence stored on the RVs.
-    """
-    return _marginals(fg, queries, None, "min_degree", lambda _: grouping)
-
-
-def _class_index(
-    classes: Sequence[Sequence[str]], position: Mapping[str, int], n: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The class of each of ``n`` nodes numbered by ``position``, and the
-    position of each class's first member; None unless every node sits in
-    exactly one non-empty class."""
-    sizes = np.fromiter(map(len, classes), np.int64, len(classes))
-    if sizes.sum() != n or not sizes.all():
-        return None
-    try:
-        members = np.fromiter(map(position.__getitem__, chain.from_iterable(classes)), np.int64, n)
-    except KeyError:
-        return None
-    index = np.full(n, -1, np.int64)
-    index[members] = np.repeat(np.arange(len(sizes)), sizes)
-    if (index < 0).any():
-        return None
-    return index, members[np.cumsum(sizes) - sizes]
-
-
-def _signature_codes(fg: FactorGraph) -> np.ndarray:
-    """Each RV's position among the first RVs of each signature, in
-    ``fg.rvs`` order; kept per graph."""
-
-    def build() -> np.ndarray:
-        first: dict[tuple, int] = {}
-        signatures = (rv.signature for rv in fg.rvs)
-        return np.fromiter(map(first.setdefault, signatures, count()), np.int64, len(fg.rvs))
-
-    return fg.memo("inference.signature_codes", build)
-
-
-def _quotient(
-    fg: FactorGraph, grouping: Grouping
-) -> tuple[np.ndarray, list[tuple[float, ...]]] | None:
+def _quotient(fg: FactorGraph) -> tuple[np.ndarray, list[tuple[float, ...]]] | None:
     """The class of each RV (by position in ``fg.rvs``) and the marginal of
-    each RV class, by counting belief propagation on the quotient; None
-    where the lifted answer would not be exact, or a normaliser is zero or
-    non-finite.
+    each RV class, by counting belief propagation on the quotient of the
+    stable colouring of a fully known ``fg`` (``colours._refined_colours``);
+    None where the lifted answer would not be exact, or a normaliser is zero
+    or non-finite.
 
-    The gates: ``fg`` is a forest with no unknown factor; every node sits in
-    exactly one class; the RVs of a class share their signature; each
-    member's table equals its class table positionally; the RV class at
+    The gates that the colouring does not guarantee: ``fg`` is a forest;
+    each member's table equals its class table positionally; the RV class at
     each argument position of a factor is the one at that position of its
     class's first member; and each RV's multiset of (factor class,
-    position) is that of its class's first member.
+    position) is that of its class's first member, the lowest node number.
     """
     inc = fg.incidence
-    if not inc.is_forest or fg.unknown_factor_ids:
+    if not inc.is_forest:
         return None
-    n_rv, n_fac = len(inc.rv_ids), len(inc.factor_ids)
-    rvs = _class_index(grouping.rv_classes, inc.rv_position, n_rv)
-    factors = _class_index([c.members for c in grouping.factor_classes], inc.factor_position, n_fac)
-    if rvs is None or factors is None:
-        return None
-    (rv_cls, rv_rep), (fac_cls, fac_rep) = rvs, factors
-    code = _signature_codes(fg)
-    if not np.array_equal(code, code[rv_rep[rv_cls]]):
-        return None
-    tables = [c.table for c in grouping.factor_classes]
+    colour = _refined_colours(fg)
+    n_rv = len(inc.rv_ids)
+    _, rv_rep, rv_cls = np.unique(colour[:n_rv], return_index=True, return_inverse=True)
+    _, fac_rep, fac_cls = np.unique(colour[n_rv:], return_index=True, return_inverse=True)
+    tables = [fg.factors[f].table for f in fac_rep.tolist()]
     for f, c in zip(fg.factors, fac_cls.tolist()):
         if not (f.table is tables[c] or f.table == tables[c]):
             return None
@@ -484,14 +419,12 @@ def _quotient(
         return None
     width = int(position.max()) + 1 if len(position) else 1
     edge = fac_cls[inc.factor] * width + position
-    # each RV's edges sorted, against its representative's at the same offsets
+    # each RV's edges sorted, against its representative's at the same
+    # offsets; the RVs of a class have equal degrees
     n_edges = len(tables) * width
-    rep = rv_rep[rv_cls]
-    if not np.array_equal(inc.degree, inc.degree[rep]):
-        return None
     owner, code = np.divmod(np.sort(inc.rv * n_edges + edge), n_edges)
     offset = np.arange(len(code)) - inc.rv_start[owner]
-    if not np.array_equal(code, code[inc.rv_start[rep[owner]] + offset]):
+    if not np.array_equal(code, code[inc.rv_start[rv_rep[rv_cls[owner]]] + offset]):
         return None
     probabilities = _counting_bp(fg, rv_rep, arg_cls, edge, tables, fac_rep, width)
     return None if probabilities is None else (rv_cls, probabilities)

@@ -184,11 +184,6 @@ class Incidence:
         return True
 
     @cached_property
-    def factor_position(self) -> dict[str, int]:
-        """Each factor id's position in ``factor_ids``."""
-        return {fid: i for i, fid in enumerate(self.factor_ids)}
-
-    @cached_property
     def factors_of(self) -> dict[str, tuple[str, ...]]:
         """Each RV's factors, in factor order."""
         out = {}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationInfeasible
-from .inference import compression_ratio, kld, lifted_marginals, marginals
+from .inference import compression_ratio, kld, marginals
 from .model import BOOL_RANGE, Factor, FactorGraph, RandomVariable, RangeSpec
 from .tables import PotentialTable
 from .transfer import complete_and_lift
@@ -428,12 +428,13 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     """Generate, complete, lift, and compare marginals against the truth.
 
     Per query the result holds KLD(truth marginal, completed-graph
-    marginal). Both graphs answer on the quotient of a colour-passing
-    grouping where that is exact: the truth graph through ``marginals``,
-    which colours it, the completed graph through ``lifted_marginals`` with
-    the grouping ``complete_and_lift`` returns, so equal graphs take the
-    same path. An instance with unresolved unknown factors is reported as
-    failed (no query rows), never silently skipped.
+    marginal). Both graphs answer through ``marginals``, on the quotient of
+    their stable colouring where that is exact, so equal graphs take the
+    same path. ``marginals`` colours the truth graph; the completed graph
+    keeps the colouring ``complete_and_lift`` made at ``rtol == 0`` with no
+    unresolved unknowns, so it is not coloured again. An instance with
+    unresolved unknown factors is reported as failed (no query rows), never
+    silently skipped.
     """
     inst = generate_instance(cfg)
     result = complete_and_lift(inst.incomplete, cfg.theta)
@@ -441,7 +442,7 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     queries: list[QueryResult] = []
     if not result.report.unresolved:
         truth = marginals(inst.truth, inst.queries)
-        completed = lifted_marginals(result.completed, inst.queries, result.grouping)
+        completed = marginals(result.completed, inst.queries)
         queries = [QueryResult(t.rv, kld(t, c)) for t, c in zip(truth, completed)]
     return InstanceResult(
         config=cfg,

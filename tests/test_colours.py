@@ -48,7 +48,7 @@ from fglift import (
     tables_equal,
 )
 from fglift import transfer
-from fglift.colours import Colouring, FactorClass, Grouping, _refined_grouping
+from fglift.colours import Colouring, FactorClass, Grouping, _grouping, _refined_colours
 from fglift.synth import max_cohorts
 from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
 from conftest import (
@@ -905,12 +905,17 @@ def test_worklist_is_independent_of_insertion_order():
 # -- refinement of the kept evidence-free colouring -------------------------
 
 
+def refined_grouping(fg):
+    """The grouping of the partition refined from ``fg``'s kept evidence-free colouring."""
+    return _grouping(fg, _refined_colours(fg))
+
+
 def assert_refines_like_scratch(fg, evidence=None):
     """The grouping refined from the kept evidence-free colouring, for ``fg``
     with ``evidence`` stored, is the round loop's from the observed graph's
     initial colours, tables included."""
     observed = fg.with_evidence(evidence) if evidence else fg
-    assert _refined_grouping(observed) == rounds_grouping(observed)
+    assert refined_grouping(observed) == rounds_grouping(observed)
     return observed
 
 
@@ -1047,6 +1052,6 @@ def test_refinement_is_independent_of_insertion_order():
         )).truth
         backwards = FactorGraph(fg.rvs[::-1], fg.factors[::-1])
         evidence = _observe(fg, rng.choice(fg.rv_ids, 5, replace=False), rng)
-        grouping = _refined_grouping(fg.with_evidence(evidence))
+        grouping = refined_grouping(fg.with_evidence(evidence))
         assert_refines_like_scratch(backwards, evidence)
-        assert _refined_grouping(backwards.with_evidence(evidence)) == grouping
+        assert refined_grouping(backwards.with_evidence(evidence)) == grouping

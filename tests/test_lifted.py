@@ -1,7 +1,7 @@
 """Lifted marginals: counting belief propagation on the quotient of a
-grouping, against the ground function ``_ground_marginals``, and the
-fallback to it; the path ``marginals`` and ``variable_elimination`` choose;
-and the per-graph state that path keeps."""
+graph's own stable colouring, against the ground function
+``_ground_marginals``, and the fallback to it; the path ``marginals`` and
+``variable_elimination`` choose; and the per-graph state that path keeps."""
 import sys
 from pathlib import Path
 
@@ -12,33 +12,35 @@ from fglift import (
     BOOL_RANGE,
     ExperimentConfig,
     Factor,
-    FactorClass,
     FactorGraph,
-    Grouping,
     InconsistentEvidence,
     PotentialTable,
     RandomVariable,
+    RangeSpec,
     UnknownFactorPresent,
     UnknownNode,
     complete_and_lift,
     generate_instance,
-    lifted_marginals,
     marginals,
     parse_model,
     run_colour_passing,
+    run_experiment,
     state_space_size,
     variable_elimination,
 )
 import fglift.colours as colours
 import fglift.inference as inference
 import fglift.model as model
+import fglift.synth as synth
 from fglift.colours import (
     _adjacency,
-    _evidence_free_colouring,
+    _evidence_free_colours,
+    _grouping,
     _ports,
+    _refined_colours,
     known_table_classes,
 )
-from fglift.inference import _ground_marginals, _quotient, _signature_codes
+from fglift.inference import _ground_marginals, _quotient
 from fglift.transfer import _profile_ids
 from fglift.synth import max_cohorts
 from conftest import ASYMMETRIC_2x2, chain_graph, random_graph
@@ -49,8 +51,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 ORDERS = ("min_degree", "reverse_id")
 
 
-def assert_close_to_ground(fg, grouping, queries, tol=1e-12):
-    got = lifted_marginals(fg, queries, grouping)
+def assert_close_to_ground(fg, queries, tol=1e-12):
+    got = marginals(fg, queries)
     expected = _ground_marginals(fg, queries)
     assert [m.rv for m in got] == list(queries)
     for m, e in zip(got, expected):
@@ -58,9 +60,9 @@ def assert_close_to_ground(fg, grouping, queries, tol=1e-12):
         assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=tol)
 
 
-def assert_falls_back(fg, grouping, queries):
-    assert _quotient(fg, grouping) is None
-    assert lifted_marginals(fg, queries, grouping) == _ground_marginals(fg, queries)
+def assert_falls_back(fg, queries):
+    assert _quotient(fg) is None
+    assert marginals(fg, queries) == _ground_marginals(fg, queries)
 
 
 def cycles_sharing_tables():
@@ -106,18 +108,17 @@ def test_generated_instances_with_and_without_stored_evidence():
         inst = generate_instance(cfg)
         result = complete_and_lift(inst.incomplete, 0.0)
         queries = list(result.completed.rv_ids)
-        assert _quotient(result.completed, result.grouping) is not None
-        assert_close_to_ground(result.completed, result.grouping, queries)
-        # evidence stored on a few RVs, and colour passing that sees it
+        assert _quotient(result.completed) is not None
+        assert_close_to_ground(result.completed, queries)
+        # evidence stored on a few RVs, refined into the colouring
         picked = rng.choice(queries, 4, replace=False)
         observed = result.completed.with_evidence(
             {str(r): result.completed.rv(str(r)).range.values[-1] for r in picked}
         )
-        grouping = run_colour_passing(observed)
-        assert _quotient(observed, grouping) is not None
-        assert_close_to_ground(observed, grouping, queries)
+        assert _quotient(observed) is not None
+        assert_close_to_ground(observed, queries)
         # an observed query is a point mass, a repeated query answers twice
-        got = lifted_marginals(observed, [str(picked[0]), queries[0], queries[0]], grouping)
+        got = marginals(observed, [str(picked[0]), queries[0], queries[0]])
         assert got[0].probabilities[-1] == 1.0 and sum(got[0].probabilities) == 1.0
         assert got[1] == got[2]
 
@@ -132,12 +133,11 @@ def test_the_acceptance_sweep_lifts_both_graphs_alike():
                 for seed in range(SWEEP_SEEDS):
                     inst = generate_instance(_sweep_config(d, p, uf, seed, theta=0.0))
                     result = complete_and_lift(inst.incomplete, 0.0)
-                    truth_grouping = run_colour_passing(inst.truth)
-                    assert _quotient(inst.truth, truth_grouping) is not None
-                    assert _quotient(result.completed, result.grouping) is not None
-                    truth = lifted_marginals(inst.truth, inst.queries, truth_grouping)
-                    assert truth == lifted_marginals(result.completed, inst.queries, result.grouping)
-                    assert_close_to_ground(inst.truth, truth_grouping, inst.queries)
+                    assert _quotient(inst.truth) is not None
+                    assert _quotient(result.completed) is not None
+                    truth = marginals(inst.truth, inst.queries)
+                    assert truth == marginals(result.completed, inst.queries)
+                    assert_close_to_ground(inst.truth, inst.queries)
                     instances += 1
     assert instances == 960
 
@@ -145,122 +145,116 @@ def test_the_acceptance_sweep_lifts_both_graphs_alike():
 def test_criterion_6_forests_lift_and_the_rest_fall_back():
     forests = 0
     for g in criterion_6_graphs():
-        grouping = run_colour_passing(g)
         queries = list(g.rv_ids)
         if g.incidence.is_forest:
             forests += 1
-            assert _quotient(g, grouping) is not None
-            assert_close_to_ground(g, grouping, queries)
+            assert _quotient(g) is not None
+            assert_close_to_ground(g, queries)
         else:
-            assert_falls_back(g, grouping, queries)
+            assert_falls_back(g, queries)
     assert forests == 38
 
 
 def test_cycles_that_colour_passing_merges_fall_back():
     g = cycles_sharing_tables()
-    grouping = run_colour_passing(g)
-    assert len(grouping.rv_classes) == 1
-    got = lifted_marginals(g, ["t0", "h0"], grouping)
+    assert len(run_colour_passing(g).rv_classes) == 1
+    got = marginals(g, ["t0", "h0"])
     assert [round(m.probabilities[0], 4) for m in got] == [0.3534, 0.3347]
-    assert_falls_back(g, grouping, list(g.rv_ids))
+    assert_falls_back(g, list(g.rv_ids))
 
 
 def test_a_cyclic_quotient_is_refused_past_the_forest_gate():
     g = cycles_sharing_tables()
-    # the grouping passes every other gate; the messages then meet a cycle
+    # the colouring passes every other gate; the messages then meet a cycle
     g.incidence.__dict__["is_forest"] = True
-    assert _quotient(g, run_colour_passing(g)) is None
+    assert _quotient(g) is None
 
 
-def test_a_grouping_within_rtol_falls_back():
+def test_a_completion_within_rtol_lifts_on_the_exact_colouring():
     near = parse_model(
         "rv a false,true\nrv b false,true\nrv c false,true\n"
         "factor fa known a 1,2\nfactor fb known b 1,2.0000009\nfactor fc known c 1,2.0000018\n"
     )
     result = complete_and_lift(near, 0.5, None, 1e-6)
     assert len(result.grouping.factor_classes) == 1
-    assert_falls_back(result.completed, result.grouping, ["a", "b", "c"])
-    exact = run_colour_passing(near)
-    assert len(exact.factor_classes) == 3
-    assert _quotient(near, exact) is not None
+    # the completion's grouping is not the graph's own: that one is exact
+    assert len(run_colour_passing(result.completed).factor_classes) == 3
+    assert _quotient(result.completed) is not None
+    assert_close_to_ground(result.completed, ["a", "b", "c"])
 
 
-def test_groupings_that_are_not_positionally_equitable_fall_back():
+def test_a_symmetric_table_at_different_positions_falls_back():
     g = chain_graph()
-    queries = ["A", "B", "C"]
     # colour passing merges f1 and f2 through their symmetric table, but B
     # sits at position 1 of f1 and at position 0 of f2
-    assert_falls_back(g, run_colour_passing(g), queries)
-    rvs = (("A", "B", "C"),)
-    one_class = Grouping(rvs, (FactorClass(("f1", "f2"), g.factor("f1").table),))
-    assert_falls_back(g, one_class, queries)
-    split = Grouping(rvs, (FactorClass(("f1",), g.factor("f1").table), FactorClass(("f2",), g.factor("f2").table)))
-    assert_falls_back(g, split, queries)
-    for broken in (
-        Grouping((("A", "C"),), split.factor_classes),
-        Grouping((("A", "C"), ("Z",)), split.factor_classes),
-        Grouping((("A", "C"), ("B",), ()), split.factor_classes),
-        Grouping((("A", "C"), ("A",)), split.factor_classes),
-        Grouping((("A", "C"), ("B",)), (split.factor_classes[0],)),
-    ):
-        assert_falls_back(g, broken, queries)
-    exact = Grouping((("A",), ("B",), ("C",)), split.factor_classes)
-    assert _quotient(g, exact) is not None
-    assert_close_to_ground(g, exact, queries)
-    # A observed: it no longer shares C's signature
-    observed = g.with_evidence({"A": "true"})
-    assert_falls_back(observed, Grouping((("A", "C"), ("B",)), split.factor_classes), queries)
-    # A and B each at position 0 of their own unary class, which differ
-    a, b = RandomVariable("A", BOOL_RANGE), RandomVariable("B", BOOL_RANGE)
-    unaries = FactorGraph(
-        (a, b),
-        (Factor("ua", ("A",), PotentialTable((2,), (1.0, 2.0))),
-         Factor("ub", ("B",), PotentialTable((2,), (2.0, 1.0)))),
-    )
-    merged = Grouping(
-        (("A", "B"),),
-        tuple(FactorClass((f.id,), f.table) for f in unaries.factors),
-    )
-    assert_falls_back(unaries, merged, ["A", "B"])
+    assert len(run_colour_passing(g).factor_classes) == 1
+    assert_falls_back(g, ["A", "B", "C"])
 
 
-def test_a_transposed_member_falls_back():
+def transposed_member():
+    """f2 is f1's potential over (C, B) with its arguments swapped: one
+    canonical form, two positional tables."""
     t = PotentialTable((2, 2), ASYMMETRIC_2x2)
-    # f2 is f1's potential over (C, B) with its arguments swapped: one
-    # canonical form, two positional tables
-    g = FactorGraph(
+    return FactorGraph(
         tuple(RandomVariable(n, BOOL_RANGE) for n in "ABC"),
         (Factor("f1", ("A", "B"), t), Factor("f2", ("B", "C"), PotentialTable.from_array(t.array.T))),
     )
-    grouping = run_colour_passing(g)
-    assert len(grouping.factor_classes) == 1
-    assert_falls_back(g, grouping, ["A", "B", "C"])
+
+
+def symmetric_triple_at_two_positions():
+    """v5 and v6 share a class, at positions 1 and 0 of f3's symmetric
+    table; every factor is a class of its own, so only the RVs' multisets of
+    (factor class, position) tell them apart."""
+    triple = PotentialTable((2, 2, 2), (12.0, 6.0, 6.0, 10.0, 6.0, 10.0, 10.0, 6.0))
+    rvs = [RandomVariable(f"v{i}", RangeSpec(("a", "b", "c")) if i == 3 else BOOL_RANGE) for i in range(7)]
+    return FactorGraph(rvs, (
+        Factor("f0", ("v1", "v2", "v0"), triple),
+        Factor("f1", ("v2", "v3"), PotentialTable((2, 3), (1.0, 1.0, 2.0, 2.0, 1.0, 2.0))),
+        Factor("f2", ("v4", "v2"), PotentialTable((2, 2), (4.0, 4.0, 4.0, 2.0))),
+        Factor("f3", ("v6", "v5", "v1"), triple),
+        Factor("u0", ("v0",), PotentialTable((2,), (1.0, 1.0))),
+    ))
+
+
+def test_a_transposed_member_falls_back():
+    g = transposed_member()
+    assert len(run_colour_passing(g).factor_classes) == 1
+    assert_falls_back(g, ["A", "B", "C"])
+
+
+def test_the_gates_refuse_before_the_messages(monkeypatch):
+    def no_messages(*args):
+        raise AssertionError("a gate should have refused")
+
+    graphs = [chain_graph(), transposed_member(), symmetric_triple_at_two_positions()]
+    assert [len(g.factors) for g in graphs] == [2, 2, 5]
+    monkeypatch.setattr(inference, "_counting_bp", no_messages)
+    for g in graphs:
+        assert _quotient(g) is None
+        assert marginals(g, g.rv_ids) == _ground_marginals(g, g.rv_ids)
+    assert {frozenset({"v5", "v6"})} < run_colour_passing(graphs[2]).rv_partition()
 
 
 def test_errors_are_those_of_the_ground_path():
     with_unknown = chain_graph().with_tables({"f2": None})
-    grouping = run_colour_passing(with_unknown, unknown_tags={"f2": "u"})
-    assert _quotient(with_unknown, grouping) is None
     with pytest.raises(UnknownFactorPresent):
-        lifted_marginals(with_unknown, ["A"], grouping)
+        marginals(with_unknown, ["A"])
 
     # B = true selects an all-zero column of f1
     zero = chain_graph(t1=(1.0, 0.0, 1.0, 0.0), t2=ASYMMETRIC_2x2, evidence={"B": "true"})
-    grouping = run_colour_passing(zero)
-    assert _quotient(zero, grouping) is None
+    assert _quotient(zero) is None
     with pytest.raises(InconsistentEvidence) as ground:
         _ground_marginals(zero, ["A"])
     with pytest.raises(InconsistentEvidence) as lifted:
-        lifted_marginals(zero, ["A"], grouping)
+        marginals(zero, ["A"])
     assert str(lifted.value) == str(ground.value)
     # both arguments observed: the factor's own entry is zero
     both = chain_graph(t1=(1.0, 0.0, 1.0, 0.0), t2=ASYMMETRIC_2x2, evidence={"A": "true", "B": "true"})
-    grouping = run_colour_passing(both)
-    assert _quotient(both, grouping) is None
+    assert _quotient(both) is None
     with pytest.raises(InconsistentEvidence, match="zeroes out factor 'f1'"):
-        lifted_marginals(both, ["C"], grouping)
+        marginals(both, ["C"])
     # only observed queries: ground answers without looking at the zero
-    assert lifted_marginals(both, ["A", "B"], grouping) == _ground_marginals(both, ["A", "B"])
+    assert marginals(both, ["A", "B"]) == _ground_marginals(both, ["A", "B"])
 
     # disjoint unary supports on B: B's message to f2, and B's belief, are zero
     rvs = (RandomVariable("B", BOOL_RANGE), RandomVariable("C", BOOL_RANGE))
@@ -268,19 +262,18 @@ def test_errors_are_those_of_the_ground_path():
     u2 = Factor("u2", ("B",), PotentialTable((2,), (0.0, 1.0)))
     f2 = Factor("f2", ("B", "C"), PotentialTable((2, 2), ASYMMETRIC_2x2))
     for zero in (FactorGraph(rvs, (u1, u2, f2)), FactorGraph(rvs[:1], (u1, u2))):
-        grouping = run_colour_passing(zero)
-        assert _quotient(zero, grouping) is None
+        assert _quotient(zero) is None
         with pytest.raises(InconsistentEvidence) as ground:
             _ground_marginals(zero, ["B"])
         with pytest.raises(InconsistentEvidence) as lifted:
-            lifted_marginals(zero, ["B"], grouping)
+            marginals(zero, ["B"])
         assert str(lifted.value) == str(ground.value)
 
     g = chain_graph()
     with pytest.raises(TypeError):
-        lifted_marginals(g, "A", run_colour_passing(g))
+        marginals(g, "A")
     with pytest.raises(UnknownNode, match="no random variable 'Z'"):
-        lifted_marginals(g, ["Z"], run_colour_passing(g))
+        marginals(g, ["Z"])
 
 
 # -- the path marginals and variable_elimination choose ------------------------
@@ -289,7 +282,7 @@ def test_errors_are_those_of_the_ground_path():
 def lifts(fg, evidence=None):
     """Whether ``marginals(fg, ..., evidence)`` can answer on the quotient."""
     g = fg.with_evidence(evidence) if evidence else fg
-    return _quotient(g, run_colour_passing(g)) is not None
+    return _quotient(g) is not None
 
 
 def assert_public_close_to_ground(fg, queries, evidence=None, tol=1e-12):
@@ -420,6 +413,11 @@ def test_the_public_entry_falls_back_to_the_ground_function():
     assert_public_is_ground(disjoint, ["C", "B"])
 
 
+def kept(g, key, tables_only=False):
+    """What ``g`` keeps under ``key``, without building it."""
+    return (g._table_memo if tables_only else g._memo).get(key)
+
+
 def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monkeypatch):
     cfg = ExperimentConfig(
         d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
@@ -433,51 +431,84 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     quotient = inference._quotient
     bp = inference._counting_bp
     monkeypatch.setattr(colours, "initial_colouring", lambda g, *a: starts.append(g) or start(g, *a))
-    monkeypatch.setattr(inference, "_quotient", lambda g, grouping: used.append(grouping) or quotient(g, grouping))
+    monkeypatch.setattr(inference, "_quotient", lambda g: used.append(g) or quotient(g))
     monkeypatch.setattr(inference, "_counting_bp", lambda *a: passes.append(a) or bp(*a))
 
     plain = marginals(fg, inst.queries)
-    assert starts and len(passes) == 1
-    # the graph's grouping is kept, the marginals are not
+    assert starts == [fg] and len(passes) == 1
+    # the graph's colouring is kept, the marginals are not
     assert marginals(fg, inst.queries) == plain
-    assert len(passes) == 2
-    own = fg.memo("inference.grouping", lambda: None)
-    assert used == [own, own]
+    assert starts == [fg] and len(passes) == 2
+    own = _refined_colours(fg)
+    assert used == [fg, fg] and own is _evidence_free_colours(fg)
     scratch = run_colour_passing(fg)
-    assert own == scratch
+    assert _grouping(fg, own) == scratch and starts == [fg]
 
     observed = fg.with_evidence(evidence)
     expected = run_colour_passing(observed)
     del starts[:], used[:]
     assert marginals(fg, inst.queries, evidence) == marginals(observed, inst.queries)
     # both calls refined the kept colouring: neither coloured a graph from
-    # its initial colours, and the grouping they used is the observed graph's own
+    # its initial colours, and the partition they used is the observed graph's own
     assert starts == [] and len(passes) == 4
-    assert used == [expected, expected] and expected != own
-    assert fg.memo("inference.grouping", lambda: None) is own == scratch
+    assert used[1] is observed
+    assert [_grouping(g, _refined_colours(g)) for g in used] == [expected, expected] != [scratch] * 2
+    assert _refined_colours(fg) is own
     # passed evidence that repeats stored evidence is no new evidence
     assert marginals(observed, inst.queries, evidence) == marginals(observed, inst.queries)
     assert starts == [] and len(passes) == 6
 
 
-def test_gate_data_is_kept_per_graph(monkeypatch):
+def test_a_graph_is_coloured_once(monkeypatch):
+    refined = []
+    refine = colours._refine
+    monkeypatch.setattr(colours, "_refine", lambda p, adj, work: refined.append(p) or refine(p, adj, work))
+    starts = []
+    start = colours.initial_colouring
+    monkeypatch.setattr(colours, "initial_colouring", lambda g, *a: starts.append(g) or start(g, *a))
+    results = []
+    complete = synth.complete_and_lift
+    monkeypatch.setattr(synth, "complete_and_lift", lambda *a: results.append(complete(*a)) or results[-1])
+
+    cfg = ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    )
+    assert run_experiment(cfg).queries
+    # complete_and_lift coloured the completed graph, marginals the truth
+    # graph; neither graph was coloured twice
+    (result,) = results
+    assert len(starts) == len(refined) == 2
+    assert starts[0] is result.completed and starts[1] is not result.completed
+    # the completed graph keeps its colouring, and no adjacency
+    assert _grouping(result.completed, _evidence_free_colours(result.completed)) == result.grouping
+    assert kept(result.completed, "colours.adjacency", True) is None
+
+    # a repeated call on a graph with stored evidence refines once
+    fg = result.completed
+    leaves = [r for r in fg.rv_ids if fg.degree(r) == 1][:3]
+    observed = fg.with_evidence({r: fg.rv(r).range.values[1] for r in leaves})
+    del starts[:], refined[:]
+    first = marginals(observed, leaves[:1] + [fg.rv_ids[0]])
+    assert marginals(observed, leaves[:1] + [fg.rv_ids[0]]) == first
+    assert starts == [] and len(refined) == 1
+
+
+def test_a_repeated_call_reads_no_signature(monkeypatch):
     inst = generate_instance(ExperimentConfig(
         d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
     ))
     result = complete_and_lift(inst.incomplete, 0.0)
-    fg, grouping = result.completed, result.grouping
-    other = run_colour_passing(fg)
+    fg = result.completed
     queries = list(fg.rv_ids)
-    first = lifted_marginals(fg, queries, grouping)
     signatures = []
     signature = model.RandomVariable.signature
     monkeypatch.setattr(
         model.RandomVariable, "signature", property(lambda rv: signatures.append(rv) or signature.fget(rv))
     )
-    # a repeated call, and a call with another grouping, read no RV's
-    # signature: the codes are the graph's own
-    assert lifted_marginals(fg, queries, grouping) == first
-    assert lifted_marginals(fg, queries, other) == first
+    # the colouring complete_and_lift made is the graph's own, so neither
+    # call reads an RV's signature
+    first = marginals(fg, queries)
+    assert marginals(fg, queries) == first
     assert signatures == []
 
 
@@ -496,20 +527,23 @@ def test_evidence_copies_share_the_table_views_and_nothing_else():
     assert _ports(copy) is _ports(fg)
     assert np.array_equal(_ports(copy)[0], _ports(fresh)[0]) and _ports(copy)[1] == _ports(fresh)[1]
     assert copy.unknown_factor_ids == fresh.unknown_factor_ids == ()
-    # the evidence-free colouring and the adjacency read no evidence
-    assert _evidence_free_colouring(copy) is _evidence_free_colouring(fg)
-    assert vars(_evidence_free_colouring(copy)) == vars(_evidence_free_colouring(fresh))
-    assert _adjacency(copy) is _adjacency(fg)
-    assert _adjacency(copy) == _adjacency(fresh)
+    # the evidence-free colouring reads no evidence; the adjacency is kept
+    # only once evidence is refined on it
+    assert _evidence_free_colours(copy) is _evidence_free_colours(fg)
+    assert np.array_equal(_evidence_free_colours(copy), _evidence_free_colours(fresh))
+    assert kept(fg, "colours.adjacency", True) is None
+    refined = _refined_colours(copy)
+    assert kept(copy, "colours.adjacency", True) is kept(fg, "colours.adjacency", True)
+    assert kept(copy, "colours.adjacency", True) == _adjacency(fresh)
     # views that read the RVs' evidence are the copy's own
     assert _profile_ids(copy) == _profile_ids(fresh) != _profile_ids(fg)
-    assert np.array_equal(_signature_codes(copy), _signature_codes(fresh))
-    assert not np.array_equal(_signature_codes(copy), _signature_codes(fg))
-    assert copy.memo("inference.grouping", lambda: None) is None
+    assert np.array_equal(refined, _refined_colours(fresh))
+    assert _grouping(copy, refined) != _grouping(fg, _refined_colours(fg))
+    assert kept(fg, "colours.refined") is not refined
     # new tables share nothing
     f = next(f for f in fg.factors if len(f.args) == 2)
     changed = fg.with_tables({f.id: PotentialTable(f.table.shape, [1.0] * f.table.array.size)})
     assert known_table_classes(changed) is not known_table_classes(fg)
     assert known_table_classes(changed) == known_table_classes(FactorGraph(changed.rvs, changed.factors))
-    assert _evidence_free_colouring(changed) is not _evidence_free_colouring(fg)
-    assert _adjacency(changed) is not _adjacency(fg)
+    assert _evidence_free_colours(changed) is not _evidence_free_colours(fg)
+    assert kept(changed, "colours.adjacency", True) is None
