@@ -64,17 +64,25 @@ starts:
   evidence, a newly observed RV can belong with an RV observed before to
   the same value, and refinement never merges.
 
-The fixpoint partition is packaged as a :class:`Grouping`: the classes,
-each sorted by id once, when the grouping is built, and for each factor
-class one table, its first member's. A class is exact when every
-member's table is an axis permutation of that table, bit for bit, which
-is when they all share its canonical key (``_is_exact``, one key lookup
-per distinct table). :func:`grounded_equivalence_check` asks
-that of every class, in time linear in the graph, and ``grouping_report``
-marks a class that fails it. That implies equal joints, and is stricter
-than comparing them: a member that is a constant multiple of its class
-table, or only near it, is rejected although normalisation would hide the
-difference.
+Inside this module a colouring is one int64 array over node numbers, RVs
+by position in ``FactorGraph.rvs`` and then factors: ``_initial_colours``
+builds the initial colours straight into it, the worklist keeps its classes
+as ``_Partition`` lists and hands back an array, and ``_grouping`` reads
+the :class:`Grouping` off an array with one stable argsort: the classes,
+each sorted by id once, and for each factor class one table, its first
+member's. An id-keyed :class:`Colouring` is built only at the edge of the
+reference API (``initial_colouring``, ``colour_passing_step``,
+``grouping_from_colouring``), by ``_colouring`` and ``_colours_of``, which
+keeps RV and factor colours apart where their ids overlap.
+
+A factor class is exact when every member's table is an axis permutation
+of the class table, bit for bit, which is when they all share its
+canonical key (``_is_exact``, one key lookup per distinct table).
+:func:`grounded_equivalence_check` asks that of every class, in time linear
+in the graph, and ``grouping_report`` marks a class that fails it. That
+implies equal joints, and is stricter than comparing them: a member that
+is a constant multiple of its class table, or only near it, is rejected
+although normalisation would hide the difference.
 """
 from __future__ import annotations
 
@@ -122,10 +130,27 @@ def _classes(colours: Mapping[str, int]) -> list[tuple[str, ...]]:
     return sorted(tuple(sorted(members)) for members in classes.values())
 
 
-def _recolour(sigs: dict[str, tuple], first: int) -> dict[str, int]:
-    """Dense colours from ``first`` on, in sorted-signature order."""
-    order = {sig: first + i for i, sig in enumerate(sorted(set(sigs.values())))}
-    return {node: order[sig] for node, sig in sigs.items()}
+def _dense(keys: Sequence[Hashable]) -> tuple[list[int], int]:
+    """Dense id of each key in sorted-key order, so that ids compare like
+    the keys they stand for, and the number of distinct keys."""
+    number = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return list(map(number.__getitem__, keys)), len(number)
+
+
+def _colours_of(inc: Incidence, colouring: Colouring) -> np.ndarray:
+    """The colouring as dense node colours over ``inc``, numbered as in
+    ``_Partition``: RV colours first, then factor colours, each ordered like
+    the colouring's own ids, so RVs and factors stay apart even where their
+    ids overlap."""
+    rv, n_rv = _compact(np.array([colouring.rv_colours[v] for v in inc.rv_ids], np.int64))
+    fac, _ = _compact(np.array([colouring.factor_colours[f] for f in inc.factor_ids], np.int64))
+    return np.concatenate((rv, n_rv + fac))
+
+
+def _colouring(inc: Incidence, colour: np.ndarray) -> Colouring:
+    """The ``Colouring`` of node colours ``colour`` over ``inc``, ids kept."""
+    n_rv, values = len(inc.rv_ids), colour.tolist()
+    return Colouring(dict(zip(inc.rv_ids, values[:n_rv])), dict(zip(inc.factor_ids, values[n_rv:])))
 
 
 def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, CanonicalKey]:
@@ -147,9 +172,7 @@ def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, Cano
 
 
 def initial_colouring(
-    fg: FactorGraph,
-    rtol: float = 0.0,
-    unknown_tags: Mapping[str, Hashable] | None = None,
+    fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
 ) -> Colouring:
     """Structural starting colours, numbered like every refinement round.
 
@@ -160,6 +183,14 @@ def initial_colouring(
     sortable. RVs and then factors are coloured densely in sorted-signature
     order. Raises UnknownFactorPresent for an untagged unknown factor.
     """
+    return _colouring(fg.incidence, _initial_colours(fg, rtol, unknown_tags))
+
+
+def _initial_colours(
+    fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
+) -> np.ndarray:
+    """``initial_colouring`` as the colour of every node, numbered as in
+    ``_Partition``; the colour ids are the same."""
     tags = dict(unknown_tags or {})
     untagged = [fid for fid in fg.unknown_factor_ids if fid not in tags]
     if untagged:
@@ -170,11 +201,10 @@ def initial_colouring(
     if extra:
         raise ValueError(f"tags given for non-unknown factors: {', '.join(extra)}")
 
-    classes = known_table_classes(fg, rtol)
-    factor_sigs: dict[str, tuple] = {fid: (0, key) for fid, key in classes.items()}
-    factor_sigs.update((fid, (1, tag)) for fid, tag in tags.items())
-    rv_colours = _recolour({rv.id: rv.signature for rv in fg.rvs}, 0)
-    return Colouring(rv_colours, _recolour(factor_sigs, len(set(rv_colours.values()))))
+    key = known_table_classes(fg, rtol)
+    rv, n_rv = _dense([rv.signature for rv in fg.rvs])
+    factor, _ = _dense([(1, tags[f.id]) if f.table is None else (0, key[f.id]) for f in fg.factors])
+    return np.array(rv + [n_rv + c for c in factor], np.int64)
 
 
 def _port_labels(table: PotentialTable | None, n: int) -> tuple[int, ...]:
@@ -276,7 +306,7 @@ def _ranked(
     classes: np.ndarray, reps: list[int], old: np.ndarray, rest: Callable[[int], tuple], first: int
 ) -> np.ndarray:
     """Colours from ``first`` on, in the order of the representatives'
-    signatures ``(old[rep], rest(rep))``, with ``0 <= old < len(old)``;
+    signatures ``(old[rep], rest(rep))``, with ``old >= 0``;
     ``rest`` is called only for representatives that share their old colour."""
     rep_old = old[reps]
     shared = np.flatnonzero(np.bincount(rep_old)[rep_old] > 1).tolist()
@@ -285,15 +315,6 @@ def _ranked(
     rank = np.empty(len(reps), np.int64)
     rank[np.lexsort((within, rep_old))] = np.arange(len(reps))
     return first + rank[classes]
-
-
-def _colour_arrays(inc: Incidence, colouring: Colouring) -> tuple[np.ndarray, np.ndarray]:
-    """RV and factor colours as dense arrays over ``inc``, each ordered
-    like the colouring's own ids."""
-    rv = np.fromiter(map(colouring.rv_colours.__getitem__, inc.rv_ids), np.int64, len(inc.rv_ids))
-    fac = colouring.factor_colours
-    fac = np.fromiter(map(fac.__getitem__, inc.factor_ids), np.int64, len(inc.factor_ids))
-    return _compact(rv)[0], _compact(fac)[0]
 
 
 def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
@@ -308,7 +329,7 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     split one old colour, from that representative's own rows.
     """
     inc = fg.incidence
-    rv_old, fac_old = _colour_arrays(inc, colouring)
+    rv_old, fac_old = np.split(_colours_of(inc, colouring), [len(inc.rv_ids)])
     ports, n_ports = _ports(fg)
     arg_col = rv_old[inc.rv]
 
@@ -331,10 +352,7 @@ def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     code, width = _pack(msg_col, len(fac_reps), ports, n_ports)
     rv_classes, rv_reps = multiset_classes(inc.rv, code, width, rv_old)
     rv_new = _ranked(rv_classes, rv_reps, rv_old, rv_rest, len(fac_reps))
-    return Colouring(
-        dict(zip(inc.rv_ids, rv_new.tolist())),
-        dict(zip(inc.factor_ids, fac_new.tolist())),
-    )
+    return _colouring(inc, np.concatenate((rv_new, fac_new)))
 
 
 def _class_counts(colouring: Colouring) -> tuple[int, int]:
@@ -387,11 +405,7 @@ class Grouping:
 
 def grouping_from_colouring(fg: FactorGraph, colouring: Colouring) -> Grouping:
     """The colouring's classes, each factor class with its first member's table."""
-    factor_classes = tuple(
-        FactorClass(members, fg.factor(members[0]).table)
-        for members in _classes(colouring.factor_colours)
-    )
-    return Grouping(tuple(_classes(colouring.rv_colours)), factor_classes)
+    return _grouping(fg, _colours_of(fg.incidence, colouring))
 
 
 def run_colour_passing(
@@ -415,10 +429,10 @@ def run_colour_passing(
 
 @dataclass
 class _Partition:
-    """Classes of node numbers: RVs by position in ``FactorGraph.rvs``, then
-    factors by position after them. Class c holds ``order[start[c]:end[c]]``,
-    and node v sits at ``order[place[v]]`` in class ``colour[v]``, so a
-    split moves only the nodes it touches."""
+    """The worklist's state, classes of node numbers: RVs by position in
+    ``FactorGraph.rvs``, then factors by position after them. Class c holds
+    ``order[start[c]:end[c]]``, and node v sits at ``order[place[v]]`` in
+    class ``colour[v]``, so a split moves only the nodes it touches."""
 
     colour: list[int]
     order: list[int]
@@ -521,40 +535,32 @@ def _refine(
         work += split(keys)
 
 
-def _class_of(fg: FactorGraph, part: Sequence[int]) -> tuple[str, ...] | FactorClass:
-    """Nodes ``part`` of one class as a ``Grouping`` holds them."""
-    inc = fg.incidence
-    n_rv = len(inc.rv_ids)
-    if part[0] < n_rv:
-        return tuple(sorted(inc.rv_ids[v] for v in part))
-    members = tuple(sorted(inc.factor_ids[v - n_rv] for v in part))
-    return FactorClass(members, fg.factor(members[0]).table)
-
-
 def _grouping(fg: FactorGraph, colour: np.ndarray) -> Grouping:
-    """The grouping of the dense node colours ``colour``, nodes numbered as
-    in ``_Partition``: each class sorted by id once."""
-    partition = _Partition.of(colour)
-    classes = [_class_of(fg, partition.members(c)) for c in range(len(partition.start))]
-    factor_classes = [c for c in classes if isinstance(c, FactorClass)]
-    return Grouping(
-        tuple(sorted(c for c in classes if not isinstance(c, FactorClass))),
-        tuple(sorted(factor_classes, key=lambda c: c.members)),
-    )
+    """The grouping of the node colours ``colour >= 0``, nodes numbered as in
+    ``_Partition`` and no colour shared by an RV and a factor: one stable
+    argsort lays the classes out, and each is sorted by id once."""
+    inc = fg.incidence
+    order = np.argsort(colour, kind="stable")
+    cuts = np.flatnonzero(np.diff(colour[order], prepend=-1)).tolist() + [len(order)]
+    nodes, ids = order.tolist(), inc.rv_ids + inc.factor_ids
+    rv_classes, factor_classes = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        part = tuple(sorted(ids[v] for v in nodes[a:b]))
+        if nodes[a] < len(inc.rv_ids):
+            rv_classes.append(part)
+        else:
+            factor_classes.append(FactorClass(part, fg.factor(part[0]).table))
+    return Grouping(tuple(sorted(rv_classes)), tuple(sorted(factor_classes, key=lambda c: c.members)))
 
 
 def _stable_colours(
     fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
 ) -> np.ndarray:
     """The class of each node, numbered as in ``_Partition``, in the coarsest
-    stable refinement of ``initial_colouring(fg, rtol, unknown_tags)``. Every
+    stable refinement of ``_initial_colours(fg, rtol, unknown_tags)``. Every
     initial class is a splitter, since the initial colours do not encode
     degree."""
-    start = initial_colouring(fg, rtol, unknown_tags)
-    inc = fg.incidence
-    colour = list(map(start.rv_colours.__getitem__, inc.rv_ids))
-    colour += map(start.factor_colours.__getitem__, inc.factor_ids)
-    partition = _Partition.of(np.array(colour, np.int64))
+    partition = _Partition.of(_initial_colours(fg, rtol, unknown_tags))
     _refine(partition, _adjacency(fg), list(range(len(partition.start))))
     return np.array(partition.colour, np.int64)
 
@@ -630,17 +636,10 @@ def grouping_report(grouping: Grouping, fg: FactorGraph | None = None) -> str:
     Given the grouped graph, a factor class that is not exact (``_is_exact``),
     such as one merged within ``rtol > 0``, ends in `` exact=no``.
     """
-    lines = []
-    class_id = 0
-    for members in grouping.rv_classes:
-        lines.append(
-            f"class {class_id} kind=rv size={len(members)} members={','.join(members)}"
-        )
-        class_id += 1
-    for cls in grouping.factor_classes:
-        flag = "" if fg is None or _is_exact(fg, cls) else " exact=no"
-        lines.append(
-            f"class {class_id} kind=factor size={cls.size} members={','.join(cls.members)}{flag}"
-        )
-        class_id += 1
-    return "\n".join(lines) + "\n"
+    rows = [f"kind=rv size={len(m)} members={','.join(m)}" for m in grouping.rv_classes]
+    rows += (
+        f"kind=factor size={cls.size} members={','.join(cls.members)}"
+        + ("" if fg is None or _is_exact(fg, cls) else " exact=no")
+        for cls in grouping.factor_classes
+    )
+    return "".join(f"class {i} {row}\n" for i, row in enumerate(rows))

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .colours import Grouping, known_table_classes, multiset_classes, run_colour_passing
+from .colours import Grouping, _dense, known_table_classes, multiset_classes, run_colour_passing
 from .model import BackgroundKnowledge, FactorGraph
 from .tables import (
     CanonicalKey,
@@ -52,14 +52,12 @@ from .tables import (
 
 def _profile_ids(fg: FactorGraph) -> list[int]:
     """Profile id of each RV of the incidence index: its (RV signature,
-    degree) numbered densely in sorted-profile order, so that ids compare
-    like the profiles they stand for. Memoised per graph."""
+    degree) numbered by ``colours._dense``, so that ids compare like the
+    profiles they stand for. Memoised per graph."""
 
     def build() -> list[int]:
-        inc = fg.incidence
-        profiles = [(fg.rv(rid).signature, d) for rid, d in zip(inc.rv_ids, inc.degree.tolist())]
-        number = {p: i for i, p in enumerate(sorted(set(profiles)))}
-        return [number[p] for p in profiles]
+        degrees = fg.incidence.degree.tolist()
+        return _dense([(rv.signature, d) for rv, d in zip(fg.rvs, degrees)])[0]
 
     return fg.memo("transfer.profile_ids", build)
 

@@ -452,6 +452,56 @@ def test_colour_passing_matches_slot_orbit_reference():
     assert rounds > 200
 
 
+def _overlapping(colouring):
+    """The colouring renumbered so that its RV and factor colour ids overlap
+    (both count from 0), are sparse (even numbers only) and run against the
+    old order, each dict filled in reverse."""
+
+    def renumber(colours):
+        old = sorted(set(colours.values()))
+        new = {c: 2 * (len(old) - 1 - i) for i, c in enumerate(old)}
+        return {node: new[colours[node]] for node in reversed(list(colours))}
+
+    return Colouring(renumber(colouring.rv_colours), renumber(colouring.factor_colours))
+
+
+def test_colourings_with_overlapping_rv_and_factor_ids():
+    rng = np.random.default_rng(815)
+    graphs = 0
+    for g in _differential_cases(rng):
+        unknown = g.unknown_factor_ids
+        tags = {fid: int(rng.integers(max(1, len(unknown) // 2))) for fid in unknown}
+        start = initial_colouring(g, 0.0, tags)
+        for colouring in (start, refine_to_fixpoint(g, start)):
+            overlapping = _overlapping(colouring)
+            assert grouping_from_colouring(g, overlapping) == _ref_grouping(g, overlapping)
+            assert _ref_grouping(g, overlapping) == _ref_grouping(g, colouring)
+            assert parts(refine_to_fixpoint(g, overlapping)) == parts(refine_to_fixpoint(g, colouring))
+        graphs += 1
+    assert graphs == 40 + 8
+
+
+def test_graphs_without_factors():
+    rvs = (
+        RandomVariable("b", BOOL_RANGE),
+        RandomVariable("c", RangeSpec(("x", "y", "z"))),
+        RandomVariable("a", BOOL_RANGE),
+        RandomVariable("d", BOOL_RANGE, "true"),
+    )
+    cases = [(FactorGraph((), ()), ()), (FactorGraph(rvs, ()), (("a", "b"), ("c",), ("d",)))]
+    for g, rv_classes in cases:
+        expected = Grouping(rv_classes, ())
+        assert run_colour_passing(g) == expected
+        assert grouping_from_colouring(g, refine_to_fixpoint(g, initial_colouring(g))) == expected
+        result = complete_and_lift(g, 0.5)
+        assert result.completed == g and result.grouping == expected and not result.report.rows
+
+
+def test_grouping_report_of_no_classes_is_empty():
+    g = FactorGraph((), ())
+    assert grouping_report(run_colour_passing(g)) == grouping_report(run_colour_passing(g), g) == ""
+
+
 def _ref_initial_colouring(fg, rtol, unknown_tags):
     """Group and number RVs, known factors and tagged unknowns in three loops."""
     rv_groups = {}

@@ -427,10 +427,10 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     leaves = [r for r in fg.rv_ids if fg.degree(r) == 1 and r not in inst.queries][:3]
     evidence = {r: fg.rv(r).range.values[1] for r in leaves}
     starts, used, passes = [], [], []
-    start = colours.initial_colouring
+    start = colours._initial_colours
     quotient = inference._quotient
     bp = inference._counting_bp
-    monkeypatch.setattr(colours, "initial_colouring", lambda g, *a: starts.append(g) or start(g, *a))
+    monkeypatch.setattr(colours, "_initial_colours", lambda g, *a: starts.append(g) or start(g, *a))
     monkeypatch.setattr(inference, "_quotient", lambda g: used.append(g) or quotient(g))
     monkeypatch.setattr(inference, "_counting_bp", lambda *a: passes.append(a) or bp(*a))
 
@@ -464,8 +464,12 @@ def test_a_graph_is_coloured_once(monkeypatch):
     refine = colours._refine
     monkeypatch.setattr(colours, "_refine", lambda p, adj, work: refined.append(p) or refine(p, adj, work))
     starts = []
-    start = colours.initial_colouring
-    monkeypatch.setattr(colours, "initial_colouring", lambda g, *a: starts.append(g) or start(g, *a))
+    start = colours._initial_colours
+    monkeypatch.setattr(colours, "_initial_colours", lambda g, *a: starts.append(g) or start(g, *a))
+    # the library colours on node numbers: the reference API's Colouring is never built
+    reference = []
+    for name in ("initial_colouring", "grouping_from_colouring"):
+        monkeypatch.setattr(colours, name, lambda *a, name=name: reference.append(name))
     results = []
     complete = synth.complete_and_lift
     monkeypatch.setattr(synth, "complete_and_lift", lambda *a: results.append(complete(*a)) or results[-1])
@@ -491,6 +495,7 @@ def test_a_graph_is_coloured_once(monkeypatch):
     first = marginals(observed, leaves[:1] + [fg.rv_ids[0]])
     assert marginals(observed, leaves[:1] + [fg.rv_ids[0]]) == first
     assert starts == [] and len(refined) == 1
+    assert reference == []
 
 
 def test_a_repeated_call_reads_no_signature(monkeypatch):
