@@ -16,31 +16,24 @@ colours are signatures too, numbered by the same rule as every round: dense
 ids in sorted-signature order, RVs first in the initial colouring and
 factors first in each round.
 
-A round runs on the graph's integer incidence index
-(``FactorGraph.incidence``), one row per argument position, with the port
-labels memoised per graph. Each half round packs (port, colour) per row
-into one integer code and groups owners by their multiset of codes with a
-fixed set of sorts (``multiset_classes``), so the work per round is a
-handful of array calls rather than a tuple per node. Those sorts only find
-the classes. As every signature starts with the old colour, classes are
-numbered by the old colour of one member each, and only classes that split
-one old colour compare the rest of that member's signature: a signature
-determines its class, so the colour ids are exactly those of sorting every
-node's signature, also where one old colour mixes signature shapes (a class
-merged within ``rtol`` whose tables differ in symmetry, or a class of
-tagged unknown factors).
+A round is written as it is defined (``colour_passing_step``): a factor's
+signature is its old colour and, port by port, the sorted colours of its
+arguments at that port; an RV's is its old colour and the sorted (new
+factor colour, port) pairs of its factors. The port labels are memoised
+per graph.
 
-The rounds above are the reference that defines colour ids
-(``colour_passing_step``, ``refine_to_fixpoint``). The library itself
-colours a graph with a worklist of splitter classes instead: counting
-colour refinement (Berkholz, Bonsma and Grohe, ESA 2013), which runs on
-classes of node numbers (``_Partition``) and revisits only the
-neighbourhoods of classes that split (``_refine``). A splitter class gives
-each neighbour the multiset of ports of its edges into the class, and the
-neighbours' classes split by it. The coarsest stable refinement of a start
-is unique, so the worklist finds the partition of ``refine_to_fixpoint``;
-only the colour ids differ, and a ``Grouping`` has none. There are two
-starts:
+The rounds (``colour_passing_step``, ``refine_to_fixpoint``) are the
+reference that defines colour ids, and the library never runs one. They
+stay public because tests and CI compare the worklist against them, and
+the benchmark imports and times them. The library colours a graph with a
+worklist of splitter classes instead: counting colour refinement
+(Berkholz, Bonsma and Grohe, ESA 2013), which runs on classes of node
+numbers (``_Partition``) and revisits only the neighbourhoods of classes
+that split (``_refine``). A splitter class gives each neighbour the
+multiset of ports of its edges into the class, and the neighbours' classes
+split by it. The coarsest stable refinement of a start is unique, so the
+worklist finds the partition of ``refine_to_fixpoint``; only the colour
+ids differ, and a ``Grouping`` has none. There are two starts:
 
 - From scratch (``_stable_colours``): the initial colours, every class
   a splitter. No class may be left out, because the initial colours do
@@ -70,10 +63,11 @@ builds the initial colours straight into it, the worklist keeps its classes
 as ``_Partition`` lists and hands back an array, and ``_grouping`` reads
 the :class:`Grouping` off an array with one stable argsort: the classes,
 each sorted by id once, and for each factor class one table, its first
-member's. An id-keyed :class:`Colouring` is built only at the edge of the
-reference API (``initial_colouring``, ``colour_passing_step``,
-``grouping_from_colouring``), by ``_colouring`` and ``_colours_of``, which
-keeps RV and factor colours apart where their ids overlap.
+member's. An id-keyed :class:`Colouring` is built only by the reference
+API: ``initial_colouring`` converts the array (``_colouring``), a round
+works on the dicts, and ``grouping_from_colouring`` converts back
+(``_colours_of``), keeping RV and factor colours apart where their ids
+overlap.
 
 A factor class is exact when every member's table is an axis permutation
 of the class table, bit for bit, which is when they all share its
@@ -90,7 +84,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -132,19 +126,33 @@ def _classes(colours: Mapping[str, int]) -> list[tuple[str, ...]]:
 
 def _dense(keys: Sequence[Hashable]) -> tuple[list[int], int]:
     """Dense id of each key in sorted-key order, so that ids compare like
-    the keys they stand for, and the number of distinct keys."""
-    number = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return list(map(number.__getitem__, keys)), len(number)
+    the keys they stand for, and the number of distinct keys. Each key is
+    hashed once: it gets a code in first-seen order, and the codes are then
+    ranked by their keys."""
+    code: dict[Hashable, int] = {}
+    codes = [code.setdefault(key, len(code)) for key in keys]
+    distinct = list(code)
+    rank = [0] * len(distinct)
+    for i, c in enumerate(sorted(range(len(distinct)), key=distinct.__getitem__)):
+        rank[c] = i
+    return list(map(rank.__getitem__, codes)), len(distinct)
+
+
+def _node_colours(rv_keys: Sequence[Hashable], factor_keys: Sequence[Hashable]) -> np.ndarray:
+    """Dense node colours, numbered as in ``_Partition``: RVs by their keys,
+    then factors by theirs after them, so RVs and factors stay apart even
+    where their keys overlap."""
+    rv, n_rv = _dense(rv_keys)
+    factor, _ = _dense(factor_keys)
+    return np.array(rv + [n_rv + c for c in factor], np.int64)
 
 
 def _colours_of(inc: Incidence, colouring: Colouring) -> np.ndarray:
-    """The colouring as dense node colours over ``inc``, numbered as in
-    ``_Partition``: RV colours first, then factor colours, each ordered like
-    the colouring's own ids, so RVs and factors stay apart even where their
-    ids overlap."""
-    rv, n_rv = _compact(np.array([colouring.rv_colours[v] for v in inc.rv_ids], np.int64))
-    fac, _ = _compact(np.array([colouring.factor_colours[f] for f in inc.factor_ids], np.int64))
-    return np.concatenate((rv, n_rv + fac))
+    """The colouring as dense node colours over ``inc`` (``_node_colours``),
+    each ordered like the colouring's own ids."""
+    return _node_colours(
+        [colouring.rv_colours[v] for v in inc.rv_ids], [colouring.factor_colours[f] for f in inc.factor_ids]
+    )
 
 
 def _colouring(inc: Incidence, colour: np.ndarray) -> Colouring:
@@ -202,9 +210,10 @@ def _initial_colours(
         raise ValueError(f"tags given for non-unknown factors: {', '.join(extra)}")
 
     key = known_table_classes(fg, rtol)
-    rv, n_rv = _dense([rv.signature for rv in fg.rvs])
-    factor, _ = _dense([(1, tags[f.id]) if f.table is None else (0, key[f.id]) for f in fg.factors])
-    return np.array(rv + [n_rv + c for c in factor], np.int64)
+    return _node_colours(
+        [rv.signature for rv in fg.rvs],
+        [(1, tags[f.id]) if f.table is None else (0, key[f.id]) for f in fg.factors],
+    )
 
 
 def _port_labels(table: PotentialTable | None, n: int) -> tuple[int, ...]:
@@ -233,126 +242,31 @@ def _ports(fg: FactorGraph) -> tuple[np.ndarray, int]:
     return fg.memo("colours.ports", build, tables_only=True)
 
 
-# packed codes stay below this bound, so no int64 product can overflow
-_CODE_LIMIT = 1 << 62
-
-
-def _compact(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense ids of ``col`` in sorted value order, and their count."""
-    values, ids = np.unique(col, return_inverse=True)
-    return ids, len(values)
-
-
-def _pack(
-    x: np.ndarray, x_width: int, y: np.ndarray, y_width: int
-) -> tuple[np.ndarray, int]:
-    """One code per (x, y) row, injective and ordered like the rows, and a
-    bound on the codes; ``0 <= x < x_width`` and ``0 <= y < y_width``. Both
-    columns are compacted first when the plain product could overflow."""
-    if x_width * y_width > _CODE_LIMIT:
-        (x, x_width), (y, y_width) = _compact(x), _compact(y)
-    return x * y_width + y, x_width * y_width
-
-
-def _padded_width(size: int) -> int:
-    """Matrix width for owners of ``size`` pairs: 4, or the power of two at or above."""
-    return max(4, 1 << (size - 1).bit_length())
-
-
-def multiset_classes(
-    owner: np.ndarray, code: np.ndarray, code_width: int, own: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Class id of each owner, and one representative owner per class id.
-
-    Owners i and j share a class iff ``own[i] == own[j]`` and their rows
-    (those with ``owner == i``) carry the same multiset of ``code``, where
-    ``0 <= code < code_width``. Ids are dense but in no meaningful order.
-
-    Rows are first compressed to one (code, count) pair per distinct code
-    of an owner, so a hub of high degree over few kinds of neighbours keeps
-    few pairs. Owners then compare as rows of a matrix: one matrix for up
-    to four pairs, one per power of two above, each row padded with -1 to
-    its matrix's width. A row holds at most four entries or twice its
-    pairs, and the number of array calls grows with the log of the longest
-    compressed row, not with degree.
-    """
-    n = len(own)
-    key, _ = _pack(owner, n, code, code_width)
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-    pair, _ = _pack(code[first], code_width, counts, len(owner) + 1)
-    length = np.bincount(owner[first], minlength=n)
-    start = np.cumsum(length) - length
-    classes = np.empty(n, np.int64)
-    reps: list[int] = []
-    low, top = -1, _padded_width(int(length.max()) if n else 0)
-    for width in (1 << k for k in range(2, top.bit_length())):
-        sel = np.flatnonzero((length > low) & (length <= width))
-        low = width
-        if not len(sel):
-            continue
-        column = np.arange(width)
-        present = column < length[sel, None]
-        keys = np.full((len(sel), 1 + width), -1, np.int64)
-        keys[:, 0] = own[sel]
-        keys[:, 1:][present] = pair[(start[sel, None] + column)[present]]
-        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        _, first_of, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        classes[sel] = len(reps) + inverse
-        reps.extend(sel[first_of].tolist())
-    return classes, reps
-
-
-def _ranked(
-    classes: np.ndarray, reps: list[int], old: np.ndarray, rest: Callable[[int], tuple], first: int
-) -> np.ndarray:
-    """Colours from ``first`` on, in the order of the representatives'
-    signatures ``(old[rep], rest(rep))``, with ``old >= 0``;
-    ``rest`` is called only for representatives that share their old colour."""
-    rep_old = old[reps]
-    shared = np.flatnonzero(np.bincount(rep_old)[rep_old] > 1).tolist()
-    within = np.zeros(len(reps), np.int64)
-    within[sorted(shared, key=lambda i: rest(reps[i]))] = np.arange(len(shared))
-    rank = np.empty(len(reps), np.int64)
-    rank[np.lexsort((within, rep_old))] = np.arange(len(reps))
-    return first + rank[classes]
-
-
 def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
     """One refinement round: factors re-colour from their arguments, then
-    RVs re-colour from the new factor colours. New colour ids are dense and
-    assigned in sorted-signature order, so the result is independent of node
-    insertion order.
+    RVs re-colour from the new factor colours.
 
-    The classes are found on the incidence index (``multiset_classes``).
-    They are numbered by the old colour of one representative each; the
-    rest of a signature is built only for representatives of classes that
-    split one old colour, from that representative's own rows.
+    A factor's signature is its old colour and, port by port, the sorted
+    colours of the arguments at that port; an RV's is its old colour and
+    the sorted (new factor colour, port) pairs of its factors. Both are
+    numbered by ``_dense``, factors first and RVs after them, so the result
+    is independent of node insertion order.
     """
     inc = fg.incidence
-    rv_old, fac_old = np.split(_colours_of(inc, colouring), [len(inc.rv_ids)])
-    ports, n_ports = _ports(fg)
-    arg_col = rv_old[inc.rv]
-
-    def factor_rest(f: int) -> tuple:
-        rows = slice(inc.start[f], inc.start[f + 1])
-        per_port: dict[int, list[int]] = {}
-        for port, col in zip(ports[rows].tolist(), arg_col[rows].tolist()):
-            per_port.setdefault(port, []).append(col)
-        return tuple((port, tuple(sorted(cols))) for port, cols in sorted(per_port.items()))
-
-    code, width = _pack(ports, n_ports, arg_col, len(rv_old))
-    fac_classes, fac_reps = multiset_classes(inc.factor, code, width, fac_old)
-    fac_new = _ranked(fac_classes, fac_reps, fac_old, factor_rest, 0)
-    msg_col = fac_new[inc.factor]
-
-    def rv_rest(r: int) -> tuple:
-        rows = inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]
-        return tuple(sorted(zip(msg_col[rows].tolist(), ports[rows].tolist())))
-
-    code, width = _pack(msg_col, len(fac_reps), ports, n_ports)
-    rv_classes, rv_reps = multiset_classes(inc.rv, code, width, rv_old)
-    rv_new = _ranked(rv_classes, rv_reps, rv_old, rv_rest, len(fac_reps))
-    return _colouring(inc, np.concatenate((rv_new, fac_new)))
+    rv_old = [colouring.rv_colours[v] for v in inc.rv_ids]
+    rows = list(zip(inc.factor.tolist(), inc.rv.tolist(), _ports(fg)[0].tolist()))
+    by_port: list[dict[int, list[int]]] = [{} for _ in inc.factor_ids]
+    for f, r, port in rows:
+        by_port[f].setdefault(port, []).append(rv_old[r])
+    fac_new, n_fac = _dense([
+        (colouring.factor_colours[fid], tuple((p, tuple(sorted(c))) for p, c in sorted(ports.items())))
+        for fid, ports in zip(inc.factor_ids, by_port)
+    ])
+    seen: list[list[tuple[int, int]]] = [[] for _ in inc.rv_ids]
+    for f, r, port in rows:
+        seen[r].append((fac_new[f], port))
+    rv_new, _ = _dense([(c, tuple(sorted(pairs))) for c, pairs in zip(rv_old, seen)])
+    return Colouring(dict(zip(inc.rv_ids, (n_fac + c for c in rv_new))), dict(zip(inc.factor_ids, fac_new)))
 
 
 def _class_counts(colouring: Colouring) -> tuple[int, int]:

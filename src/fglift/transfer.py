@@ -17,28 +17,29 @@ whose key is the sorted neighbour profile, so every known factor is
 bucketed once by that key and each unknown factor reads its bucket. The
 profiles are read off the graph's incidence index: every RV gets one
 profile id, numbered densely in sorted-profile order, so that sorted id
-tuples order, compare and tag exactly as the profiles did, and all factors
-are bucketed by their multiset of argument ids in one array pass
-(``colours.multiset_classes``). Every known table belongs to one table
-class (``colours.known_table_classes``, one canonical key per distinct
-table, kept per graph and ``rtol``), and the same map splits a bucket into
-classes, finds mirror individuals and colours the known factors. A mirror
-individual is found by set tests on each individual's set of known table
-classes, built once per graph and background knowledge, also when
-``select_transfer_class`` is called on its own. At ``rtol == 0``
-completion therefore costs O(factors + unknowns) profile and key
-computations, plus one set test per individual for each individual that
-holds an unknown factor.
+tuples order, compare and tag exactly as the profiles did. Every factor
+is bucketed in a dict by that sorted tuple (``_neighbour_profile``), its
+argument ids read off its rows of the index; the same key decides
+``indistinguishable`` and tags the unresolved unknowns. Every known table
+belongs to one table class (``colours.known_table_classes``, one canonical
+key per distinct table, kept per graph and ``rtol``), and the same map
+splits a bucket into classes, finds mirror individuals and colours the
+known factors. A mirror individual is found by set tests on each
+individual's set of known table classes, built once per graph and
+background knowledge, also when ``select_transfer_class`` is called on its
+own. At ``rtol == 0`` completion therefore costs O(factors + unknowns)
+profile and key computations, plus one set test per individual for each
+individual that holds an unknown factor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .colours import Grouping, _dense, known_table_classes, multiset_classes, run_colour_passing
+from .colours import Grouping, _dense, known_table_classes, run_colour_passing
 from .model import BackgroundKnowledge, FactorGraph
 from .tables import (
     CanonicalKey,
@@ -68,9 +69,10 @@ def _argument_profiles(fg: FactorGraph, factor_id: str) -> tuple[int, ...]:
     return tuple(ids[position[arg]] for arg in fg.factor(factor_id).args)
 
 
-def _neighbour_profile(fg: FactorGraph, factor_id: str) -> tuple[int, ...]:
-    """Sorted multiset of argument profile ids: the indistinguishability key."""
-    return tuple(sorted(_argument_profiles(fg, factor_id)))
+def _neighbour_profile(argument_profiles: Iterable[int]) -> tuple[int, ...]:
+    """Sorted multiset of a factor's argument profile ids: the
+    indistinguishability key."""
+    return tuple(sorted(argument_profiles))
 
 
 def indistinguishable(fg: FactorGraph, a: str, b: str) -> bool:
@@ -80,7 +82,7 @@ def indistinguishable(fg: FactorGraph, a: str, b: str) -> bool:
     evidence-preserving correspondence between the neighbour RVs, i.e.
     equal profile multisets. This is an equivalence relation.
     """
-    return _neighbour_profile(fg, a) == _neighbour_profile(fg, b)
+    return _neighbour_profile(_argument_profiles(fg, a)) == _neighbour_profile(_argument_profiles(fg, b))
 
 
 def possibly_identical(fg: FactorGraph, a: str, b: str, rtol: float = 0.0) -> bool:
@@ -155,26 +157,25 @@ def candidate_sets(fg: FactorGraph, rtol: float = 0.0) -> list[CandidateSet]:
     """
     check_rtol(rtol)
     class_of = known_table_classes(fg, rtol)
-    inc = fg.incidence
-    ids = np.asarray(_profile_ids(fg), np.int64)
+    ids, inc = _profile_ids(fg), fg.incidence
+    arg_profiles = list(map(ids.__getitem__, inc.rv.tolist()))
+    bounds = inc.start.tolist()
     # factors share a bucket iff their neighbour profiles are equal
-    bucket, _ = multiset_classes(
-        inc.factor, ids[inc.rv], len(ids), np.zeros(len(inc.factor_ids), np.int64)
-    )
-    known: dict[int, list[str]] = {}
-    unknown: list[tuple[str, int]] = []
-    for f, b in zip(fg.factors, bucket.tolist()):
+    known: dict[tuple[int, ...], list[str]] = {}
+    unknown: list[tuple[str, tuple[int, ...]]] = []
+    for f, a, b in zip(fg.factors, bounds, bounds[1:]):
+        key = _neighbour_profile(arg_profiles[a:b])
         if f.is_unknown:
-            unknown.append((f.id, b))
+            unknown.append((f.id, key))
         else:
-            known.setdefault(b, []).append(f.id)
-    per_bucket: dict[int, tuple] = {}
+            known.setdefault(key, []).append(f.id)
+    per_bucket: dict[tuple[int, ...], tuple] = {}
     out = []
-    for uid, b in sorted(unknown):
-        if b not in per_bucket:
-            cands = tuple(sorted(known.get(b, ())))
-            per_bucket[b] = (cands, _candidate_classes(cands, class_of))
-        out.append(CandidateSet(uid, *per_bucket[b]))
+    for uid, key in sorted(unknown):
+        if key not in per_bucket:
+            cands = tuple(sorted(known.get(key, ())))
+            per_bucket[key] = (cands, _candidate_classes(cands, class_of))
+        out.append(CandidateSet(uid, *per_bucket[key]))
     return out
 
 
@@ -340,7 +341,7 @@ def complete_and_lift(
     completed = fg.with_tables(transfers)
     unresolved = tuple(uid for uid in sorted(fg.unknown_factor_ids) if uid not in transfers)
     # indistinguishable unknowns share a colour: tag each by its neighbour profile
-    tags = {uid: _neighbour_profile(fg, uid) for uid in unresolved}
+    tags = {uid: _neighbour_profile(_argument_profiles(fg, uid)) for uid in unresolved}
     grouping = run_colour_passing(completed, rtol, unknown_tags=tags)
     report = TransferReport(tuple(rows), unresolved, theta)
     return CompletionResult(completed, grouping, report)

@@ -228,9 +228,44 @@ def per_core_rv(fg):
     )
 
 
+def hub_graph(rng: np.random.Generator, arity: int, n_unknown: int = 3) -> FactorGraph:
+    """Two binary hubs, each the first argument of factors of two kinds over
+    fresh binary leaves of degree 1: a kind-j factor holds ``k + j`` plain
+    leaves and then observed ones up to ``arity``. So the kinds' neighbour
+    profiles hold the same profiles, in different numbers. Hub 0 is in m
+    factors of kind 0 and n of kind 1, hub 1 in n and m, with m != n
+    between 10 and 20, so the hubs' neighbourhoods differ only in
+    multiplicity too. Every other factor of a kind carries one table
+    symmetric in all arguments and shared by both kinds, the rest its
+    kind's own random table; ``n_unknown`` random factors are unknown."""
+    k = int(rng.integers(1, arity - 2))
+    m, n = (int(c) for c in rng.choice(np.arange(10, 21), 2, replace=False))
+    shape = (2,) * arity
+    by_ones = rng.uniform(0.5, 2.0, arity + 1)
+    symmetric = PotentialTable(shape, [float(by_ones[bin(i).count("1")]) for i in range(2**arity)])
+    own = [PotentialTable(shape, rng.uniform(0.1, 10.0, 2**arity).tolist()) for _ in range(2)]
+    rvs = [RandomVariable(f"h{h}", range_of(2)) for h in range(2)]
+    factors = []
+    for h, counts in enumerate(((m, n), (n, m))):
+        for kind, count in enumerate(counts):
+            for i in range(count):
+                fid = f"h{h}k{kind}f{i}"
+                leaves = [
+                    RandomVariable(f"{fid}x{j}", range_of(2), None if j < k + kind else "v1")
+                    for j in range(arity - 1)
+                ]
+                rvs += leaves
+                args = (f"h{h}", *(leaf.id for leaf in leaves))
+                factors.append(Factor(fid, args, symmetric if i % 2 else own[kind]))
+    for i in rng.choice(len(factors), n_unknown, replace=False):
+        factors[i] = Factor(factors[i].id, factors[i].args)
+    return FactorGraph(rvs, factors)
+
+
 def completion_cases(rng):
     """(graph, background knowledge or None, theta) for completion: random
-    graphs, half of them jittered, then jittered generated cohorts."""
+    graphs, half of them jittered, then jittered generated cohorts, then
+    hub graphs with factors of arity 5 to 9 (``hub_graph``)."""
     for trial in range(60):
         fg = random_graph(
             rng, n_rvs=7, n_factors=16, max_arity=3, pool_size=2,
@@ -247,6 +282,10 @@ def completion_cases(rng):
         )
         fg = jittered(generate_instance(cfg).incomplete, rng)
         yield fg, per_core_rv(fg), 0.0
+    for arity in range(5, 10):
+        fg = hub_graph(rng, arity)
+        bk = random_individuals(fg, rng) if arity % 2 else None
+        yield fg, bk, float(rng.choice([0.0, 0.5, 0.9]))
 
 
 def malformed_graphs():

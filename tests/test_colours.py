@@ -57,6 +57,7 @@ from conftest import (
     chain_graph,
     completion_cases,
     epidemic_base,
+    hub_graph,
     jittered,
     permuted,
     random_graph,
@@ -554,9 +555,11 @@ def _index_cases(rng):
     unknowns, each without and with evidence on about a tenth of its RVs;
     one small graph with parallel factors over one pair of RVs; deep refinement: a
     uniform 300-RV chain, which splits by distance from its ends over about
-    150 rounds, without and with evidence at one end; and a d = 128
+    150 rounds, without and with evidence at one end; a d = 128
     instance with its own random table on every factor, whose RV classes
-    split into many siblings at once."""
+    split into many siblings at once; and hub graphs (``hub_graph``) of
+    arity 5 and 9, where factors and hubs differ only in the multiplicity
+    of the colours they see."""
     for d in (128, 256, 1024):
         cfg = ExperimentConfig(
             d=d, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0,
@@ -597,6 +600,8 @@ def _index_cases(rng):
     yield truth.with_tables(
         {f.id: PotentialTable.from_array(rng.uniform(0.5, 2.0, f.table.shape)) for f in truth.factors}
     )
+    yield hub_graph(rng, 5)
+    yield hub_graph(rng, 9)
 
 
 def test_index_colour_passing_matches_reference_on_large_graphs():
@@ -616,7 +621,7 @@ def test_index_colour_passing_matches_reference_on_large_graphs():
                 current = nxt
             assert refine_to_fixpoint(g, start) == _ref_fixpoint(g, start) == nxt
         graphs += 1
-    assert graphs == 3 * 4 + 1 + 3
+    assert graphs == 3 * 4 + 1 + 3 + 2
 
 
 def test_derived_graphs_share_the_index_but_not_ports_or_signatures():
@@ -766,7 +771,7 @@ def _member_check(fg, grouping):
 
 
 def _lossless_cases():
-    """744 (graph, grouping) pairs: the completion cases at rtol 0 and 1e-6,
+    """754 (graph, grouping) pairs: the completion cases at rtol 0 and 1e-6,
     and 150 random graphs of arity up to 4 with permuted arguments, plain
     and jittered, each at rtol 0 and 1e-6."""
     for fg, bk, theta in completion_cases(np.random.default_rng(2024)):
@@ -793,7 +798,7 @@ def test_lossless_rule_matches_member_by_member_rebuild():
             flagged = cls.table is not None and not _member_exact(fg, cls)
             assert line.endswith(" exact=no") == flagged
             inexact += flagged
-    assert len(verdicts) == 744
+    assert len(verdicts) == 754
     assert 0 < sum(verdicts) < len(verdicts) and inexact
 
 
@@ -880,7 +885,8 @@ def test_worklist_matches_rounds_where_unknowns_stay_unresolved():
     for fg, bk, _ in completion_cases(np.random.default_rng(2029)):
         for rtol in (0.0, 1e-6):
             result = complete_and_lift(fg, 1.0, bk, rtol)
-            tags = {u: transfer._neighbour_profile(fg, u) for u in result.report.unresolved}
+            profile = transfer._argument_profiles
+            tags = {u: transfer._neighbour_profile(profile(fg, u)) for u in result.report.unresolved}
             assert result.grouping == rounds_grouping(result.completed, rtol, tags)
             unresolved += len(tags)
     assert unresolved > 100

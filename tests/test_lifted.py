@@ -466,9 +466,10 @@ def test_a_graph_is_coloured_once(monkeypatch):
     starts = []
     start = colours._initial_colours
     monkeypatch.setattr(colours, "_initial_colours", lambda g, *a: starts.append(g) or start(g, *a))
-    # the library colours on node numbers: the reference API's Colouring is never built
+    # the library colours on node numbers: the reference API's Colouring is
+    # never built, and no reference round runs
     reference = []
-    for name in ("initial_colouring", "grouping_from_colouring"):
+    for name in ("initial_colouring", "colour_passing_step", "refine_to_fixpoint", "grouping_from_colouring"):
         monkeypatch.setattr(colours, name, lambda *a, name=name: reference.append(name))
     results = []
     complete = synth.complete_and_lift
@@ -478,6 +479,7 @@ def test_a_graph_is_coloured_once(monkeypatch):
         d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
     )
     assert run_experiment(cfg).queries
+    assert reference == []
     # complete_and_lift coloured the completed graph, marginals the truth
     # graph; neither graph was coloured twice
     (result,) = results

@@ -629,9 +629,9 @@ def _first_appearance_tags(fg, unresolved):
     among all unknown factors in id order, kept for the unresolved ones only:
     the integer tags completion passed to colour passing before it passed the
     profiles themselves."""
-    numbers = {}
+    numbers, profile = {}, transfer._argument_profiles
     tags = {
-        uid: numbers.setdefault(transfer._neighbour_profile(fg, uid), len(numbers))
+        uid: numbers.setdefault(transfer._neighbour_profile(profile(fg, uid)), len(numbers))
         for uid in sorted(fg.unknown_factor_ids)
     }
     return {uid: tags[uid] for uid in unresolved}
