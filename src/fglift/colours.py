@@ -6,9 +6,11 @@ unknown factors by a caller's tag) and are repeatedly re-partitioned: each
 factor combines its own colour with the colours of its arguments, each RV
 combines its own colour with the multiset of factor colours it sees,
 annotated by the *port* it sits at in each factor. An argument position's
-port label is its symmetry orbit in the table's canonical form, so
-positions that the potentials make interchangeable share a label; unknown
-and over-arity tables label each position by itself. Every signature
+port label is its block in the table's canonical form
+(``tables.canonical_info``): positions that the stabiliser's transpositions
+join, within which the table is fully symmetric, share a label. A cyclic
+symmetry joins none, as it leaves the arguments' marginals different.
+Unknown and over-arity tables label each position by itself. Every signature
 starts with the node's old colour, so a round only ever splits classes: the
 partition is stable as soon as the number of RV classes and of factor
 classes stops growing, after at most one round per node. The initial
@@ -33,29 +35,30 @@ that split (``_refine``). A splitter class gives each neighbour the
 multiset of ports of its edges into the class, and the neighbours' classes
 split by it. The coarsest stable refinement of a start is unique, so the
 worklist finds the partition of ``refine_to_fixpoint``; only the colour
-ids differ, and a ``Grouping`` has none. There are two starts:
+ids differ, and a ``Grouping`` has none. Evidence reaches it by one route:
 
-- From scratch (``_stable_colours``): the initial colours, every class
-  a splitter. No class may be left out, because the initial colours do
-  not encode degree. ``run_colour_passing`` at ``rtol == 0`` on a graph
-  with no tags and no evidence keeps this colouring per structure and
-  tables (``_evidence_free_colours``), so a graph is coloured from
-  scratch once.
-- Evidence (``_refined_colours``): evidence changes only the signatures
-  of the observed RVs, so inference refines the stable colouring of the
-  same graph with its evidence cleared, built once per structure and
-  tables and shared with the graph's ``with_evidence`` copies. The
-  observed RVs' classes split by value, and only the parts split off
-  become splitters. The observed graph's initial colours refine the
-  evidence-free ones, and refinement to a stable colouring preserves
-  that, so the observed stable colouring refines the meet of the
-  evidence-free stable colouring and the observed initial colours, which
-  is where the worklist starts. Being the coarsest stable partition that
-  refines the observed initial colours, it is then also the coarsest
-  stable refinement of that start, which is where the worklist stops. The
-  start must be evidence-free: from a colouring that already holds some
-  evidence, a newly observed RV can belong with an RV observed before to
-  the same value, and refinement never merges.
+- The library's initial colours (``_initial_colours``) key an RV on its
+  range alone, so the stable colouring from them (``_stable_colours``)
+  reads no evidence. Every initial class is a splitter: none may be left
+  out, because the initial colours do not encode degree. At ``rtol == 0``
+  with no tags it is kept per graph (``_evidence_free_colours``), so a
+  graph is coloured from scratch once.
+- Evidence, stored on the RVs or passed to inference, then splits an
+  evidence-free stable colouring (``_split``): the observed RVs' classes
+  split by value, and only the parts split off become splitters. The
+  observed initial colours (``initial_colouring``, which keys an RV on its
+  signature) are the meet of the evidence-free ones and the evidence.
+  Refinement to a stable colouring preserves refinement, so the observed
+  stable colouring refines the meet of the evidence-free stable colouring
+  and the evidence, which is where the worklist starts. Being the
+  coarsest stable partition that refines the observed initial colours, it
+  is then also the coarsest stable refinement of that start, which is
+  where the worklist stops. The start must be evidence-free: from a
+  colouring that already holds some evidence, a newly observed RV can
+  belong with an RV observed before to the same value, and refinement
+  never merges. ``run_colour_passing`` splits by the graph's stored
+  evidence, inference by the stored and passed evidence together, and no
+  graph is copied for either.
 
 Inside this module a colouring is one int64 array over node numbers, RVs
 by position in ``FactorGraph.rvs`` and then factors: ``_initial_colours``
@@ -164,9 +167,8 @@ def _colouring(inc: Incidence, colour: np.ndarray) -> Colouring:
 def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, CanonicalKey]:
     """Table class of each known factor, by factor id, as ``tables.table_classes``
     builds it over the graph's canonical keys; one ``canonical_info`` per
-    distinct table. Built once per graph and ``rtol``, and shared with the
-    graph's ``with_evidence`` copies; the mapping is read-only. Raises
-    ValueError for a negative or NaN ``rtol``.
+    distinct table. Built once per graph and ``rtol``; the mapping is
+    read-only. Raises ValueError for a negative or NaN ``rtol``.
     """
     check_rtol(rtol)
 
@@ -176,7 +178,7 @@ def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, Cano
         class_of = table_classes(key_of.values(), rtol)
         return MappingProxyType({f.id: class_of[key_of[f.table]] for f in known})
 
-    return fg.memo(("colours.table_classes", rtol), build, tables_only=True)
+    return fg.memo(("colours.table_classes", rtol), build)
 
 
 def initial_colouring(
@@ -191,14 +193,23 @@ def initial_colouring(
     sortable. RVs and then factors are coloured densely in sorted-signature
     order. Raises UnknownFactorPresent for an untagged unknown factor.
     """
-    return _colouring(fg.incidence, _initial_colours(fg, rtol, unknown_tags))
+    keys = _factor_keys(fg, rtol, unknown_tags)
+    return _colouring(fg.incidence, _node_colours([rv.signature for rv in fg.rvs], keys))
 
 
 def _initial_colours(
     fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
 ) -> np.ndarray:
-    """``initial_colouring`` as the colour of every node, numbered as in
-    ``_Partition``; the colour ids are the same."""
+    """The evidence-free initial colour of every node, numbered as in
+    ``_Partition``: ``initial_colouring`` with each RV keyed on its range
+    alone, so with its colour ids where no RV is observed."""
+    return _node_colours([rv.range.values for rv in fg.rvs], _factor_keys(fg, rtol, unknown_tags))
+
+
+def _factor_keys(
+    fg: FactorGraph, rtol: float, unknown_tags: Mapping[str, Hashable] | None
+) -> list[Hashable]:
+    """Each factor's initial signature, in factor order (``initial_colouring``)."""
     tags = dict(unknown_tags or {})
     untagged = [fid for fid in fg.unknown_factor_ids if fid not in tags]
     if untagged:
@@ -210,15 +221,12 @@ def _initial_colours(
         raise ValueError(f"tags given for non-unknown factors: {', '.join(extra)}")
 
     key = known_table_classes(fg, rtol)
-    return _node_colours(
-        [rv.signature for rv in fg.rvs],
-        [(1, tags[f.id]) if f.table is None else (0, key[f.id]) for f in fg.factors],
-    )
+    return [(1, tags[f.id]) if f.table is None else (0, key[f.id]) for f in fg.factors]
 
 
 def _port_labels(table: PotentialTable | None, n: int) -> tuple[int, ...]:
     """Port label of each of a factor's ``n`` argument positions: its
-    canonical symmetry orbit in the factor's ``table``.
+    block in the canonical form of the factor's ``table``.
 
     Unknown factors label each position by itself, as ``canonical_info``
     does for oversized tables, so positions are then compared literally.
@@ -231,7 +239,7 @@ def _port_labels(table: PotentialTable | None, n: int) -> tuple[int, ...]:
 
 def _ports(fg: FactorGraph) -> tuple[np.ndarray, int]:
     """Port label of every incidence row of ``fg``, and a bound on the
-    labels; memoised per graph and shared with its ``with_evidence`` copies."""
+    labels; memoised per graph."""
 
     def build() -> tuple[np.ndarray, int]:
         labels = cache(_port_labels)
@@ -239,7 +247,7 @@ def _ports(fg: FactorGraph) -> tuple[np.ndarray, int]:
         ports = np.fromiter(rows, np.int64, len(fg.incidence.rv))
         return ports, int(ports.max()) + 1 if len(ports) else 1
 
-    return fg.memo("colours.ports", build, tables_only=True)
+    return fg.memo("colours.ports", build)
 
 
 def colour_passing_step(fg: FactorGraph, colouring: Colouring) -> Colouring:
@@ -328,17 +336,16 @@ def run_colour_passing(
     unknown_tags: Mapping[str, Hashable] | None = None,
 ) -> Grouping:
     """Full colour passing: the grouping of ``refine_to_fixpoint`` from
-    ``initial_colouring``, found by the splitter worklist (``_refine``) with
-    every initial class queued.
+    ``initial_colouring``, found by the splitter worklist (``_refine``).
 
     ``unknown_tags`` pre-colours unknown factors (see initial_colouring);
-    without it the graph must be fully known. At ``rtol == 0``, with no
-    tags and no evidence, the colouring is the graph's kept evidence-free
-    one, which inference refines and reads.
+    without it the graph must be fully known. The evidence-free stable
+    colouring, the graph's kept one (``_evidence_free_colours``) at ``rtol
+    == 0`` with no tags, is split by the graph's stored evidence (``_split``).
     """
-    if rtol == 0.0 and not unknown_tags and not _observed(fg):
-        return _grouping(fg, _evidence_free_colours(fg))
-    return _grouping(fg, _stable_colours(fg, rtol, unknown_tags))
+    kept = rtol == 0.0 and not unknown_tags
+    free = _evidence_free_colours(fg) if kept else _stable_colours(fg, rtol, unknown_tags)
+    return _grouping(fg, _split(fg, free, {rv.id: rv.evidence for rv in fg.rvs if rv.evidence is not None}))
 
 
 @dataclass
@@ -471,50 +478,33 @@ def _stable_colours(
     fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
 ) -> np.ndarray:
     """The class of each node, numbered as in ``_Partition``, in the coarsest
-    stable refinement of ``_initial_colours(fg, rtol, unknown_tags)``. Every
-    initial class is a splitter, since the initial colours do not encode
-    degree."""
+    stable refinement of ``_initial_colours(fg, rtol, unknown_tags)``, which
+    reads no evidence. Every initial class is a splitter, since the initial
+    colours do not encode degree."""
     partition = _Partition.of(_initial_colours(fg, rtol, unknown_tags))
     _refine(partition, _adjacency(fg), list(range(len(partition.start))))
     return np.array(partition.colour, np.int64)
 
 
-def _observed(fg: FactorGraph) -> dict[int, str]:
-    """The evidence of each observed RV, by node number."""
-    return {v: rv.evidence for v, rv in enumerate(fg.rvs) if rv.evidence is not None}
-
-
 def _evidence_free_colours(fg: FactorGraph) -> np.ndarray:
-    """``_stable_colours`` of ``fg`` with every RV's evidence cleared. Built
-    once per structure and tables, and shared with the graph's
-    ``with_evidence`` copies."""
-
-    def build() -> np.ndarray:
-        stored = {rv.id: None for rv in fg.rvs if rv.evidence is not None}
-        return _stable_colours(fg.with_evidence(stored) if stored else fg)
-
-    return fg.memo("colours.evidence_free", build, tables_only=True)
+    """``_stable_colours(fg)``, kept per graph."""
+    return fg.memo("colours.evidence_free", lambda: _stable_colours(fg))
 
 
-def _refined_colours(fg: FactorGraph) -> np.ndarray:
-    """The partition of ``_stable_colours(fg)`` for a fully known ``fg``,
-    refined from its kept evidence-free colouring (``_evidence_free_colours``):
-    the observed RVs' classes split by evidence value, and only the parts
-    split off join the worklist (``_refine``), so the work follows what the
-    evidence splits. Kept per graph; the adjacency it refines on is kept
-    per structure and tables."""
-
-    def build() -> np.ndarray:
-        free = _evidence_free_colours(fg)
-        observed = _observed(fg)
-        if not observed:
-            return free
-        partition = _Partition.of(free)
-        adjacency = fg.memo("colours.adjacency", lambda: _adjacency(fg), tables_only=True)
-        _refine(partition, adjacency, partition.split(observed))
-        return np.array(partition.colour, np.int64)
-
-    return fg.memo("colours.refined", build)
+def _split(fg: FactorGraph, free: np.ndarray, evidence: Mapping[str, str]) -> np.ndarray:
+    """The stable colouring of ``fg`` under ``evidence`` (by RV id), refined
+    from ``free``, an evidence-free stable colouring of ``fg`` numbered as in
+    ``_Partition``: the observed RVs' classes split by value, and only the
+    parts split off join the worklist (``_refine``), so the work follows what
+    the evidence splits. ``free`` itself without evidence. The adjacency it
+    refines on is kept per graph."""
+    if not evidence:
+        return free
+    partition = _Partition.of(free)
+    position = fg.incidence.rv_position
+    adjacency = fg.memo("colours.adjacency", lambda: _adjacency(fg))
+    _refine(partition, adjacency, partition.split({position[r]: v for r, v in evidence.items()}))
+    return np.array(partition.colour, np.int64)
 
 
 def _is_exact(fg: FactorGraph, cls: FactorClass) -> bool:

@@ -56,43 +56,42 @@ conflicts, or every configuration consistent with it has a zero factor
 entry; it is never an overflow.
 
 ``marginals`` and ``variable_elimination`` choose their path per call.
-When some query is unobserved, the passed evidence is stored on the RVs
-(``with_evidence``) and the answer comes from the quotient of that graph's
-stable colouring, by counting belief propagation (Kersting, Ahmadi and
-Natarajan, UAI 2009), when the gates below hold; otherwise bucket
-elimination answers in the given ``order``, bit for bit and errors
-included, so ``order`` applies only there. The colouring is refined from
-the stable colouring of the graph with its evidence cleared, which the
-graph and its ``with_evidence`` copies share, by splitting only what the
-evidence tells apart (``colours._refined_colours``); its partition is that
-of colouring the observed graph from scratch. The quotient reads the
-colouring as one class number per node, kept per graph, and never as a
-``Grouping``. An evidence call refines the colouring of its
-``with_evidence`` copy, which lives as long as the call. Nothing query- or
-evidence-specific is kept: every call runs the messages.
+The stored and the passed evidence are merged into one dict, by RV id.
+When some query is unobserved, the answer comes from the quotient of the
+graph's stable colouring under that evidence, by counting belief
+propagation (Kersting, Ahmadi and Natarajan, UAI 2009), when the gates
+below hold; otherwise bucket elimination answers in the given ``order``,
+bit for bit and errors included, so ``order`` applies only there. The
+colouring is the graph's kept evidence-free stable colouring, split by the
+evidence (``colours._split``), so only what the evidence tells apart is
+refined; its partition is that of colouring the observed graph from
+scratch. The quotient reads it as one class number per node, never as a
+``Grouping``, and the messages read the observed values from the evidence
+dict, so no graph is copied. Nothing query- or evidence-specific is kept:
+every call splits the colouring and runs the messages.
 
 The stable colouring guarantees, by construction, that every node sits in
-exactly one class, that the RVs of a class share range and evidence (the
-initial colours), and that they see equal multisets of (factor class,
-port), so equal degrees. ``check_factors`` has already refused unknown
-factors. What it does not guarantee is checked, each in near-linear time
-in the graph: the bipartite graph is a forest (once per structure); every
-member's table equals its class table position by position; the RV class
-at each argument position of a factor is that of its class's first
-member; and every RV sees the multiset of (factor class, position) that
-its class's first member sees, since a symmetric table gives two
-positions one port. A class's first member is its lowest node number.
-Such a partition is equitable, so on a forest the ground messages along
-two edges of one (factor class, position) are equal, by induction over the
-subtrees they summarise, and so are the beliefs of two RVs of one class.
-Belief propagation is exact on a forest, so one message per edge class
-answers every query exactly, with a message raised to the power of the
-number of edges it stands for. Messages are kept as logs and shifted to
-maximum 0 before every ``exp``; observed RVs send indicators. The quotient
-of a forest cannot be cyclic, and a zero normaliser means a component
-without mass, where the ground path raises; either sends the call to
-bucket elimination, as any failed gate does, so errors are the ground
-path's own. A transposed member falls back too.
+exactly one class, that the RVs of a class share range (the initial
+colours) and evidence (the split), and that they see equal multisets of
+(factor class, port), so equal degrees. ``check_factors`` has already
+refused unknown factors. What it does not guarantee is checked, each in
+near-linear time in the graph: the bipartite graph is a forest (once per
+structure); every member's table equals its class table position by
+position; the RV class at each argument position of a factor is that of
+its class's first member; and every RV sees the multiset of (factor
+class, position) that its class's first member sees, since a symmetric
+table gives two positions one port. A class's first member is its lowest
+node number. Such a partition is equitable, so on a forest the ground
+messages along two edges of one (factor class, position) are equal, by
+induction over the subtrees they summarise, and so are the beliefs of two
+RVs of one class. Belief propagation is exact on a forest, so one message
+per edge class answers every query exactly, with a message raised to the
+power of the number of edges it stands for. Messages are kept as logs and
+shifted to maximum 0 before every ``exp``; observed RVs send indicators.
+The quotient of a forest cannot be cyclic, and a zero normaliser means a
+component without mass, where the ground path raises; either sends the
+call to bucket elimination, as any failed gate does, so errors are the
+ground path's own. A transposed member falls back too.
 """
 from __future__ import annotations
 
@@ -109,7 +108,7 @@ from .errors import (
     InfiniteDivergence,
 )
 from .model import FactorGraph, check_factors
-from .colours import Grouping, _refined_colours
+from .colours import Grouping, _evidence_free_colours, _split
 from .tables import PotentialTable
 
 _ORDERS = ("min_degree", "reverse_id")
@@ -246,11 +245,11 @@ def marginals(
     factor raises UnknownFactorPresent.
 
     On a forest the answer comes from counting belief propagation on the
-    quotient of the stable colouring of the graph with the passed evidence
-    stored on its RVs, wherever that is exact; that colouring is refined
-    from the graph's kept evidence-free colouring, where the evidence
-    splits it. Otherwise bucket elimination in ``order`` answers, with its
-    errors. See the module docstring for both paths.
+    quotient of the graph's stable colouring under the stored and passed
+    evidence, wherever that is exact: its kept evidence-free colouring,
+    split where the evidence splits it, and no graph is copied. Otherwise
+    bucket elimination in ``order`` answers, with its errors. See the
+    module docstring for both paths.
     """
     return _marginals(fg, queries, evidence, order, True)
 
@@ -272,8 +271,8 @@ def _marginals(
     order: str,
     lifted: bool,
 ) -> tuple[Marginal, ...]:
-    """The argument checks, then, if ``lifted``, the lifted path on the graph
-    with the passed evidence stored, where that is exact and some query is
+    """The argument checks, then, if ``lifted``, the lifted path under the
+    stored and passed evidence, where that is exact and some query is
     unobserved, else bucket elimination."""
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of RV ids, not one id")
@@ -281,27 +280,22 @@ def _marginals(
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
     check_factors(fg)
     rvs = [fg.rv(q) for q in queries]
-    # passed evidence on RVs that store none
-    extra: dict[str, str] = {}
+    # stored evidence, then passed evidence on RVs that store none
+    ev = {r.id: r.evidence for r in fg.rvs if r.evidence is not None}
     for k, v in (evidence or {}).items():
-        target = fg.rv(k)
-        if v not in target.range:
+        if v not in fg.rv(k).range:
             raise ValueError(f"evidence {v!r} not in range of {k!r}")
-        if target.evidence is None:
-            extra[k] = v
-        elif target.evidence != v:
-            raise InconsistentEvidence(f"conflicting evidence for {k!r}: {target.evidence!r} vs {v!r}")
-    if lifted and any(rv.evidence is None and rv.id not in extra for rv in rvs):
-        g = fg.with_evidence(extra) if extra else fg
-        answer = _quotient(g)
+        if ev.setdefault(k, v) != v:
+            raise InconsistentEvidence(f"conflicting evidence for {k!r}: {ev[k]!r} vs {v!r}")
+    if lifted and any(rv.id not in ev for rv in rvs):
+        answer = _quotient(fg, ev)
         if answer is not None:
             rv_class, probabilities = answer[0].tolist(), answer[1]
-            position = g.incidence.rv_position
+            position = fg.incidence.rv_position
             return tuple(
                 Marginal(rv.id, rv.range.values, probabilities[rv_class[position[rv.id]]])
                 for rv in rvs
             )
-    ev = {r.id: r.evidence for r in fg.rvs if r.evidence is not None} | extra
     hidden = list(dict.fromkeys(rv.id for rv in rvs if rv.id not in ev))
     beliefs = _beliefs(fg, ev, hidden, order) if hidden else {}
 
@@ -388,12 +382,16 @@ def _beliefs(
     return belief
 
 
-def _quotient(fg: FactorGraph) -> tuple[np.ndarray, list[tuple[float, ...]]] | None:
+def _quotient(
+    fg: FactorGraph, ev: Mapping[str, str]
+) -> tuple[np.ndarray, list[tuple[float, ...]]] | None:
     """The class of each RV (by position in ``fg.rvs``) and the marginal of
-    each RV class, by counting belief propagation on the quotient of the
-    stable colouring of a fully known ``fg`` (``colours._refined_colours``);
-    None where the lifted answer would not be exact, or a normaliser is zero
-    or non-finite.
+    each RV class under the evidence ``ev``, all of it by RV id, stored
+    evidence included, by counting belief propagation on the quotient of
+    the stable colouring of a fully known ``fg`` under ``ev``: its kept
+    evidence-free colouring split by ``ev`` (``colours._split``). None where
+    the lifted answer would not be exact, or a normaliser is zero or
+    non-finite.
 
     The gates that the colouring does not guarantee: ``fg`` is a forest;
     each member's table equals its class table positionally; the RV class at
@@ -404,7 +402,7 @@ def _quotient(fg: FactorGraph) -> tuple[np.ndarray, list[tuple[float, ...]]] | N
     inc = fg.incidence
     if not inc.is_forest:
         return None
-    colour = _refined_colours(fg)
+    colour = _split(fg, _evidence_free_colours(fg), ev)
     n_rv = len(inc.rv_ids)
     _, rv_rep, rv_cls = np.unique(colour[:n_rv], return_index=True, return_inverse=True)
     _, fac_rep, fac_cls = np.unique(colour[n_rv:], return_index=True, return_inverse=True)
@@ -426,12 +424,13 @@ def _quotient(fg: FactorGraph) -> tuple[np.ndarray, list[tuple[float, ...]]] | N
     offset = np.arange(len(code)) - inc.rv_start[owner]
     if not np.array_equal(code, code[inc.rv_start[rv_rep[rv_cls[owner]]] + offset]):
         return None
-    probabilities = _counting_bp(fg, rv_rep, arg_cls, edge, tables, fac_rep, width)
+    probabilities = _counting_bp(fg, ev, rv_rep, arg_cls, edge, tables, fac_rep, width)
     return None if probabilities is None else (rv_cls, probabilities)
 
 
 def _counting_bp(
     fg: FactorGraph,
+    ev: Mapping[str, str],
     rv_rep: np.ndarray,
     arg_cls: np.ndarray,
     edge: np.ndarray,
@@ -439,7 +438,8 @@ def _counting_bp(
     fac_rep: np.ndarray,
     width: int,
 ) -> list[tuple[float, ...]] | None:
-    """The marginal of each RV class, from log-space messages on the quotient.
+    """The marginal of each RV class under the evidence ``ev``, by RV id,
+    from log-space messages on the quotient.
 
     Edge ``c * width + p`` is position p of factor class c. Each edge into
     an unobserved RV class carries one factor-to-RV message, computed once,
@@ -454,7 +454,7 @@ def _counting_bp(
     """
     inc = fg.incidence
     reps = [fg.rvs[r] for r in rv_rep.tolist()]
-    observed = [None if rv.evidence is None else rv.range.index(rv.evidence) for rv in reps]
+    observed = [rv.range.index(ev[rv.id]) if rv.id in ev else None for rv in reps]
     # incident edges of each unobserved RV class's representative, with counts
     counts: list[dict[int, int]] = []
     for k, r in enumerate(rv_rep.tolist()):

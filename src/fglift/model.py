@@ -204,9 +204,6 @@ class FactorGraph:
     # it for all of them
     _incidence: list = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
-    # memo entries that read only structure and tables, shared with the
-    # graphs ``with_evidence`` makes from this one
-    _table_memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> None:
         """Raises ValueError when an id names two nodes (two RVs, two
@@ -215,7 +212,6 @@ class FactorGraph:
         self._set_nodes(rvs, factors)
         _check_factors(self.factors, {rv.id: len(rv.range.values) for rv in self.rvs}.__getitem__)
         object.__setattr__(self, "_incidence", [None])
-        object.__setattr__(self, "_table_memo", {})
 
     def _set_nodes(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> None:
         object.__setattr__(self, "rvs", tuple(rvs))
@@ -239,29 +235,25 @@ class FactorGraph:
             self._incidence[0] = Incidence.of(self.rv_ids, self.factors)
         return self._incidence[0]
 
-    def memo(self, key: Hashable, build: Callable[[], object], tables_only: bool = False) -> object:
+    def memo(self, key: Hashable, build: Callable[[], object]) -> object:
         """``build()``, computed once per graph and key: a store for views
-        derived from this graph's tables and evidence as well as its structure.
-        A view that reads only the structure and the tables is marked
-        ``tables_only``; graphs that ``with_evidence`` makes share those."""
-        memo = self._table_memo if tables_only else self._memo
+        derived from this graph's structure, tables and evidence. Only the
+        incidence index is shared with the graphs ``with_tables`` and
+        ``with_evidence`` make; each keeps its own views."""
         try:
-            return memo[key]
+            return self._memo[key]
         except KeyError:
-            value = memo[key] = build()
+            value = self._memo[key] = build()
             return value
 
-    def _same_structure(
-        self, rvs: Iterable[RandomVariable], factors: Iterable[Factor], table_memo: dict
-    ) -> "FactorGraph":
+    def _same_structure(self, rvs: Iterable[RandomVariable], factors: Iterable[Factor]) -> "FactorGraph":
         """A graph of the given nodes, which carry this graph's ids and
-        arguments in this graph's order, sharing its incidence index and
-        ``table_memo``. The caller checks the nodes it changed; the
-        constructor's per-factor check does not run again."""
+        arguments in this graph's order, sharing its incidence index. The
+        caller checks the nodes it changed; the constructor's per-factor
+        check does not run again."""
         out = object.__new__(FactorGraph)
         out._set_nodes(rvs, factors)
         object.__setattr__(out, "_incidence", self._incidence)
-        object.__setattr__(out, "_table_memo", table_memo)
         return out
 
     # -- lookups ---------------------------------------------------------
@@ -308,9 +300,7 @@ class FactorGraph:
     @property
     def unknown_factor_ids(self) -> tuple[str, ...]:
         return self.memo(
-            "model.unknown_factor_ids",
-            lambda: tuple(f.id for f in self.factors if f.is_unknown),
-            tables_only=True,
+            "model.unknown_factor_ids", lambda: tuple(f.id for f in self.factors if f.is_unknown)
         )
 
     @property
@@ -328,10 +318,13 @@ class FactorGraph:
         """
         changed = {fid: Factor(fid, self.factor(fid).args, table) for fid, table in tables.items()}
         _check_factors(changed.values(), lambda rv_id: len(self._rv_by_id[rv_id].range.values))
-        return self._same_structure(self.rvs, (changed.get(f.id, f) for f in self.factors), {})
+        return self._same_structure(self.rvs, (changed.get(f.id, f) for f in self.factors))
 
     def with_evidence(self, evidence: Mapping[str, str | None]) -> "FactorGraph":
         """Copy of the graph with evidence set (or cleared via None) per RV.
+        It shares the incidence index and none of the graph's memoised views,
+        so it is coloured afresh; to condition a query, pass the evidence to
+        ``marginals`` instead, which copies no graph.
 
         Raises UnknownNode for an id that is not an RV of the graph, and
         ValueError for a value outside the RV's range.
@@ -342,7 +335,7 @@ class FactorGraph:
         rvs = (
             replace(rv, evidence=evidence[rv.id]) if rv.id in evidence else rv for rv in self.rvs
         )
-        return self._same_structure(rvs, self.factors, self._table_memo)
+        return self._same_structure(rvs, self.factors)
 
 
 def _check_factors(factors: Iterable[Factor], size: Callable[[str], int]) -> None:

@@ -11,9 +11,12 @@ to their positional form, which makes comparisons position-exact there.
 
 The permutations that reach the canonical form are ``perm ∘ Stab``, where
 ``Stab`` is the canonical table's stabiliser: the argument permutations that
-leave it unchanged. So the argmin scan yields the whole stabiliser group,
-and the symmetry orbit of a canonical slot is simply its set of images
-under it.
+leave it unchanged. So the argmin scan yields the whole stabiliser group.
+A slot's block is the slots it swaps with, itself included: transpositions
+that share a slot compose to one more, ``(s u) = (s t)(t u)(s t)``, so the
+table is fully symmetric within a block. Whole orbits would be coarser
+where the stabiliser is not generated by transpositions: a merely cyclic
+table has one orbit, yet its arguments' marginals differ in general.
 """
 from __future__ import annotations
 
@@ -176,8 +179,10 @@ class CanonicalInfo:
     ``key`` is the sortable (shape, entries) pair of the canonical table;
     ``perm`` satisfies ``canonical = transpose(table, perm)``;
     ``slot_of_position[p]`` is the canonical slot holding argument position p;
-    ``orbit_of_slot[s]`` labels slots that the canonical table's symmetries
-    make interchangeable (label = smallest slot in the orbit).
+    ``orbit_of_slot[s]`` labels slots that the canonical table's
+    transpositions join, within which it is fully symmetric (label =
+    smallest slot in the block); a symmetry that is not generated by
+    transpositions, such as a cyclic one, joins no slots.
     """
 
     key: CanonicalKey
@@ -209,11 +214,12 @@ def canonical_info(table: PotentialTable) -> CanonicalInfo:
     perm = best_perms[0]
     inv_perm = invert_axes(perm)
     # transpose(canon, sigma) == canon iff perm ∘ sigma is an argmin
-    # permutation, so these sigmas are the whole stabiliser group and a
-    # slot's orbit is its set of images under them.
-    stabiliser = [tuple(inv_perm[q[i]] for i in range(n)) for q in best_perms]
-    orbit = tuple(min(sigma[s] for sigma in stabiliser) for s in range(n))
-    return CanonicalInfo(best_key, perm, inv_perm, orbit)
+    # permutation, so these sigmas are the whole stabiliser group; those that
+    # move two slots are its transpositions.
+    moved = [[s for s in range(n) if inv_perm[q[s]] != s] for q in best_perms]
+    swaps = [pair for pair in moved if len(pair) == 2]
+    block = tuple(min([s] + [t for pair in swaps if s in pair for t in pair]) for s in range(n))
+    return CanonicalInfo(best_key, perm, inv_perm, block)
 
 
 def canonical_table(table: PotentialTable) -> PotentialTable:

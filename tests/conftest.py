@@ -317,6 +317,30 @@ def range_of(k: int) -> RangeSpec:
     return RangeSpec(tuple(f"v{i}" for i in range(k)))
 
 
+def cyclic_table(k, arity, weight):
+    """A table over ``arity`` arguments of ``k`` values each that rotating
+    its axes leaves unchanged, ``C[x0, ..., xn] == C[x1, ..., xn, x0]``: each
+    cell takes ``weight`` of its smallest rotation."""
+    cells = np.ndindex(*(k,) * arity)
+    return PotentialTable((k,) * arity, [weight(min(c[i:] + c[:i] for i in range(arity))) for c in cells])
+
+
+def cyclic_pair():
+    """f0(a0, b0, c0) with a table C that is cyclically but not fully
+    symmetric, and f1(a1, b1, c1) with C's first two axes swapped; the a, b
+    and c RVs each have their own unary table. One canonical form, but a0
+    sees b0 where C's rotation would put c0, so a0 and a1 differ."""
+    table = cyclic_table(3, 3, lambda c: float(1 + (9 * c[0] + 3 * c[1] + c[2]) % 7))
+    unary = {"a": (1.0, 2.0, 3.0), "b": (3.0, 1.0, 2.0), "c": (2.0, 3.0, 1.0)}
+    rvs = [RandomVariable(f"{n}{i}", range_of(3)) for i in range(2) for n in "abc"]
+    factors = [
+        Factor("f0", ("a0", "b0", "c0"), table),
+        Factor("f1", ("a1", "b1", "c1"), PotentialTable.from_array(table.array.transpose(1, 0, 2))),
+    ]
+    factors += [Factor(f"u{n}{i}", (f"{n}{i}",), PotentialTable((3,), unary[n])) for i in range(2) for n in "abc"]
+    return FactorGraph(rvs, factors)
+
+
 # -- enumeration oracle ----------------------------------------------------
 
 

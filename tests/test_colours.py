@@ -4,7 +4,7 @@ The chain and epidemic fixtures have hand-derived partitions; the random
 graphs are checked against invariants instead (soundness of classes,
 insertion-order and relabelling invariance, grounded reconstruction). Four
 reference implementations are kept here: colour passing that reads argument
-positions through canonical slots, slot orbits and the inverse permutation,
+positions through canonical slots, slot blocks and the inverse permutation,
 with a fixpoint that compares whole partitions (the library must give the
 same colour ids and groupings), initial colours numbered by separate
 group-and-number loops for RVs, known factors and tags (the library must
@@ -48,7 +48,8 @@ from fglift import (
     tables_equal,
 )
 from fglift import transfer
-from fglift.colours import Colouring, FactorClass, Grouping, _grouping, _refined_colours
+from fglift.colours import Colouring, FactorClass, Grouping, _evidence_free_colours, _grouping, _split
+from fglift.inference import _ground_marginals
 from fglift.synth import max_cohorts
 from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
 from conftest import (
@@ -56,11 +57,14 @@ from conftest import (
     SYMMETRIC_2x2,
     chain_graph,
     completion_cases,
+    cyclic_pair,
+    cyclic_table,
     epidemic_base,
     hub_graph,
     jittered,
     permuted,
     random_graph,
+    range_of,
 )
 from test_lifted import criterion_6_graphs
 
@@ -962,8 +966,9 @@ def test_worklist_is_independent_of_insertion_order():
 
 
 def refined_grouping(fg):
-    """The grouping of the partition refined from ``fg``'s kept evidence-free colouring."""
-    return _grouping(fg, _refined_colours(fg))
+    """The grouping of ``fg``'s kept evidence-free colouring split by its stored evidence."""
+    stored = {rv.id: rv.evidence for rv in fg.rvs if rv.evidence is not None}
+    return _grouping(fg, _split(fg, _evidence_free_colours(fg), stored))
 
 
 def assert_refines_like_scratch(fg, evidence=None):
@@ -1089,6 +1094,62 @@ def test_refinement_with_stored_and_passed_evidence():
     assert run_colour_passing(pair).rv_partition() == {frozenset({"a"}), frozenset({"b"})}
     both = assert_refines_like_scratch(pair, {"b": "true"})
     assert run_colour_passing(both).rv_partition() == {frozenset({"a", "b"})}
+
+
+def cyclic_forests(rng):
+    """Small random forests of arity-3 and arity-4 factors whose tables are
+    axis permutations of a few cyclically symmetric ones. Each forest is
+    three copies of one random tree. A copy lists every factor's arguments
+    in a random order and permutes the table's axes to match, so the
+    potential stays the same, except that some factors permute the table's
+    axes once more; each RV keeps its unary table from a pool of two, or
+    draws another."""
+    for _ in range(30):
+        k = int(rng.integers(2, 4))
+        pool = {
+            arity: [cyclic_table(k, arity, lambda c, w=rng.integers(1, 30, (k,) * arity): float(w[c]))
+                    for _ in range(2)]
+            for arity in (3, 4)
+        }
+        unary = [PotentialTable((k,), rng.integers(1, 9, k).astype(float)) for _ in range(2)]
+        n_rvs, tree = 1, []
+        for _ in range(int(rng.integers(1, 4))):
+            arity = int(rng.choice((3, 4)))
+            args = [int(rng.integers(n_rvs))] + list(range(n_rvs, n_rvs + arity - 1))
+            tree.append((pool[arity][int(rng.integers(2))], args))
+            n_rvs += arity - 1
+        kind = rng.integers(2, size=n_rvs)
+        rvs, factors = [], []
+        for copy in range(3):
+            rvs += [f"x{copy}_{v}" for v in range(n_rvs)]
+            for i, (table, args) in enumerate(tree):
+                perm = rng.permutation(table.arity)
+                array = np.transpose(table.array, perm)
+                if rng.random() < 0.3:
+                    array = np.transpose(array, rng.permutation(table.arity))
+                names = tuple(f"x{copy}_{args[p]}" for p in perm)
+                factors.append(Factor(f"f{copy}_{i}", names, PotentialTable.from_array(array)))
+            for v in range(n_rvs):
+                pick = kind[v] if rng.random() < 0.8 else int(rng.integers(2))
+                factors.append(Factor(f"u{copy}_{v}", (f"x{copy}_{v}",), unary[pick]))
+        yield FactorGraph([RandomVariable(r, range_of(k)) for r in rvs], factors)
+
+
+def test_the_rvs_of_a_class_have_equal_marginals():
+    # ports are the blocks of a table's transpositions: a cyclic symmetry
+    # alone puts a0 and a1 at one port, though their marginals differ
+    fg = cyclic_pair()
+    assert {frozenset({"a0"}), frozenset({"a1"})} <= run_colour_passing(fg).rv_partition()
+    graphs = [fg] + list(cyclic_forests(np.random.default_rng(929)))
+    merged = 0
+    for g in graphs:
+        assert g.incidence.is_forest
+        marginal = {m.rv: m.probabilities for m in _ground_marginals(g, g.rv_ids)}
+        for cls in run_colour_passing(g).rv_classes:
+            for r in cls[1:]:
+                assert np.allclose(marginal[r], marginal[cls[0]], rtol=0.0, atol=1e-12)
+                merged += 1
+    assert merged > 80
 
 
 def test_refinement_with_symmetric_arity_3_tables():

@@ -37,13 +37,12 @@ from fglift.colours import (
     _evidence_free_colours,
     _grouping,
     _ports,
-    _refined_colours,
+    _split,
     known_table_classes,
 )
 from fglift.inference import _ground_marginals, _quotient
-from fglift.transfer import _profile_ids
 from fglift.synth import max_cohorts
-from conftest import ASYMMETRIC_2x2, chain_graph, random_graph
+from conftest import ASYMMETRIC_2x2, chain_graph, cyclic_pair, random_graph
 from test_inference import _with_zero_entries
 from test_acceptance import SWEEP_D, SWEEP_P, SWEEP_SEEDS, SWEEP_UF, _sweep_config
 
@@ -60,8 +59,14 @@ def assert_close_to_ground(fg, queries, tol=1e-12):
         assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=tol)
 
 
+def quotient(g, evidence=None):
+    """``_quotient`` under ``g``'s stored evidence and the passed
+    ``evidence``, merged as ``marginals`` merges them."""
+    return _quotient(g, {r.id: r.evidence for r in g.rvs if r.evidence is not None} | (evidence or {}))
+
+
 def assert_falls_back(fg, queries):
-    assert _quotient(fg) is None
+    assert quotient(fg) is None
     assert marginals(fg, queries) == _ground_marginals(fg, queries)
 
 
@@ -108,14 +113,14 @@ def test_generated_instances_with_and_without_stored_evidence():
         inst = generate_instance(cfg)
         result = complete_and_lift(inst.incomplete, 0.0)
         queries = list(result.completed.rv_ids)
-        assert _quotient(result.completed) is not None
+        assert quotient(result.completed) is not None
         assert_close_to_ground(result.completed, queries)
         # evidence stored on a few RVs, refined into the colouring
         picked = rng.choice(queries, 4, replace=False)
         observed = result.completed.with_evidence(
             {str(r): result.completed.rv(str(r)).range.values[-1] for r in picked}
         )
-        assert _quotient(observed) is not None
+        assert quotient(observed) is not None
         assert_close_to_ground(observed, queries)
         # an observed query is a point mass, a repeated query answers twice
         got = marginals(observed, [str(picked[0]), queries[0], queries[0]])
@@ -133,8 +138,8 @@ def test_the_acceptance_sweep_lifts_both_graphs_alike():
                 for seed in range(SWEEP_SEEDS):
                     inst = generate_instance(_sweep_config(d, p, uf, seed, theta=0.0))
                     result = complete_and_lift(inst.incomplete, 0.0)
-                    assert _quotient(inst.truth) is not None
-                    assert _quotient(result.completed) is not None
+                    assert quotient(inst.truth) is not None
+                    assert quotient(result.completed) is not None
                     truth = marginals(inst.truth, inst.queries)
                     assert truth == marginals(result.completed, inst.queries)
                     assert_close_to_ground(inst.truth, inst.queries)
@@ -148,7 +153,7 @@ def test_criterion_6_forests_lift_and_the_rest_fall_back():
         queries = list(g.rv_ids)
         if g.incidence.is_forest:
             forests += 1
-            assert _quotient(g) is not None
+            assert quotient(g) is not None
             assert_close_to_ground(g, queries)
         else:
             assert_falls_back(g, queries)
@@ -167,7 +172,7 @@ def test_a_cyclic_quotient_is_refused_past_the_forest_gate():
     g = cycles_sharing_tables()
     # the colouring passes every other gate; the messages then meet a cycle
     g.incidence.__dict__["is_forest"] = True
-    assert _quotient(g) is None
+    assert quotient(g) is None
 
 
 def test_a_completion_within_rtol_lifts_on_the_exact_colouring():
@@ -179,7 +184,7 @@ def test_a_completion_within_rtol_lifts_on_the_exact_colouring():
     assert len(result.grouping.factor_classes) == 1
     # the completion's grouping is not the graph's own: that one is exact
     assert len(run_colour_passing(result.completed).factor_classes) == 3
-    assert _quotient(result.completed) is not None
+    assert quotient(result.completed) is not None
     assert_close_to_ground(result.completed, ["a", "b", "c"])
 
 
@@ -230,9 +235,24 @@ def test_the_gates_refuse_before_the_messages(monkeypatch):
     assert [len(g.factors) for g in graphs] == [2, 2, 5]
     monkeypatch.setattr(inference, "_counting_bp", no_messages)
     for g in graphs:
-        assert _quotient(g) is None
+        assert quotient(g) is None
         assert marginals(g, g.rv_ids) == _ground_marginals(g, g.rv_ids)
     assert {frozenset({"v5", "v6"})} < run_colour_passing(graphs[2]).rv_partition()
+
+
+def test_the_table_gate_refuses_what_coarser_ports_merge(monkeypatch):
+    # with every position of an arity-3 table at one port, as whole
+    # stabiliser orbits put a cyclic table's, a0 and a1 share a class; the
+    # argument-class and multiset gates pass, and only the tables differ
+    fg = cyclic_pair()
+    ports = colours._port_labels
+    monkeypatch.setattr(
+        colours, "_port_labels", lambda table, n: (0,) * n if n == 3 else ports(table, n)
+    )
+    assert frozenset({"a0", "a1"}) in run_colour_passing(fg).rv_partition()
+    monkeypatch.setattr(inference, "_counting_bp", lambda *a: pytest.fail("the table gate should refuse"))
+    assert quotient(fg) is None
+    assert marginals(fg, ["a0", "a1"]) == _ground_marginals(fg, ["a0", "a1"])
 
 
 def test_errors_are_those_of_the_ground_path():
@@ -242,7 +262,7 @@ def test_errors_are_those_of_the_ground_path():
 
     # B = true selects an all-zero column of f1
     zero = chain_graph(t1=(1.0, 0.0, 1.0, 0.0), t2=ASYMMETRIC_2x2, evidence={"B": "true"})
-    assert _quotient(zero) is None
+    assert quotient(zero) is None
     with pytest.raises(InconsistentEvidence) as ground:
         _ground_marginals(zero, ["A"])
     with pytest.raises(InconsistentEvidence) as lifted:
@@ -250,7 +270,7 @@ def test_errors_are_those_of_the_ground_path():
     assert str(lifted.value) == str(ground.value)
     # both arguments observed: the factor's own entry is zero
     both = chain_graph(t1=(1.0, 0.0, 1.0, 0.0), t2=ASYMMETRIC_2x2, evidence={"A": "true", "B": "true"})
-    assert _quotient(both) is None
+    assert quotient(both) is None
     with pytest.raises(InconsistentEvidence, match="zeroes out factor 'f1'"):
         marginals(both, ["C"])
     # only observed queries: ground answers without looking at the zero
@@ -262,7 +282,7 @@ def test_errors_are_those_of_the_ground_path():
     u2 = Factor("u2", ("B",), PotentialTable((2,), (0.0, 1.0)))
     f2 = Factor("f2", ("B", "C"), PotentialTable((2, 2), ASYMMETRIC_2x2))
     for zero in (FactorGraph(rvs, (u1, u2, f2)), FactorGraph(rvs[:1], (u1, u2))):
-        assert _quotient(zero) is None
+        assert quotient(zero) is None
         with pytest.raises(InconsistentEvidence) as ground:
             _ground_marginals(zero, ["B"])
         with pytest.raises(InconsistentEvidence) as lifted:
@@ -281,8 +301,7 @@ def test_errors_are_those_of_the_ground_path():
 
 def lifts(fg, evidence=None):
     """Whether ``marginals(fg, ..., evidence)`` can answer on the quotient."""
-    g = fg.with_evidence(evidence) if evidence else fg
-    return _quotient(g) is not None
+    return quotient(fg, evidence) is not None
 
 
 def assert_public_close_to_ground(fg, queries, evidence=None, tol=1e-12):
@@ -413,9 +432,9 @@ def test_the_public_entry_falls_back_to_the_ground_function():
     assert_public_is_ground(disjoint, ["C", "B"])
 
 
-def kept(g, key, tables_only=False):
+def kept(g, key):
     """What ``g`` keeps under ``key``, without building it."""
-    return (g._table_memo if tables_only else g._memo).get(key)
+    return g._memo.get(key)
 
 
 def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monkeypatch):
@@ -428,10 +447,10 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     evidence = {r: fg.rv(r).range.values[1] for r in leaves}
     starts, used, passes = [], [], []
     start = colours._initial_colours
-    quotient = inference._quotient
+    lifted = inference._quotient
     bp = inference._counting_bp
     monkeypatch.setattr(colours, "_initial_colours", lambda g, *a: starts.append(g) or start(g, *a))
-    monkeypatch.setattr(inference, "_quotient", lambda g: used.append(g) or quotient(g))
+    monkeypatch.setattr(inference, "_quotient", lambda g, ev: used.append((g, ev)) or lifted(g, ev))
     monkeypatch.setattr(inference, "_counting_bp", lambda *a: passes.append(a) or bp(*a))
 
     plain = marginals(fg, inst.queries)
@@ -439,8 +458,8 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     # the graph's colouring is kept, the marginals are not
     assert marginals(fg, inst.queries) == plain
     assert starts == [fg] and len(passes) == 2
-    own = _refined_colours(fg)
-    assert used == [fg, fg] and own is _evidence_free_colours(fg)
+    assert used == [(fg, {}), (fg, {})]
+    own = _evidence_free_colours(fg)
     scratch = run_colour_passing(fg)
     assert _grouping(fg, own) == scratch and starts == [fg]
 
@@ -448,12 +467,14 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     expected = run_colour_passing(observed)
     del starts[:], used[:]
     assert marginals(fg, inst.queries, evidence) == marginals(observed, inst.queries)
-    # both calls refined the kept colouring: neither coloured a graph from
-    # its initial colours, and the partition they used is the observed graph's own
+    # both calls split a kept colouring by the same evidence: neither
+    # coloured a graph from its initial colours, and the partition they
+    # used is the observed graph's own
     assert starts == [] and len(passes) == 4
-    assert used[1] is observed
-    assert [_grouping(g, _refined_colours(g)) for g in used] == [expected, expected] != [scratch] * 2
-    assert _refined_colours(fg) is own
+    assert used == [(fg, evidence), (observed, evidence)]
+    split = [_grouping(g, _split(g, _evidence_free_colours(g), ev)) for g, ev in used]
+    assert split == [expected, expected] != [scratch] * 2
+    assert _evidence_free_colours(fg) is own
     # passed evidence that repeats stored evidence is no new evidence
     assert marginals(observed, inst.queries, evidence) == marginals(observed, inst.queries)
     assert starts == [] and len(passes) == 6
@@ -487,16 +508,19 @@ def test_a_graph_is_coloured_once(monkeypatch):
     assert starts[0] is result.completed and starts[1] is not result.completed
     # the completed graph keeps its colouring, and no adjacency
     assert _grouping(result.completed, _evidence_free_colours(result.completed)) == result.grouping
-    assert kept(result.completed, "colours.adjacency", True) is None
+    assert kept(result.completed, "colours.adjacency") is None
 
-    # a repeated call on a graph with stored evidence refines once
+    # a graph with stored evidence is coloured from its initial colours
+    # once, and every call then splits that colouring by the evidence: no
+    # later call colours from initial colours
     fg = result.completed
     leaves = [r for r in fg.rv_ids if fg.degree(r) == 1][:3]
     observed = fg.with_evidence({r: fg.rv(r).range.values[1] for r in leaves})
     del starts[:], refined[:]
     first = marginals(observed, leaves[:1] + [fg.rv_ids[0]])
+    assert starts == [observed] and len(refined) == 2
     assert marginals(observed, leaves[:1] + [fg.rv_ids[0]]) == first
-    assert starts == [] and len(refined) == 1
+    assert starts == [observed] and len(refined) == 3
     assert reference == []
 
 
@@ -519,38 +543,38 @@ def test_a_repeated_call_reads_no_signature(monkeypatch):
     assert signatures == []
 
 
-def test_evidence_copies_share_the_table_views_and_nothing_else():
+def test_evidence_calls_copy_no_graph(monkeypatch):
     inst = generate_instance(ExperimentConfig(
         d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
     ))
     fg = inst.truth
-    marginals(fg, inst.queries)
-    leaves = [r for r in fg.rv_ids if fg.degree(r) == 1][:3]
-    copy = fg.with_evidence({r: fg.rv(r).range.values[1] for r in leaves})
-    fresh = FactorGraph(copy.rvs, copy.factors)
-    for rtol in (0.0, 1e-6):
-        assert known_table_classes(copy, rtol) is known_table_classes(fg, rtol)
-        assert known_table_classes(copy, rtol) == known_table_classes(fresh, rtol)
-    assert _ports(copy) is _ports(fg)
-    assert np.array_equal(_ports(copy)[0], _ports(fresh)[0]) and _ports(copy)[1] == _ports(fresh)[1]
-    assert copy.unknown_factor_ids == fresh.unknown_factor_ids == ()
-    # the evidence-free colouring reads no evidence; the adjacency is kept
-    # only once evidence is refined on it
-    assert _evidence_free_colours(copy) is _evidence_free_colours(fg)
-    assert np.array_equal(_evidence_free_colours(copy), _evidence_free_colours(fresh))
-    assert kept(fg, "colours.adjacency", True) is None
-    refined = _refined_colours(copy)
-    assert kept(copy, "colours.adjacency", True) is kept(fg, "colours.adjacency", True)
-    assert kept(copy, "colours.adjacency", True) == _adjacency(fresh)
-    # views that read the RVs' evidence are the copy's own
-    assert _profile_ids(copy) == _profile_ids(fresh) != _profile_ids(fg)
-    assert np.array_equal(refined, _refined_colours(fresh))
-    assert _grouping(copy, refined) != _grouping(fg, _refined_colours(fg))
-    assert kept(fg, "colours.refined") is not refined
-    # new tables share nothing
-    f = next(f for f in fg.factors if len(f.args) == 2)
-    changed = fg.with_tables({f.id: PotentialTable(f.table.shape, [1.0] * f.table.array.size)})
-    assert known_table_classes(changed) is not known_table_classes(fg)
-    assert known_table_classes(changed) == known_table_classes(FactorGraph(changed.rvs, changed.factors))
-    assert _evidence_free_colours(changed) is not _evidence_free_colours(fg)
-    assert kept(changed, "colours.adjacency", True) is None
+    queries = list(inst.queries)
+    marginals(fg, queries)
+    before = dict(fg._memo)
+    leaves = [r for r in fg.rv_ids if fg.degree(r) == 1 and r not in queries][:3]
+    evidence = {r: fg.rv(r).range.values[1] for r in leaves}
+    assert quotient(fg, evidence) is not None
+    # every FactorGraph is made by the constructor or by _same_structure
+    built = []
+    init, same = model.FactorGraph.__init__, model.FactorGraph._same_structure
+    monkeypatch.setattr(model.FactorGraph, "__init__", lambda g, *a: built.append(g) or init(g, *a))
+    monkeypatch.setattr(model.FactorGraph, "_same_structure", lambda g, *a: built.append(g) or same(g, *a))
+    got = marginals(fg, queries, evidence)
+    assert marginals(fg, queries, evidence) == got
+    assert built == []
+    # the graph keeps its evidence-free colouring and the adjacency the
+    # evidence is split on, and nothing that depends on the evidence
+    assert fg._memo.keys() - before.keys() == {"colours.adjacency"}
+    assert all(fg._memo[key] is view for key, view in before.items())
+    assert np.array_equal(kept(fg, "colours.evidence_free"), colours._stable_colours(fg))
+    assert kept(fg, "colours.adjacency") == _adjacency(fg)
+    monkeypatch.undo()
+    # a copy shares the incidence index and no view, and its answer is the
+    # one passed evidence gave, bit for bit
+    copy = fg.with_evidence(evidence)
+    assert copy.incidence is fg.incidence and copy._memo == {}
+    assert got == marginals(copy, queries)
+    assert _ports(copy) is not _ports(fg)
+    assert known_table_classes(copy) is not known_table_classes(fg)
+
+

@@ -125,6 +125,20 @@ def test_canonical_orbits_partial_symmetry():
     assert info.orbit_of_position(2) != info.orbit_of_position(0)
 
 
+def test_a_cyclic_symmetry_joins_no_slots():
+    # C[a, b, c] == C[b, c, a], and no two arguments swap: each slot is its
+    # own block, although one rotation moves every slot to every other
+    rng = np.random.default_rng(7)
+    # small integers, so that the sums are exact in any order
+    base = rng.integers(1, 100, size=(3, 3, 3)).astype(float)
+    cyclic = base + np.transpose(base, (1, 2, 0)) + np.transpose(base, (2, 0, 1))
+    info = canonical_info(PotentialTable.from_array(cyclic))
+    assert info.orbit_of_slot == (0, 1, 2)
+    # with a transposition added the table is fully symmetric
+    full = cyclic + np.transpose(cyclic, (1, 0, 2))
+    assert canonical_info(PotentialTable.from_array(full)).orbit_of_slot == (0, 0, 0)
+
+
 def test_canonical_form_is_permutation_invariant():
     rng = np.random.default_rng(23)
     from itertools import permutations
@@ -154,8 +168,10 @@ def test_canonical_identity_for_unary_and_oversized():
 
 
 def _union_find_info(table):
-    """Canonical form with orbits as a union-find over every argmin permutation
-    merges them, and the unary and oversized cases handled apart."""
+    """Canonical form with slot labels from a union-find that joins the two
+    slots of every transposition in the stabiliser, and the unary and
+    oversized cases handled apart. Other symmetries join nothing: a cyclic
+    one moves every slot of its orbit, yet the marginals there differ."""
     n = table.arity
     ident = tuple(range(n))
     if n == 1 or n > MAX_CANONICAL_ARITY:
@@ -179,8 +195,9 @@ def _union_find_info(table):
         return x
 
     for q in best_perms:
-        for i in range(n):
-            ra, rb = find(i), find(inv_perm[q[i]])
+        moved = [i for i in range(n) if inv_perm[q[i]] != i]
+        if len(moved) == 2:
+            ra, rb = find(moved[0]), find(moved[1])
             parent[max(ra, rb)] = min(ra, rb)
     return CanonicalInfo(best_key, perm, inv_perm, tuple(find(s) for s in range(n)))
 
