@@ -22,7 +22,9 @@ A round is written as it is defined (``colour_passing_step``): a factor's
 signature is its old colour and, port by port, the sorted colours of its
 arguments at that port; an RV's is its old colour and the sorted (new
 factor colour, port) pairs of its factors. The port labels are memoised
-per graph.
+per graph (``_ports``). The worklist's adjacency reads them, and so does
+the lifted quotient (``inference._quotient``), which keys its edge classes
+on (factor class, port, argument class) as the colouring does.
 
 The rounds (``colour_passing_step``, ``refine_to_fixpoint``) are the
 reference that defines colour ids, and the library never runs one. They
@@ -58,7 +60,9 @@ ids differ, and a ``Grouping`` has none. Evidence reaches it by one route:
   belong with an RV observed before to the same value, and refinement
   never merges. ``run_colour_passing`` splits by the graph's stored
   evidence, inference by the stored and passed evidence together, and no
-  graph is copied for either.
+  graph is copied for either. Either builds the worklist's adjacency once
+  per graph and keeps it for later splits (``_adjacency_of``); a graph
+  that never sees evidence keeps none.
 
 Inside this module a colouring is one int64 array over node numbers, RVs
 by position in ``FactorGraph.rvs`` and then factors: ``_initial_colours``
@@ -343,9 +347,10 @@ def run_colour_passing(
     colouring, the graph's kept one (``_evidence_free_colours``) at ``rtol
     == 0`` with no tags, is split by the graph's stored evidence (``_split``).
     """
-    kept = rtol == 0.0 and not unknown_tags
-    free = _evidence_free_colours(fg) if kept else _stable_colours(fg, rtol, unknown_tags)
-    return _grouping(fg, _split(fg, free, {rv.id: rv.evidence for rv in fg.rvs if rv.evidence is not None}))
+    evidence = {rv.id: rv.evidence for rv in fg.rvs if rv.evidence is not None}
+    kept, keep = rtol == 0.0 and not unknown_tags, bool(evidence)
+    free = _evidence_free_colours(fg, keep) if kept else _stable_colours(fg, rtol, unknown_tags, keep)
+    return _grouping(fg, _split(fg, free, evidence))
 
 
 @dataclass
@@ -428,6 +433,13 @@ def _adjacency(fg: FactorGraph) -> tuple[list[int], list[int], list[int]]:
     return neighbour.tolist(), list(map(weight_of.__getitem__, port)), offset.tolist()
 
 
+def _adjacency_of(fg: FactorGraph, keep: bool) -> tuple[list[int], list[int], list[int]]:
+    """``_adjacency(fg)``, kept per graph where evidence will split a
+    colouring of it (``keep``, and always in ``_split``), so an evidence
+    path builds it once; otherwise built for one use and dropped."""
+    return fg.memo("colours.adjacency", lambda: _adjacency(fg)) if keep else _adjacency(fg)
+
+
 def _refine(
     partition: _Partition, adjacency: tuple[list[int], list[int], list[int]], work: list[int]
 ) -> None:
@@ -475,20 +487,24 @@ def _grouping(fg: FactorGraph, colour: np.ndarray) -> Grouping:
 
 
 def _stable_colours(
-    fg: FactorGraph, rtol: float = 0.0, unknown_tags: Mapping[str, Hashable] | None = None
+    fg: FactorGraph,
+    rtol: float = 0.0,
+    unknown_tags: Mapping[str, Hashable] | None = None,
+    keep: bool = False,
 ) -> np.ndarray:
     """The class of each node, numbered as in ``_Partition``, in the coarsest
     stable refinement of ``_initial_colours(fg, rtol, unknown_tags)``, which
     reads no evidence. Every initial class is a splitter, since the initial
-    colours do not encode degree."""
+    colours do not encode degree. ``keep`` keeps the adjacency for the
+    evidence split that follows (``_adjacency_of``)."""
     partition = _Partition.of(_initial_colours(fg, rtol, unknown_tags))
-    _refine(partition, _adjacency(fg), list(range(len(partition.start))))
+    _refine(partition, _adjacency_of(fg, keep), list(range(len(partition.start))))
     return np.array(partition.colour, np.int64)
 
 
-def _evidence_free_colours(fg: FactorGraph) -> np.ndarray:
-    """``_stable_colours(fg)``, kept per graph."""
-    return fg.memo("colours.evidence_free", lambda: _stable_colours(fg))
+def _evidence_free_colours(fg: FactorGraph, keep: bool = False) -> np.ndarray:
+    """``_stable_colours(fg, keep=keep)``, kept per graph."""
+    return fg.memo("colours.evidence_free", lambda: _stable_colours(fg, keep=keep))
 
 
 def _split(fg: FactorGraph, free: np.ndarray, evidence: Mapping[str, str]) -> np.ndarray:
@@ -497,13 +513,12 @@ def _split(fg: FactorGraph, free: np.ndarray, evidence: Mapping[str, str]) -> np
     ``_Partition``: the observed RVs' classes split by value, and only the
     parts split off join the worklist (``_refine``), so the work follows what
     the evidence splits. ``free`` itself without evidence. The adjacency it
-    refines on is kept per graph."""
+    refines on is kept per graph (``_adjacency_of``)."""
     if not evidence:
         return free
     partition = _Partition.of(free)
     position = fg.incidence.rv_position
-    adjacency = fg.memo("colours.adjacency", lambda: _adjacency(fg))
-    _refine(partition, adjacency, partition.split({position[r]: v for r, v in evidence.items()}))
+    _refine(partition, _adjacency_of(fg, True), partition.split({position[r]: v for r, v in evidence.items()}))
     return np.array(partition.colour, np.int64)
 
 

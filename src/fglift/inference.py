@@ -1,7 +1,7 @@
 """Exact marginal inference and distribution comparison.
 
 Bucket elimination on the ground graph can answer every query; counting
-belief propagation on a lifted quotient answers where it is exact (the
+belief propagation on a lifted quotient answers exactly on forests (the
 last two paragraphs). Variable elimination works on the factor tables
 directly: evidence is indexed out, every other variable is summed out of
 the product of the factors touching it, and the final vector over a query
@@ -57,41 +57,39 @@ entry; it is never an overflow.
 
 ``marginals`` and ``variable_elimination`` choose their path per call.
 The stored and the passed evidence are merged into one dict, by RV id.
-When some query is unobserved, the answer comes from the quotient of the
-graph's stable colouring under that evidence, by counting belief
-propagation (Kersting, Ahmadi and Natarajan, UAI 2009), when the gates
-below hold; otherwise bucket elimination answers in the given ``order``,
-bit for bit and errors included, so ``order`` applies only there. The
-colouring is the graph's kept evidence-free stable colouring, split by the
-evidence (``colours._split``), so only what the evidence tells apart is
-refined; its partition is that of colouring the observed graph from
-scratch. The quotient reads it as one class number per node, never as a
-``Grouping``, and the messages read the observed values from the evidence
+When some query is unobserved and the graph is a forest, the answer comes
+from the quotient of the graph's stable colouring under that evidence, by
+counting belief propagation (Kersting, Ahmadi and Natarajan, UAI 2009);
+otherwise, or where a normaliser is zero, bucket elimination answers in the
+given ``order``, bit for bit and errors included, so ``order`` applies only
+there. The colouring is the graph's kept evidence-free stable colouring,
+split by the evidence (``colours._split``), so only what the evidence tells
+apart is refined; its partition is that of colouring the observed graph
+from scratch. The quotient reads it as one class number per node, never as
+a ``Grouping``, and the messages read the observed values from the evidence
 dict, so no graph is copied. Nothing query- or evidence-specific is kept:
 every call splits the colouring and runs the messages.
 
-The stable colouring guarantees, by construction, that every node sits in
-exactly one class, that the RVs of a class share range (the initial
-colours) and evidence (the split), and that they see equal multisets of
-(factor class, port), so equal degrees. ``check_factors`` has already
-refused unknown factors. What it does not guarantee is checked, each in
-near-linear time in the graph: the bipartite graph is a forest (once per
-structure); every member's table equals its class table position by
-position; the RV class at each argument position of a factor is that of
-its class's first member; and every RV sees the multiset of (factor
-class, position) that its class's first member sees, since a symmetric
-table gives two positions one port. A class's first member is its lowest
-node number. Such a partition is equitable, so on a forest the ground
-messages along two edges of one (factor class, position) are equal, by
-induction over the subtrees they summarise, and so are the beliefs of two
-RVs of one class. Belief propagation is exact on a forest, so one message
-per edge class answers every query exactly, with a message raised to the
-power of the number of edges it stands for. Messages are kept as logs and
-shifted to maximum 0 before every ``exp``; observed RVs send indicators.
-The quotient of a forest cannot be cyclic, and a zero normaliser means a
-component without mass, where the ground path raises; either sends the
-call to bucket elimination, as any failed gate does, so errors are the
-ground path's own. A transposed member falls back too.
+The quotient's edge key is the colouring's own: an edge class is a (factor
+class, port, argument RV class), where a port is a block of argument
+positions within which the canonical table is fully symmetric
+(``colours._ports``). Its message is computed at the first position of its
+factor class's first member (lowest node number) that falls in it. That is
+exact on a forest without any further check. The members of a factor class
+share a canonical key (``check_factors`` has refused unknown factors), so
+each is an axis permutation of one canonical table, symmetric within each
+port. The stable colouring gives every member one multiset of argument
+classes per port, and every RV of a class one range, one observed value and
+one multiset of (factor class, port). So, by induction over the subtrees
+they summarise, the ground messages along two edges of one class are equal,
+and so are the beliefs of two RVs of one class. Belief propagation is exact
+on a forest, so one message per edge class, raised to the power of the
+number of edges it stands for, answers every query exactly. Messages are
+kept as logs and shifted to maximum 0 before every ``exp``; observed RVs
+send indicators. The quotient of a forest cannot be cyclic, and a zero
+normaliser means a component without mass, where the ground path raises;
+either sends the call to bucket elimination, so errors are the ground
+path's own.
 """
 from __future__ import annotations
 
@@ -108,8 +106,7 @@ from .errors import (
     InfiniteDivergence,
 )
 from .model import FactorGraph, check_factors
-from .colours import Grouping, _evidence_free_colours, _split
-from .tables import PotentialTable
+from .colours import Grouping, _evidence_free_colours, _ports, _split
 
 _ORDERS = ("min_degree", "reverse_id")
 # Messages whose maximum stays within these bounds are not rescaled; a
@@ -246,9 +243,9 @@ def marginals(
 
     On a forest the answer comes from counting belief propagation on the
     quotient of the graph's stable colouring under the stored and passed
-    evidence, wherever that is exact: its kept evidence-free colouring,
-    split where the evidence splits it, and no graph is copied. Otherwise
-    bucket elimination in ``order`` answers, with its errors. See the
+    evidence: its kept evidence-free colouring, split where the evidence
+    splits it, and no graph is copied. Otherwise, or where a normaliser is
+    zero, bucket elimination in ``order`` answers, with its errors. See the
     module docstring for both paths.
     """
     return _marginals(fg, queries, evidence, order, True)
@@ -272,7 +269,7 @@ def _marginals(
     lifted: bool,
 ) -> tuple[Marginal, ...]:
     """The argument checks, then, if ``lifted``, the lifted path under the
-    stored and passed evidence, where that is exact and some query is
+    stored and passed evidence, where it answers and some query is
     unobserved, else bucket elimination."""
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of RV ids, not one id")
@@ -388,71 +385,41 @@ def _quotient(
     """The class of each RV (by position in ``fg.rvs``) and the marginal of
     each RV class under the evidence ``ev``, all of it by RV id, stored
     evidence included, by counting belief propagation on the quotient of
-    the stable colouring of a fully known ``fg`` under ``ev``: its kept
-    evidence-free colouring split by ``ev`` (``colours._split``). None where
-    the lifted answer would not be exact, or a normaliser is zero or
-    non-finite.
+    the stable colouring of a fully known forest ``fg`` under ``ev``: its
+    kept evidence-free colouring split by ``ev`` (``colours._split``).
+    None for a graph that is not a forest, a cyclic quotient, or a zero or
+    non-finite normaliser.
 
-    The gates that the colouring does not guarantee: ``fg`` is a forest;
-    each member's table equals its class table positionally; the RV class at
-    each argument position of a factor is the one at that position of its
-    class's first member; and each RV's multiset of (factor class,
-    position) is that of its class's first member, the lowest node number.
-    """
-    inc = fg.incidence
-    if not inc.is_forest:
-        return None
-    colour = _split(fg, _evidence_free_colours(fg), ev)
-    n_rv = len(inc.rv_ids)
-    _, rv_rep, rv_cls = np.unique(colour[:n_rv], return_index=True, return_inverse=True)
-    _, fac_rep, fac_cls = np.unique(colour[n_rv:], return_index=True, return_inverse=True)
-    tables = [fg.factors[f].table for f in fac_rep.tolist()]
-    for f, c in zip(fg.factors, fac_cls.tolist()):
-        if not (f.table is tables[c] or f.table == tables[c]):
-            return None
-    # equal tables give every member of a factor class its class's arity
-    position = np.arange(len(inc.rv)) - inc.start[inc.factor]
-    arg_cls = rv_cls[inc.rv]
-    if not np.array_equal(arg_cls, arg_cls[inc.start[fac_rep[fac_cls[inc.factor]]] + position]):
-        return None
-    width = int(position.max()) + 1 if len(position) else 1
-    edge = fac_cls[inc.factor] * width + position
-    # each RV's edges sorted, against its representative's at the same
-    # offsets; the RVs of a class have equal degrees
-    n_edges = len(tables) * width
-    owner, code = np.divmod(np.sort(inc.rv * n_edges + edge), n_edges)
-    offset = np.arange(len(code)) - inc.rv_start[owner]
-    if not np.array_equal(code, code[inc.rv_start[rv_rep[rv_cls[owner]]] + offset]):
-        return None
-    probabilities = _counting_bp(fg, ev, rv_rep, arg_cls, edge, tables, fac_rep, width)
-    return None if probabilities is None else (rv_cls, probabilities)
-
-
-def _counting_bp(
-    fg: FactorGraph,
-    ev: Mapping[str, str],
-    rv_rep: np.ndarray,
-    arg_cls: np.ndarray,
-    edge: np.ndarray,
-    tables: list[PotentialTable],
-    fac_rep: np.ndarray,
-    width: int,
-) -> list[tuple[float, ...]] | None:
-    """The marginal of each RV class under the evidence ``ev``, by RV id,
-    from log-space messages on the quotient.
-
-    Edge ``c * width + p`` is position p of factor class c. Each edge into
-    an unobserved RV class carries one factor-to-RV message, computed once,
+    An edge class is a (factor class, port, argument RV class), the key the
+    colouring refines on; its message is computed at the first position of
+    the factor class's first member that falls in it. Each edge into an
+    unobserved RV class carries one factor-to-RV message, computed once,
     dependencies first. The RV-to-factor message along an edge is the
     count-weighted sum of the RV's incoming log messages less one copy of
     the edge's own; an observed RV sends its indicator. Every message and
     every unobserved class's belief must have a positive finite normaliser,
     as must the table entry of a factor class whose arguments are all
     observed: on a forest a zero one means a component without mass, where
-    the ground path raises. None for such a normaliser, or for a cyclic
-    quotient.
+    the ground path raises.
     """
     inc = fg.incidence
+    if not inc.is_forest:
+        return None
+    colour = _split(fg, _evidence_free_colours(fg, bool(ev)), ev)
+    n_rv = len(inc.rv_ids)
+    _, rv_rep, rv_cls = np.unique(colour[:n_rv], return_index=True, return_inverse=True)
+    _, fac_rep, fac_cls = np.unique(colour[n_rv:], return_index=True, return_inverse=True)
+    ports, n_ports = _ports(fg)
+    arg_cls = rv_cls[inc.rv]
+    # rows sit in factor order, so each edge class's first row lies in its
+    # factor class's first member
+    _, first, edge = np.unique(
+        (fac_cls[inc.factor] * n_ports + ports) * len(rv_rep) + arg_cls,
+        return_index=True,
+        return_inverse=True,
+    )
+    start, edge_of_row = inc.start.tolist(), edge.tolist()
+    target = arg_cls[first].tolist()
     reps = [fg.rvs[r] for r in rv_rep.tolist()]
     observed = [rv.range.index(ev[rv.id]) if rv.id in ev else None for rv in reps]
     # incident edges of each unobserved RV class's representative, with counts
@@ -463,12 +430,12 @@ def _counting_bp(
             for e in edge[inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]].tolist():
                 seen[e] = seen.get(e, 0) + 1
         counts.append(seen)
-    # the RV class at each edge, read off the factor class's representative
-    target = {
-        c * width + p: int(arg_cls[inc.start[f] + p])
-        for c, f in enumerate(fac_rep.tolist())
-        for p in range(tables[c].arity)
-    }
+    # the factor and position each edge class's message is computed at, and
+    # the (position, edge) of every other argument of that factor
+    at: list[tuple[int, int, list[tuple[int, int]]]] = []
+    for f, row in zip(inc.factor[first].tolist(), first.tolist()):
+        p = row - start[f]
+        at.append((f, p, [(q - start[f], edge_of_row[q]) for q in range(start[f], start[f + 1]) if q != row]))
     log_mu: dict[int, np.ndarray] = {}
     nu: dict[int, np.ndarray | None] = {}
 
@@ -491,14 +458,12 @@ def _counting_bp(
         return out - top if top > -np.inf else None
 
     def message(e: int) -> bool:
-        """Compute ``log_mu[e]``: the class table with position p first,
-        its other axes contracted with their RV-to-factor messages, last
-        first. A negative entry turns into NaN, which no belief passes."""
-        c, p = divmod(e, width)
-        others = [q for q in range(tables[c].arity) if q != p]
-        m = tables[c].array.transpose([p] + others)
-        for q in reversed(others):
-            d = c * width + q
+        """Compute ``log_mu[e]``: the factor's table with e's position
+        first, its other axes contracted with their RV-to-factor messages,
+        last first. A negative entry turns into NaN, which no belief passes."""
+        f, p, rest = at[e]
+        m = fg.factors[f].table.array.transpose([p] + [q for q, _ in rest])
+        for _, d in reversed(rest):
             if d not in nu:
                 log_nu = rv_side(target[d], d)
                 nu[d] = None if log_nu is None else np.exp(log_nu)
@@ -512,15 +477,13 @@ def _counting_bp(
         return True
 
     def needs(e: int) -> list[int]:
-        c, p = divmod(e, width)
-        others = (c * width + q for q in range(tables[c].arity) if q != p)
-        return [e2 for d in others for e2, _ in incoming(target[d], d)]
+        return [e2 for _, d in at[e][2] for e2, _ in incoming(target[d], d)]
 
     # depth first, dependencies first; an edge met again while still open
     # closes a cycle of the quotient
     done: dict[int, bool] = {}  # False while open
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        for root in target:
+        for root in range(len(target)):
             if observed[target[root]] is not None:
                 continue
             stack = [root]
@@ -540,9 +503,9 @@ def _counting_bp(
                             stack.append(d)
                         elif not done[d]:
                             return None
-        for c, t in enumerate(tables):
-            at = [observed[target[c * width + p]] for p in range(t.arity)]
-            if None not in at and not 0.0 < t.array[tuple(at)] < np.inf:
+        for f in fac_rep.tolist():
+            values = [observed[k] for k in arg_cls[start[f] : start[f + 1]].tolist()]
+            if None not in values and not 0.0 < fg.factors[f].table.array[tuple(values)] < np.inf:
                 return None
         out: list[tuple[float, ...]] = []
         for k, rv in enumerate(reps):
@@ -554,7 +517,7 @@ def _counting_bp(
                 return None
             b = np.exp(belief)
             out.append(tuple((b / b.sum()).tolist()))
-    return out
+    return rv_cls, out
 
 
 def variable_elimination(
@@ -564,8 +527,7 @@ def variable_elimination(
     order: str = "min_degree",
 ) -> Marginal:
     """Exact posterior marginal of ``query`` given evidence, as ``marginals``
-    gives it: lifted on a forest where that is exact, else by bucket
-    elimination in ``order``."""
+    gives it: lifted on a forest, else by bucket elimination in ``order``."""
     return marginals(fg, (query,), evidence, order)[0]
 
 

@@ -3,6 +3,7 @@ graph's own stable colouring, against the ground function
 ``_ground_marginals``, and the fallback to it; the path ``marginals`` and
 ``variable_elimination`` choose; and the per-graph state that path keeps."""
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from fglift.colours import (
 )
 from fglift.inference import _ground_marginals, _quotient
 from fglift.synth import max_cohorts
-from conftest import ASYMMETRIC_2x2, chain_graph, cyclic_pair, random_graph
+from conftest import ASYMMETRIC_2x2, chain_graph, cyclic_pair, random_graph, range_of
 from test_inference import _with_zero_entries
 from test_acceptance import SWEEP_D, SWEEP_P, SWEEP_SEEDS, SWEEP_UF, _sweep_config
 
@@ -170,7 +171,7 @@ def test_cycles_that_colour_passing_merges_fall_back():
 
 def test_a_cyclic_quotient_is_refused_past_the_forest_gate():
     g = cycles_sharing_tables()
-    # the colouring passes every other gate; the messages then meet a cycle
+    # past the forest check, the messages meet a cycle of the quotient
     g.incidence.__dict__["is_forest"] = True
     assert quotient(g) is None
 
@@ -186,14 +187,6 @@ def test_a_completion_within_rtol_lifts_on_the_exact_colouring():
     assert len(run_colour_passing(result.completed).factor_classes) == 3
     assert quotient(result.completed) is not None
     assert_close_to_ground(result.completed, ["a", "b", "c"])
-
-
-def test_a_symmetric_table_at_different_positions_falls_back():
-    g = chain_graph()
-    # colour passing merges f1 and f2 through their symmetric table, but B
-    # sits at position 1 of f1 and at position 0 of f2
-    assert len(run_colour_passing(g).factor_classes) == 1
-    assert_falls_back(g, ["A", "B", "C"])
 
 
 def transposed_member():
@@ -221,38 +214,95 @@ def symmetric_triple_at_two_positions():
     ))
 
 
-def test_a_transposed_member_falls_back():
-    g = transposed_member()
-    assert len(run_colour_passing(g).factor_classes) == 1
-    assert_falls_back(g, ["A", "B", "C"])
-
-
-def test_the_gates_refuse_before_the_messages(monkeypatch):
-    def no_messages(*args):
-        raise AssertionError("a gate should have refused")
-
+def test_forests_whose_members_differ_by_position_lift():
+    # colour passing merges the chain's f1 and f2 through their symmetric
+    # table, though B sits at position 1 of f1 and at position 0 of f2, and
+    # it merges a transposed member with its class; the edge classes are
+    # keyed on ports, as the colouring is, so each lifts
     graphs = [chain_graph(), transposed_member(), symmetric_triple_at_two_positions()]
-    assert [len(g.factors) for g in graphs] == [2, 2, 5]
-    monkeypatch.setattr(inference, "_counting_bp", no_messages)
+    assert [len(run_colour_passing(g).factor_classes) for g in graphs] == [1, 1, 5]
     for g in graphs:
-        assert quotient(g) is None
-        assert marginals(g, g.rv_ids) == _ground_marginals(g, g.rv_ids)
+        for ev in (None, {g.rv_ids[0]: g.rvs[0].range.values[1]}):
+            assert lifts(g, ev)
+            assert_public_close_to_ground(g, list(g.rv_ids), ev)
     assert {frozenset({"v5", "v6"})} < run_colour_passing(graphs[2]).rv_partition()
 
 
-def test_the_table_gate_refuses_what_coarser_ports_merge(monkeypatch):
-    # with every position of an arity-3 table at one port, as whole
-    # stabiliser orbits put a cyclic table's, a0 and a1 share a class; the
-    # argument-class and multiset gates pass, and only the tables differ
+def symmetric_table(rng, k, arity, kind):
+    """A small-integer table over ``arity`` arguments of ``k`` values: summed
+    over every axis permutation ("full"), over the swap of its first two
+    axes ("block") or over its rotations ("cyclic")."""
+    base = rng.integers(1, 9, (k,) * arity).astype(float)
+    group = {
+        "full": list(permutations(range(arity))),
+        "block": [tuple(range(arity)), (1, 0) + tuple(range(2, arity))],
+        "cyclic": [tuple(range(i, arity)) + tuple(range(i)) for i in range(arity)],
+    }[kind]
+    return PotentialTable.from_array(sum(np.transpose(base, g) for g in group))
+
+
+def permuted_forests(rng, n):
+    """``n`` forests, each two or three copies of one random tree of arity-2
+    and arity-3 factors with fully symmetric, block-symmetric and cyclic
+    tables. Every factor of every copy lists its arguments in a random order
+    and permutes its table's axes to match, so the copies agree up to
+    positions; each RV has a unary table from a pool of two."""
+    for _ in range(n):
+        k = int(rng.integers(2, 4))
+        pool = [symmetric_table(rng, k, 2, "full")]
+        pool += [symmetric_table(rng, k, 3, kind) for kind in ("full", "block", "cyclic")]
+        unary = [PotentialTable((k,), rng.integers(1, 9, k).astype(float)) for _ in range(2)]
+        n_rvs, tree = 1, []
+        for _ in range(int(rng.integers(1, 4))):
+            table = pool[int(rng.integers(len(pool)))]
+            tree.append((table, [int(rng.integers(n_rvs))] + list(range(n_rvs, n_rvs + table.arity - 1))))
+            n_rvs += table.arity - 1
+        kind = rng.integers(2, size=n_rvs)
+        rvs, factors = [], []
+        for copy in range(int(rng.integers(2, 4))):
+            rvs += [RandomVariable(f"x{copy}_{v}", range_of(k)) for v in range(n_rvs)]
+            for i, (table, args) in enumerate(tree):
+                perm = [int(q) for q in rng.permutation(table.arity)]
+                names = tuple(f"x{copy}_{args[q]}" for q in perm)
+                factors.append(Factor(f"f{copy}_{i}", names, PotentialTable.from_array(np.transpose(table.array, perm))))
+            factors += [Factor(f"u{copy}_{v}", (f"x{copy}_{v}",), unary[kind[v]]) for v in range(n_rvs)]
+        yield FactorGraph(rvs, factors)
+
+
+def test_forests_with_permuted_symmetric_members_lift_with_and_without_evidence():
+    rng = np.random.default_rng(829)
+    calls = 0
+    for g in permuted_forests(rng, 92):
+        assert g.incidence.is_forest
+        queries = list(g.rv_ids)
+        observed = rng.choice(queries, int(rng.integers(1, 3)), replace=False)
+        evidence = {str(r): str(rng.choice(g.rv(str(r)).range.values)) for r in observed}
+        for ev in (None, evidence):
+            assert lifts(g, ev)
+            for m, e in zip(marginals(g, queries, ev), _ground_marginals(g, queries, ev), strict=True):
+                assert m.rv == e.rv and m.values == e.values
+                assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=1e-12)
+            calls += 1
+    assert calls == 184
+
+
+def test_block_ports_keep_a_cyclic_pair_apart(monkeypatch):
+    # the quotient trusts the ports: with every position of an arity-3
+    # table at one port, as whole stabiliser orbits put a cyclic table's,
+    # a0 and a1 would share a class although their marginals differ
     fg = cyclic_pair()
+    partition = run_colour_passing(fg).rv_partition()
+    assert {frozenset({"a0"}), frozenset({"a1"})} <= partition
+    assert quotient(fg) is not None
+    assert_close_to_ground(fg, list(fg.rv_ids))
+    ground = _ground_marginals(fg, ["a0", "a1"])
+    assert ground[0].probabilities != ground[1].probabilities
+    coarse = cyclic_pair()
     ports = colours._port_labels
     monkeypatch.setattr(
         colours, "_port_labels", lambda table, n: (0,) * n if n == 3 else ports(table, n)
     )
-    assert frozenset({"a0", "a1"}) in run_colour_passing(fg).rv_partition()
-    monkeypatch.setattr(inference, "_counting_bp", lambda *a: pytest.fail("the table gate should refuse"))
-    assert quotient(fg) is None
-    assert marginals(fg, ["a0", "a1"]) == _ground_marginals(fg, ["a0", "a1"])
+    assert frozenset({"a0", "a1"}) in run_colour_passing(coarse).rv_partition()
 
 
 def test_errors_are_those_of_the_ground_path():
@@ -411,9 +461,9 @@ def test_the_public_entry_falls_back_to_the_ground_function():
     with_unknown = chain_graph().with_tables({"f2": None})
     assert outcome(marginals, with_unknown, ["A"])[0] is UnknownFactorPresent
     assert_public_is_ground(with_unknown, ["A"])
-    # a forest whose grouping is not positional
-    assert not lifts(chain_graph())
-    assert_public_is_ground(chain_graph(), ["A", "B", "C"], {"C": "true"})
+    # a forest whose grouping is not positional lifts
+    assert lifts(chain_graph(), {"C": "true"})
+    assert_public_close_to_ground(chain_graph(), ["A", "B", "C"], {"C": "true"})
     # zero mass: evidence selects an all-zero column, stored or passed
     zero = chain_graph(t1=(1.0, 0.0, 1.0, 0.0), t2=ASYMMETRIC_2x2)
     for g, ev in ((zero, {"B": "true"}), (zero.with_evidence({"B": "true"}), None)):
@@ -445,19 +495,17 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     fg = inst.truth
     leaves = [r for r in fg.rv_ids if fg.degree(r) == 1 and r not in inst.queries][:3]
     evidence = {r: fg.rv(r).range.values[1] for r in leaves}
-    starts, used, passes = [], [], []
+    starts, used = [], []
     start = colours._initial_colours
     lifted = inference._quotient
-    bp = inference._counting_bp
     monkeypatch.setattr(colours, "_initial_colours", lambda g, *a: starts.append(g) or start(g, *a))
     monkeypatch.setattr(inference, "_quotient", lambda g, ev: used.append((g, ev)) or lifted(g, ev))
-    monkeypatch.setattr(inference, "_counting_bp", lambda *a: passes.append(a) or bp(*a))
 
     plain = marginals(fg, inst.queries)
-    assert starts == [fg] and len(passes) == 1
+    assert starts == [fg] and len(used) == 1
     # the graph's colouring is kept, the marginals are not
     assert marginals(fg, inst.queries) == plain
-    assert starts == [fg] and len(passes) == 2
+    assert starts == [fg]
     assert used == [(fg, {}), (fg, {})]
     own = _evidence_free_colours(fg)
     scratch = run_colour_passing(fg)
@@ -470,14 +518,14 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     # both calls split a kept colouring by the same evidence: neither
     # coloured a graph from its initial colours, and the partition they
     # used is the observed graph's own
-    assert starts == [] and len(passes) == 4
+    assert starts == []
     assert used == [(fg, evidence), (observed, evidence)]
     split = [_grouping(g, _split(g, _evidence_free_colours(g), ev)) for g, ev in used]
     assert split == [expected, expected] != [scratch] * 2
     assert _evidence_free_colours(fg) is own
     # passed evidence that repeats stored evidence is no new evidence
     assert marginals(observed, inst.queries, evidence) == marginals(observed, inst.queries)
-    assert starts == [] and len(passes) == 6
+    assert starts == [] and len(used) == 4
 
 
 def test_a_graph_is_coloured_once(monkeypatch):
@@ -578,3 +626,31 @@ def test_evidence_calls_copy_no_graph(monkeypatch):
     assert known_table_classes(copy) is not known_table_classes(fg)
 
 
+def test_an_evidence_path_builds_the_adjacency_once(monkeypatch):
+    inst = generate_instance(ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    ))
+    fg = inst.truth
+    queries = list(inst.queries)
+    leaves = [r for r in fg.rv_ids if fg.degree(r) == 1 and r not in queries][:3]
+    evidence = {r: fg.rv(r).range.values[1] for r in leaves}
+    built = []
+    adjacency = colours._adjacency
+    monkeypatch.setattr(colours, "_adjacency", lambda g: built.append(g) or adjacency(g))
+    # stored evidence: the from-scratch colouring and the split share one
+    for rtol in (0.0, 1e-6):
+        observed = fg.with_evidence(evidence)
+        run_colour_passing(observed, rtol)
+        run_colour_passing(observed, rtol)
+        assert built == [observed] and kept(observed, "colours.adjacency") is not None
+        del built[:]
+    # passed evidence on a graph not coloured yet, then again
+    marginals(fg, queries, evidence)
+    marginals(fg, queries, evidence)
+    assert built == [fg]
+    # a graph that never sees evidence builds one for its colouring, and
+    # keeps none
+    plain = fg.with_tables({})
+    marginals(plain, queries)
+    run_colour_passing(plain)
+    assert built == [fg, plain] and kept(plain, "colours.adjacency") is None

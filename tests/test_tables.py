@@ -1,5 +1,5 @@
 """Potential tables, axis algebra, and permutation-canonical forms."""
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -234,6 +234,55 @@ def test_stabiliser_orbits_match_union_find_reference():
         assert info == _union_find_info(table)
         non_trivial += info.orbit_of_slot != tuple(range(table.arity))
     assert non_trivial > 300
+
+
+def _symmetrised(rng, arity, kind):
+    """Small-integer table summed over a group on a random subset of its
+    axes: every permutation of them ("full"), the swaps of two disjoint
+    pairs ("partial") or their rotations ("cyclic"); then its axes are
+    permuted at random, so the canonical form has to undo that."""
+    k = int(rng.integers(2, 4))
+    base = rng.integers(1, 5, (k,) * arity).astype(float)
+    axes = [int(a) for a in rng.permutation(arity)]
+    moved = axes[: int(rng.integers(2, arity + 1))]
+
+    def acting(images):
+        perm = list(range(arity))
+        for a, b in zip(moved, images):
+            perm[a] = b
+        return tuple(perm)
+
+    if kind == "full":
+        group = [acting(q) for q in permutations(moved)]
+    elif kind == "partial":
+        swaps = [tuple(range(arity))]
+        for a, b in zip(axes[0:4:2], axes[1:4:2]):
+            swaps += [_compose(q, tuple(b if i == a else a if i == b else i for i in range(arity))) for q in swaps]
+        group = swaps
+    else:
+        group = [acting(moved[i:] + moved[:i]) for i in range(len(moved))]
+    arr = sum(np.transpose(base, g) for g in group)
+    return PotentialTable.from_array(np.transpose(arr, [int(a) for a in rng.permutation(arity)]))
+
+
+def test_each_block_of_the_canonical_table_is_fully_symmetric():
+    # a lifted message is computed at one position of one member per port:
+    # swapping two slots of a block must leave the canonical table as it is,
+    # bit for bit
+    rng = np.random.default_rng(79)
+    swapped = {"full": 0, "partial": 0, "cyclic": 0, "planted": 0}
+    for trial in range(800):
+        arity = 2 + trial % 4
+        kind = tuple(swapped)[trial // 4 % 4]
+        table = _planted_symmetry(rng, arity) if kind == "planted" else _symmetrised(rng, arity, kind)
+        info = canonical_info(table)
+        canon = np.transpose(table.array, info.perm)
+        assert canon.tobytes() == canonical_table(table).array.tobytes()
+        for s, u in combinations(range(arity), 2):
+            if info.orbit_of_slot[s] == info.orbit_of_slot[u]:
+                assert np.swapaxes(canon, s, u).tobytes() == canon.tobytes()
+                swapped[kind] += 1
+    assert min(swapped.values()) > 100
 
 
 def test_table_classes_do_not_depend_on_key_order():
