@@ -5,10 +5,11 @@ the completed model plus optional transfer/grouping reports, ``query``
 computes exact marginals (``inference.marginals``: lifted where that is
 exact, else by variable elimination in ``--order``), ``generate`` writes
 one synthetic instance, ``evaluate`` sweeps configurations into a TSV of
-per-query divergences, ``report`` aggregates such a TSV. Exit codes: 0 on success, 2 for input
-problems (unparseable or invalid files, bad flags, a ``--theta`` outside
-[0, 1] or a negative ``--rtol``), 3 for algorithmic failures (unresolved
-unknowns under --strict, inconsistent evidence, infeasible generation);
+per-query divergences, ``report`` aggregates such a TSV. Exit codes: 0 on
+success, 2 for input problems (unparseable or invalid files, bad flags, a
+``--theta`` outside [0, 1] or a negative or non-finite ``--rtol``), 3 for
+algorithmic failures (unresolved unknowns under --strict, inconsistent
+evidence, infeasible generation);
 ``evaluate`` instead counts a failed instance in its summary and goes on.
 """
 from __future__ import annotations

@@ -37,32 +37,32 @@ that split (``_refine``). A splitter class gives each neighbour the
 multiset of ports of its edges into the class, and the neighbours' classes
 split by it. The coarsest stable refinement of a start is unique, so the
 worklist finds the partition of ``refine_to_fixpoint``; only the colour
-ids differ, and a ``Grouping`` has none. Evidence reaches it by one route:
+ids differ, and a ``Grouping`` has none. One entry, ``_stable_colours``,
+makes every stable colouring the library uses, under evidence or none:
 
 - The library's initial colours (``_initial_colours``) key an RV on its
-  range alone, so the stable colouring from them (``_stable_colours``)
-  reads no evidence. Every initial class is a splitter: none may be left
-  out, because the initial colours do not encode degree. At ``rtol == 0``
-  with no tags it is kept per graph (``_evidence_free_colours``), so a
-  graph is coloured from scratch once.
-- Evidence, stored on the RVs or passed to inference, then splits an
-  evidence-free stable colouring (``_split``): the observed RVs' classes
-  split by value, and only the parts split off become splitters. The
-  observed initial colours (``initial_colouring``, which keys an RV on its
-  signature) are the meet of the evidence-free ones and the evidence.
-  Refinement to a stable colouring preserves refinement, so the observed
-  stable colouring refines the meet of the evidence-free stable colouring
-  and the evidence, which is where the worklist starts. Being the
-  coarsest stable partition that refines the observed initial colours, it
-  is then also the coarsest stable refinement of that start, which is
-  where the worklist stops. The start must be evidence-free: from a
-  colouring that already holds some evidence, a newly observed RV can
-  belong with an RV observed before to the same value, and refinement
-  never merges. ``run_colour_passing`` splits by the graph's stored
-  evidence, inference by the stored and passed evidence together, and no
-  graph is copied for either. Either builds the worklist's adjacency once
-  per graph and keeps it for later splits (``_adjacency_of``); a graph
-  that never sees evidence keeps none.
+  range alone, so the stable colouring from them reads no evidence. Every
+  initial class is a splitter: none may be left out, because the initial
+  colours do not encode degree. It is kept per graph, ``rtol`` and tags,
+  so a graph is coloured from scratch at most once per ``rtol`` and tags.
+- Evidence, stored on the RVs or passed to inference, then splits that
+  evidence-free stable colouring: the observed RVs' classes split by value,
+  and only the parts split off become splitters. The observed initial
+  colours (``initial_colouring``, which keys an RV on its signature) are
+  the meet of the evidence-free ones and the evidence. Refinement to a
+  stable colouring preserves refinement, so the observed stable colouring
+  refines the meet of the evidence-free stable colouring and the evidence,
+  which is where the worklist starts. Being the coarsest stable partition
+  that refines the observed initial colours, it is then also the coarsest
+  stable refinement of that start, which is where the worklist stops. The
+  start must be evidence-free: from a colouring that already holds some
+  evidence, a newly observed RV can belong with an RV observed before to
+  the same value, and refinement never merges. ``run_colour_passing``
+  splits by the graph's stored evidence, inference by the stored and
+  passed evidence together, and no graph is copied for either. A graph
+  keeps the worklist's adjacency exactly when it is coloured under
+  evidence, so the first colouring and every split share one build; a
+  graph that never sees evidence keeps none.
 
 Inside this module a colouring is one int64 array over node numbers, RVs
 by position in ``FactorGraph.rvs`` and then factors: ``_initial_colours``
@@ -172,7 +172,7 @@ def known_table_classes(fg: FactorGraph, rtol: float = 0.0) -> Mapping[str, Cano
     """Table class of each known factor, by factor id, as ``tables.table_classes``
     builds it over the graph's canonical keys; one ``canonical_info`` per
     distinct table. Built once per graph and ``rtol``; the mapping is
-    read-only. Raises ValueError for a negative or NaN ``rtol``.
+    read-only. Raises ValueError for a negative or non-finite ``rtol``.
     """
     check_rtol(rtol)
 
@@ -343,14 +343,12 @@ def run_colour_passing(
     ``initial_colouring``, found by the splitter worklist (``_refine``).
 
     ``unknown_tags`` pre-colours unknown factors (see initial_colouring);
-    without it the graph must be fully known. The evidence-free stable
-    colouring, the graph's kept one (``_evidence_free_colours``) at ``rtol
-    == 0`` with no tags, is split by the graph's stored evidence (``_split``).
+    without it the graph must be fully known. The graph's kept
+    evidence-free stable colouring at this ``rtol`` and these tags is split
+    by its stored evidence (``_stable_colours``).
     """
-    evidence = {rv.id: rv.evidence for rv in fg.rvs if rv.evidence is not None}
-    kept, keep = rtol == 0.0 and not unknown_tags, bool(evidence)
-    free = _evidence_free_colours(fg, keep) if kept else _stable_colours(fg, rtol, unknown_tags, keep)
-    return _grouping(fg, _split(fg, free, evidence))
+    stored = {rv.id: rv.evidence for rv in fg.rvs if rv.evidence is not None}
+    return _grouping(fg, _stable_colours(fg, stored, rtol, unknown_tags))
 
 
 @dataclass
@@ -433,13 +431,6 @@ def _adjacency(fg: FactorGraph) -> tuple[list[int], list[int], list[int]]:
     return neighbour.tolist(), list(map(weight_of.__getitem__, port)), offset.tolist()
 
 
-def _adjacency_of(fg: FactorGraph, keep: bool) -> tuple[list[int], list[int], list[int]]:
-    """``_adjacency(fg)``, kept per graph where evidence will split a
-    colouring of it (``keep``, and always in ``_split``), so an evidence
-    path builds it once; otherwise built for one use and dropped."""
-    return fg.memo("colours.adjacency", lambda: _adjacency(fg)) if keep else _adjacency(fg)
-
-
 def _refine(
     partition: _Partition, adjacency: tuple[list[int], list[int], list[int]], work: list[int]
 ) -> None:
@@ -488,37 +479,32 @@ def _grouping(fg: FactorGraph, colour: np.ndarray) -> Grouping:
 
 def _stable_colours(
     fg: FactorGraph,
+    evidence: Mapping[str, str],
     rtol: float = 0.0,
     unknown_tags: Mapping[str, Hashable] | None = None,
-    keep: bool = False,
 ) -> np.ndarray:
-    """The class of each node, numbered as in ``_Partition``, in the coarsest
-    stable refinement of ``_initial_colours(fg, rtol, unknown_tags)``, which
-    reads no evidence. Every initial class is a splitter, since the initial
-    colours do not encode degree. ``keep`` keeps the adjacency for the
-    evidence split that follows (``_adjacency_of``)."""
-    partition = _Partition.of(_initial_colours(fg, rtol, unknown_tags))
-    _refine(partition, _adjacency_of(fg, keep), list(range(len(partition.start))))
-    return np.array(partition.colour, np.int64)
+    """The class of each node, numbered as in ``_Partition``, in the stable
+    colouring of ``fg`` under ``evidence`` (by RV id) from the initial
+    colours ``_initial_colours(fg, rtol, unknown_tags)``: the graph's
+    evidence-free stable colouring, kept per ``rtol`` and tags, split by the
+    evidence (see the module docstring). The adjacency is kept exactly when
+    there is evidence."""
 
+    def adjacency() -> tuple[list[int], list[int], list[int]]:
+        return fg.memo("colours.adjacency", lambda: _adjacency(fg)) if evidence else _adjacency(fg)
 
-def _evidence_free_colours(fg: FactorGraph, keep: bool = False) -> np.ndarray:
-    """``_stable_colours(fg, keep=keep)``, kept per graph."""
-    return fg.memo("colours.evidence_free", lambda: _stable_colours(fg, keep=keep))
+    def free() -> np.ndarray:
+        partition = _Partition.of(_initial_colours(fg, rtol, unknown_tags))
+        _refine(partition, adjacency(), list(range(len(partition.start))))
+        return np.array(partition.colour, np.int64)
 
-
-def _split(fg: FactorGraph, free: np.ndarray, evidence: Mapping[str, str]) -> np.ndarray:
-    """The stable colouring of ``fg`` under ``evidence`` (by RV id), refined
-    from ``free``, an evidence-free stable colouring of ``fg`` numbered as in
-    ``_Partition``: the observed RVs' classes split by value, and only the
-    parts split off join the worklist (``_refine``), so the work follows what
-    the evidence splits. ``free`` itself without evidence. The adjacency it
-    refines on is kept per graph (``_adjacency_of``)."""
+    tags = tuple(sorted((unknown_tags or {}).items()))
+    colour = fg.memo(("colours.stable", rtol, tags), free)
     if not evidence:
-        return free
-    partition = _Partition.of(free)
+        return colour
+    partition = _Partition.of(colour)
     position = fg.incidence.rv_position
-    _refine(partition, _adjacency_of(fg, True), partition.split({position[r]: v for r, v in evidence.items()}))
+    _refine(partition, adjacency(), partition.split({position[r]: v for r, v in evidence.items()}))
     return np.array(partition.colour, np.int64)
 
 

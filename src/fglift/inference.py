@@ -62,13 +62,14 @@ from the quotient of the graph's stable colouring under that evidence, by
 counting belief propagation (Kersting, Ahmadi and Natarajan, UAI 2009);
 otherwise, or where a normaliser is zero, bucket elimination answers in the
 given ``order``, bit for bit and errors included, so ``order`` applies only
-there. The colouring is the graph's kept evidence-free stable colouring,
-split by the evidence (``colours._split``), so only what the evidence tells
-apart is refined; its partition is that of colouring the observed graph
-from scratch. The quotient reads it as one class number per node, never as
-a ``Grouping``, and the messages read the observed values from the evidence
-dict, so no graph is copied. Nothing query- or evidence-specific is kept:
-every call splits the colouring and runs the messages.
+there. The colouring comes from ``colours._stable_colours``, which keeps
+the graph's evidence-free stable colouring and splits it by the evidence,
+so only what the evidence tells apart is refined; its partition is that of
+colouring the observed graph from scratch. The quotient reads it as one
+class number per node, never as a ``Grouping``, and the messages read the
+observed values from the evidence dict, so no graph is copied. Nothing
+query- or evidence-specific is kept: every call splits the colouring and
+runs the messages.
 
 The quotient's edge key is the colouring's own: an edge class is a (factor
 class, port, argument RV class), where a port is a block of argument
@@ -106,7 +107,7 @@ from .errors import (
     InfiniteDivergence,
 )
 from .model import FactorGraph, check_factors
-from .colours import Grouping, _evidence_free_colours, _ports, _split
+from .colours import Grouping, _ports, _stable_colours
 
 _ORDERS = ("min_degree", "reverse_id")
 # Messages whose maximum stays within these bounds are not rescaled; a
@@ -385,8 +386,8 @@ def _quotient(
     """The class of each RV (by position in ``fg.rvs``) and the marginal of
     each RV class under the evidence ``ev``, all of it by RV id, stored
     evidence included, by counting belief propagation on the quotient of
-    the stable colouring of a fully known forest ``fg`` under ``ev``: its
-    kept evidence-free colouring split by ``ev`` (``colours._split``).
+    the stable colouring of a fully known forest ``fg`` under ``ev``
+    (``colours._stable_colours``).
     None for a graph that is not a forest, a cyclic quotient, or a zero or
     non-finite normaliser.
 
@@ -405,7 +406,7 @@ def _quotient(
     inc = fg.incidence
     if not inc.is_forest:
         return None
-    colour = _split(fg, _evidence_free_colours(fg, bool(ev)), ev)
+    colour = _stable_colours(fg, ev)
     n_rv = len(inc.rv_ids)
     _, rv_rep, rv_cls = np.unique(colour[:n_rv], return_index=True, return_inverse=True)
     _, fac_rep, fac_cls = np.unique(colour[n_rv:], return_index=True, return_inverse=True)

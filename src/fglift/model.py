@@ -183,15 +183,6 @@ class Incidence:
             parent[a] = b
         return True
 
-    @cached_property
-    def factors_of(self) -> dict[str, tuple[str, ...]]:
-        """Each RV's factors, in factor order."""
-        out = {}
-        for rid, r in self.rv_position.items():
-            rows = self.by_rv[self.rv_start[r] : self.rv_start[r + 1]]
-            out[rid] = tuple(self.factor_ids[f] for f in self.factor[rows].tolist())
-        return out
-
 
 @dataclass(frozen=True)
 class FactorGraph:
@@ -285,10 +276,14 @@ class FactorGraph:
             raise UnknownNode(f"no factor {factor_id!r}") from None
 
     def factors_of(self, rv_id: str) -> tuple[str, ...]:
+        """The RV's factors, in factor order."""
+        inc = self.incidence
         try:
-            return self.incidence.factors_of[rv_id]
+            r = inc.rv_position[rv_id]
         except KeyError:
             raise UnknownNode(f"no random variable {rv_id!r}") from None
+        rows = inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]
+        return tuple(inc.factor_ids[f] for f in inc.factor[rows].tolist())
 
     def degree(self, rv_id: str) -> int:
         """Number of factors of the RV."""

@@ -431,8 +431,9 @@ def run_experiment(cfg: ExperimentConfig) -> InstanceResult:
     marginal). Both graphs answer through ``marginals``, on the quotient of
     their stable colouring where that is exact, so equal graphs take the
     same path. ``marginals`` colours the truth graph; the completed graph
-    keeps the colouring ``complete_and_lift`` made at ``rtol == 0`` with no
-    unresolved unknowns, so it is not coloured again. An instance with
+    keeps the colouring ``complete_and_lift`` made, as a graph keeps one
+    per ``rtol`` and tags (``colours._stable_colours``), so it is not
+    coloured again. An instance with
     unresolved unknown factors is reported as failed (no query rows), never
     silently skipped.
     """

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import prod
+from math import inf, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -106,9 +106,10 @@ class PotentialTable:
 
 
 def check_rtol(rtol: float) -> None:
-    """Raise ValueError for a negative or NaN ``rtol``, under which no table equals itself."""
-    if not rtol >= 0.0:
-        raise ValueError(f"rtol must be non-negative, got {rtol}")
+    """Raise ValueError for a negative or non-finite ``rtol``: under NaN no
+    table equals itself, and under ``inf`` neither does one with a zero entry."""
+    if not 0.0 <= rtol < inf:
+        raise ValueError(f"rtol must be non-negative and finite, got {rtol}")
 
 
 def tables_equal(a: PotentialTable, b: PotentialTable, rtol: float = 0.0) -> bool:
@@ -117,7 +118,7 @@ def tables_equal(a: PotentialTable, b: PotentialTable, rtol: float = 0.0) -> boo
     With ``rtol == 0`` (the default) this is ``a == b``, a byte comparison
     that no table holding NaN passes. Otherwise entries
     x, y count as equal when ``|x - y| <= rtol * max(|x|, |y|)``; a negative
-    or NaN ``rtol`` raises ValueError.
+    or non-finite ``rtol`` raises ValueError.
     """
     if rtol == 0.0:
         return a == b
@@ -140,7 +141,7 @@ def table_classes(keys: Iterable[CanonicalKey], rtol: float) -> dict[CanonicalKe
     tables more than ``rtol`` apart. At ``rtol == 0`` every key is its own
     class. A search from each smallest key not yet placed builds its class,
     comparing keys of equal shape only, each pair at most once. Raises
-    ValueError for a negative or NaN ``rtol``.
+    ValueError for a negative or non-finite ``rtol``.
     """
     check_rtol(rtol)
     if rtol == 0.0:

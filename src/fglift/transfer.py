@@ -92,7 +92,7 @@ def possibly_identical(fg: FactorGraph, a: str, b: str, rtol: float = 0.0) -> bo
     known factors the tables must agree under canonical argument alignment
     (within ``rtol``). This is the pairwise relation; table classes are its
     closure, so two known factors of one class need not pass it at ``rtol >
-    0``. Raises ValueError for a negative or NaN ``rtol``.
+    0``. Raises ValueError for a negative or non-finite ``rtol``.
     """
     check_rtol(rtol)
     if not indistinguishable(fg, a, b):
@@ -153,7 +153,7 @@ def _candidate_classes(
 def candidate_sets(fg: FactorGraph, rtol: float = 0.0) -> list[CandidateSet]:
     """One CandidateSet per unknown factor, in sorted id order.
 
-    Raises ValueError for a negative or NaN ``rtol``.
+    Raises ValueError for a negative or non-finite ``rtol``.
     """
     check_rtol(rtol)
     class_of = known_table_classes(fg, rtol)
@@ -245,7 +245,7 @@ def select_transfer_class(
     when the chosen class covers at least ``theta`` of all candidates.
     ``bk_state`` records whether the mirror preference decided ("yes"),
     failed ("no"), or never applied ("n/a"). Raises ValueError for a
-    ``theta`` outside [0, 1] or NaN, or a negative or NaN ``rtol``.
+    ``theta`` outside [0, 1] or NaN, or a negative or non-finite ``rtol``.
     """
     _check_theta(theta)
     check_rtol(rtol)
@@ -318,7 +318,7 @@ def complete_and_lift(
     Unresolved unknown factors enter colour passing with pre-set colours:
     unique, except that mutually indistinguishable unknowns share one.
     Raises ValueError for a ``theta`` outside [0, 1] or NaN, or a negative
-    or NaN ``rtol``.
+    or non-finite ``rtol``.
     """
     _check_theta(theta)
     rows: list[CandidateSet] = []

@@ -16,6 +16,10 @@ from fglift import (
     serialize_evidence,
     serialize_model,
     generate_instance,
+    grouping_from_colouring,
+    grouping_report,
+    initial_colouring,
+    refine_to_fixpoint,
 )
 from fglift.cli import main
 from fglift.inference import _ground_marginals
@@ -118,10 +122,35 @@ def test_lift_rejects_negative_rtol(tmp_path, capsys):
 def test_lift_rejects_negative_rtol_after_a_space(tmp_path, capsys):
     model = model_file(tmp_path, epidemic_four())
     out = tmp_path / "completed.txt"
-    for rtol in (["--rtol", "-1e-6"], ["--rtol=-1e-6"]):
+    for rtol in (["--rtol", "-1e-6"], ["--rtol=-1e-6"], ["--rtol", "inf"], ["--rtol=inf"]):
         assert main(["lift", "--model", model, "--theta", "0", *rtol, "--out", str(out)]) == 2
         assert "rtol must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rtol", ["0", "1e-6"])
+def test_lift_with_evidence_groups_like_the_reference_rounds(tmp_path, rtol):
+    paths = {name: str(tmp_path / name) for name in ("truth", "incomplete", "queries")}
+    assert main(["generate", "--d", "256", "--p", "0.5", "--unknown-frac", "0.2", "--seed", "1",
+                 "--out-truth", paths["truth"], "--out-incomplete", paths["incomplete"],
+                 "--out-queries", paths["queries"]]) == 0
+    truth = parse_model(open(paths["truth"]).read())
+    queries = parse_queries(open(paths["queries"]).read())
+    leaves = [r for r in truth.rv_ids if truth.degree(r) == 1 and r not in queries][:3]
+    evidence = {r: truth.rv(r).range.values[1] for r in leaves}
+    ev_path = write(tmp_path / "ev.txt", serialize_evidence(evidence))
+    reports = {}
+    for extra in ([], ["--evidence", ev_path]):
+        out, grouping = tmp_path / "completed.fg", tmp_path / "groups.txt"
+        assert main(["lift", "--model", paths["incomplete"], "--theta", "0.5", "--rtol", rtol, "--strict",
+                     *extra, "--out", str(out), "--grouping", str(grouping)]) == 0
+        reports[bool(extra)] = grouping.read_text()
+    observed = parse_model(out.read_text()).with_evidence(evidence)
+    rounds = refine_to_fixpoint(observed, initial_colouring(observed, float(rtol)))
+    assert reports[True] == grouping_report(grouping_from_colouring(observed, rounds), observed)
+    # the evidence splits a class of the evidence-free grouping
+    rv_classes = {k: sum(" kind=rv " in line for line in r.splitlines()) for k, r in reports.items()}
+    assert rv_classes[True] > rv_classes[False]
 
 
 @pytest.mark.parametrize("theta", ["nan", "1.5", "-3", "-1e-3", "inf"])

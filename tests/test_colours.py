@@ -48,7 +48,7 @@ from fglift import (
     tables_equal,
 )
 from fglift import transfer
-from fglift.colours import Colouring, FactorClass, Grouping, _evidence_free_colours, _grouping, _split
+from fglift.colours import Colouring, FactorClass, Grouping, _grouping, _stable_colours
 from fglift.inference import _ground_marginals
 from fglift.synth import max_cohorts
 from fglift.tables import MAX_CANONICAL_ARITY, invert_axes
@@ -968,7 +968,7 @@ def test_worklist_is_independent_of_insertion_order():
 def refined_grouping(fg):
     """The grouping of ``fg``'s kept evidence-free colouring split by its stored evidence."""
     stored = {rv.id: rv.evidence for rv in fg.rvs if rv.evidence is not None}
-    return _grouping(fg, _split(fg, _evidence_free_colours(fg), stored))
+    return _grouping(fg, _stable_colours(fg, stored))
 
 
 def assert_refines_like_scratch(fg, evidence=None):

@@ -35,10 +35,9 @@ import fglift.model as model
 import fglift.synth as synth
 from fglift.colours import (
     _adjacency,
-    _evidence_free_colours,
     _grouping,
     _ports,
-    _split,
+    _stable_colours,
     known_table_classes,
 )
 from fglift.inference import _ground_marginals, _quotient
@@ -507,7 +506,7 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     assert marginals(fg, inst.queries) == plain
     assert starts == [fg]
     assert used == [(fg, {}), (fg, {})]
-    own = _evidence_free_colours(fg)
+    own = _stable_colours(fg, {})
     scratch = run_colour_passing(fg)
     assert _grouping(fg, own) == scratch and starts == [fg]
 
@@ -520,9 +519,9 @@ def test_passed_evidence_is_stored_evidence_and_refines_the_kept_colouring(monke
     # used is the observed graph's own
     assert starts == []
     assert used == [(fg, evidence), (observed, evidence)]
-    split = [_grouping(g, _split(g, _evidence_free_colours(g), ev)) for g, ev in used]
+    split = [_grouping(g, _stable_colours(g, ev)) for g, ev in used]
     assert split == [expected, expected] != [scratch] * 2
-    assert _evidence_free_colours(fg) is own
+    assert _stable_colours(fg, {}) is own
     # passed evidence that repeats stored evidence is no new evidence
     assert marginals(observed, inst.queries, evidence) == marginals(observed, inst.queries)
     assert starts == [] and len(used) == 4
@@ -555,7 +554,7 @@ def test_a_graph_is_coloured_once(monkeypatch):
     assert len(starts) == len(refined) == 2
     assert starts[0] is result.completed and starts[1] is not result.completed
     # the completed graph keeps its colouring, and no adjacency
-    assert _grouping(result.completed, _evidence_free_colours(result.completed)) == result.grouping
+    assert _grouping(result.completed, _stable_colours(result.completed, {})) == result.grouping
     assert kept(result.completed, "colours.adjacency") is None
 
     # a graph with stored evidence is coloured from its initial colours
@@ -614,9 +613,9 @@ def test_evidence_calls_copy_no_graph(monkeypatch):
     # evidence is split on, and nothing that depends on the evidence
     assert fg._memo.keys() - before.keys() == {"colours.adjacency"}
     assert all(fg._memo[key] is view for key, view in before.items())
-    assert np.array_equal(kept(fg, "colours.evidence_free"), colours._stable_colours(fg))
-    assert kept(fg, "colours.adjacency") == _adjacency(fg)
     monkeypatch.undo()
+    assert np.array_equal(kept(fg, ("colours.stable", 0.0, ())), _stable_colours(fg.with_tables({}), {}))
+    assert kept(fg, "colours.adjacency") == _adjacency(fg)
     # a copy shares the incidence index and no view, and its answer is the
     # one passed evidence gave, bit for bit
     copy = fg.with_evidence(evidence)
@@ -654,3 +653,40 @@ def test_an_evidence_path_builds_the_adjacency_once(monkeypatch):
     marginals(plain, queries)
     run_colour_passing(plain)
     assert built == [fg, plain] and kept(plain, "colours.adjacency") is None
+
+
+def test_a_graph_is_coloured_once_per_rtol_and_tags(monkeypatch):
+    inst = generate_instance(ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    ))
+    starts = []
+    start = colours._initial_colours
+    monkeypatch.setattr(colours, "_initial_colours", lambda g, *a: starts.append((g, *a)) or start(g, *a))
+    fg = inst.truth
+    first = run_colour_passing(fg, 1e-6)
+    assert run_colour_passing(fg, 1e-6) == first
+    assert starts == [(fg, 1e-6, None)]
+    # another rtol is another colouring, kept apart
+    run_colour_passing(fg)
+    run_colour_passing(fg, 0.0, {})
+    assert starts == [(fg, 1e-6, None), (fg, 0.0, None)]
+
+
+def test_what_a_completed_graph_keeps():
+    inst = generate_instance(ExperimentConfig(
+        d=32, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=4,
+    ))
+    result = complete_and_lift(inst.incomplete, 0.0, None, 1e-6)
+    fg = result.completed
+    marginals(fg, inst.queries)
+    # complete_and_lift keeps the colouring at its rtol, marginals at rtol 0;
+    # neither keeps an adjacency, as the graph has seen no evidence
+    assert fg._memo.keys() == {
+        "colours.ports",
+        ("colours.table_classes", 1e-6),
+        ("colours.stable", 1e-6, ()),
+        ("colours.table_classes", 0.0),
+        ("colours.stable", 0.0, ()),
+        "model.unknown_factor_ids",
+    }
+    assert _grouping(fg, kept(fg, ("colours.stable", 1e-6, ()))) == result.grouping

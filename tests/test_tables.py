@@ -318,7 +318,7 @@ def test_table_classes_of_no_keys():
 
 
 def test_table_classes_reject_negative_or_nan_rtol():
-    for rtol in (-1e-6, float("nan")):
+    for rtol in (-1e-6, float("nan"), float("inf")):
         for keys in ([], [((1,), (1.0,))]):
             with pytest.raises(ValueError, match="rtol must be non-negative"):
                 table_classes(keys, rtol)

@@ -224,7 +224,7 @@ _RTOL_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(_RTOL_ENTRY_POINTS))
 @pytest.mark.parametrize("with_bk", [False, True], ids=["no_bk", "bk"])
-@pytest.mark.parametrize("rtol", [-1.0, float("nan")])
+@pytest.mark.parametrize("rtol", [-1.0, float("nan"), float("inf")])
 def test_negative_or_nan_rtol_is_rejected_at_every_entry_point(entry, with_bk, rtol):
     g = epidemic_four()
     cs = candidate_sets(g)[0]
