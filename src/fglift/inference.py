@@ -67,9 +67,16 @@ the graph's evidence-free stable colouring and splits it by the evidence,
 so only what the evidence tells apart is refined; its partition is that of
 colouring the observed graph from scratch. The quotient reads it as one
 class number per node, never as a ``Grouping``, and the messages read the
-observed values from the evidence dict, so no graph is copied. Nothing
-query- or evidence-specific is kept: every call splits the colouring and
-runs the messages.
+observed values from the evidence dict, so no graph is copied. What a graph
+keeps for this path is evidence-free: its stable colouring and, from the
+first call that reaches the quotient, counting belief propagation on it
+(every message and every class's marginal, ``_Free``), so a call without
+evidence only reads marginals. A call with evidence splits the colouring
+and computes messages on demand from the query classes and the observed
+classes; a message whose source side holds no observed class is the
+evidence-free one, so only the messages on the paths between the evidence
+and the queries are computed again, as in sequential clamping (Hadiji,
+Ahmadi and Kersting, KI 2011). Nothing query- or evidence-specific is kept.
 
 The quotient's edge key is the colouring's own: an edge class is a (factor
 class, port, argument RV class), where a port is a block of argument
@@ -87,17 +94,23 @@ and so are the beliefs of two RVs of one class. Belief propagation is exact
 on a forest, so one message per edge class, raised to the power of the
 number of edges it stands for, answers every query exactly. Messages are
 kept as logs and shifted to maximum 0 before every ``exp``; observed RVs
-send indicators. The quotient of a forest cannot be cyclic, and a zero
-normaliser means a component without mass, where the ground path raises;
-either sends the call to bucket elimination, so errors are the ground
-path's own.
+send indicators. An RV class's message along one of its D distinct
+incoming edge classes sums the others' log messages: in order up to eight
+of them, and above that from kept prefix and suffix sums, so that all its
+messages together cost O(D). The quotient of a forest cannot be cyclic, and
+a zero normaliser means a component without mass, where the ground path
+raises; either sends the call to bucket elimination, so errors are the
+ground path's own. The evidence-free state checks every component; under
+evidence, the belief of each observed class at its observed value checks
+each component that holds evidence.
 """
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from math import frexp, isfinite, log
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -288,12 +301,11 @@ def _marginals(
     if lifted and any(rv.id not in ev for rv in rvs):
         answer = _quotient(fg, ev)
         if answer is not None:
-            rv_class, probabilities = answer[0].tolist(), answer[1]
+            rv_class, marginals_of = answer
             position = fg.incidence.rv_position
-            return tuple(
-                Marginal(rv.id, rv.range.values, probabilities[rv_class[position[rv.id]]])
-                for rv in rvs
-            )
+            probabilities = marginals_of([rv_class[position[rv.id]] for rv in rvs])
+            if probabilities is not None:
+                return tuple(Marginal(rv.id, rv.range.values, p) for rv, p in zip(rvs, probabilities))
     hidden = list(dict.fromkeys(rv.id for rv in rvs if rv.id not in ev))
     beliefs = _beliefs(fg, ev, hidden, order) if hidden else {}
 
@@ -380,145 +392,301 @@ def _beliefs(
     return belief
 
 
-def _quotient(
-    fg: FactorGraph, ev: Mapping[str, str]
-) -> tuple[np.ndarray, list[tuple[float, ...]]] | None:
-    """The class of each RV (by position in ``fg.rvs``) and the marginal of
-    each RV class under the evidence ``ev``, all of it by RV id, stored
-    evidence included, by counting belief propagation on the quotient of
-    the stable colouring of a fully known forest ``fg`` under ``ev``
-    (``colours._stable_colours``).
-    None for a graph that is not a forest, a cyclic quotient, or a zero or
-    non-finite normaliser.
+class _Free(NamedTuple):
+    """A forest's evidence-free counting belief propagation, kept per graph:
+    the class of each RV (by position in ``fg.rvs``), the edge class of each
+    incidence row, the log message of each edge class and the marginal of
+    each RV class."""
+
+    rv_class: list[int]
+    edge: np.ndarray
+    log_mu: list[np.ndarray]
+    marginals: list[tuple[float, ...]]
+
+
+# An RV class with more distinct incoming edge classes than this sends its
+# messages from prefix and suffix sums of its incoming log messages, so all
+# of them cost O(D) together; up to it, each message sums its inputs in
+# order, and answers are those of the plain sum bit for bit.
+_SUM_IN_ORDER = 8
+
+
+class _Counting:
+    """Counting belief propagation on the quotient of the node colouring
+    ``colour`` (``colours._stable_colours``) of the forest ``fg`` under the
+    evidence ``ev`` (by RV id), each message computed when first needed,
+    dependencies first.
 
     An edge class is a (factor class, port, argument RV class), the key the
     colouring refines on; its message is computed at the first position of
-    the factor class's first member that falls in it. Each edge into an
-    unobserved RV class carries one factor-to-RV message, computed once,
-    dependencies first. The RV-to-factor message along an edge is the
+    the factor class's first member that falls in it, and flows from the
+    factor to the RV. The RV-to-factor message along an edge is the
     count-weighted sum of the RV's incoming log messages less one copy of
-    the edge's own; an observed RV sends its indicator. Every message and
-    every unobserved class's belief must have a positive finite normaliser,
-    as must the table entry of a factor class whose arguments are all
-    observed: on a forest a zero one means a component without mass, where
-    the ground path raises.
+    the edge's own; an observed RV sends its indicator.
+
+    Given ``free``, the graph's evidence-free state (``_Free``), an edge
+    class whose source side holds no observed class is not computed: its
+    message is that of the free edge class of its first row. Its
+    dependencies are still visited, as that is how the source side is known
+    to be free of evidence, but no message among them is computed.
     """
-    inc = fg.incidence
-    if not inc.is_forest:
-        return None
-    colour = _stable_colours(fg, ev)
-    n_rv = len(inc.rv_ids)
-    _, rv_rep, rv_cls = np.unique(colour[:n_rv], return_index=True, return_inverse=True)
-    _, fac_rep, fac_cls = np.unique(colour[n_rv:], return_index=True, return_inverse=True)
-    ports, n_ports = _ports(fg)
-    arg_cls = rv_cls[inc.rv]
-    # rows sit in factor order, so each edge class's first row lies in its
-    # factor class's first member
-    _, first, edge = np.unique(
-        (fac_cls[inc.factor] * n_ports + ports) * len(rv_rep) + arg_cls,
-        return_index=True,
-        return_inverse=True,
-    )
-    start, edge_of_row = inc.start.tolist(), edge.tolist()
-    target = arg_cls[first].tolist()
-    reps = [fg.rvs[r] for r in rv_rep.tolist()]
-    observed = [rv.range.index(ev[rv.id]) if rv.id in ev else None for rv in reps]
-    # incident edges of each unobserved RV class's representative, with counts
-    counts: list[dict[int, int]] = []
-    for k, r in enumerate(rv_rep.tolist()):
-        seen: dict[int, int] = {}
-        if observed[k] is None:
-            for e in edge[inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]].tolist():
-                seen[e] = seen.get(e, 0) + 1
-        counts.append(seen)
-    # the factor and position each edge class's message is computed at, and
-    # the (position, edge) of every other argument of that factor
-    at: list[tuple[int, int, list[tuple[int, int]]]] = []
-    for f, row in zip(inc.factor[first].tolist(), first.tolist()):
-        p = row - start[f]
-        at.append((f, p, [(q - start[f], edge_of_row[q]) for q in range(start[f], start[f + 1]) if q != row]))
-    log_mu: dict[int, np.ndarray] = {}
-    nu: dict[int, np.ndarray | None] = {}
 
-    def incoming(k: int, skip: int | None) -> list[tuple[int, int]]:
-        """(edge, count) of RV class k's incoming messages, one copy of edge
-        ``skip`` left out; an observed class has none."""
-        return [(e, n - (e == skip)) for e, n in counts[k].items() if n - (e == skip)]
+    def __init__(
+        self, fg: FactorGraph, colour: np.ndarray, ev: Mapping[str, str], free: _Free | None = None
+    ) -> None:
+        inc = fg.incidence
+        n_rv = len(inc.rv_ids)
+        _, rep, self.rv_class = np.unique(colour[:n_rv], return_index=True, return_inverse=True)
+        ports, n_ports = _ports(fg)
+        arg_cls = self.rv_class[inc.rv]
+        # a factor's colour names its class; rows sit in factor order, so
+        # each edge class's first row lies in its factor class's first member
+        _, first, self.edge = np.unique(
+            (colour[n_rv + inc.factor] * n_ports + ports) * len(rep) + arg_cls,
+            return_index=True,
+            return_inverse=True,
+        )
+        self.fg, self.rep, self.target = fg, rep.tolist(), arg_cls[first].tolist()
+        # per edge class: the factor and position its message is computed
+        # at, and the (position, edge class) of every other argument of it
+        self.at: list[tuple[int, int, list[tuple[int, int]]]] = []
+        for f, row in zip(inc.factor[first].tolist(), first.tolist()):
+            a, b = int(inc.start[f]), int(inc.start[f + 1])
+            edges = self.edge[a:b].tolist()
+            self.at.append((f, row - a, [(q, edges[q]) for q in range(b - a) if q != row - a]))
+        # per RV class: the distinct edge classes into its representative in
+        # row order, their counts, and the index of each
+        self.incoming: list[tuple[list[int], list[int], dict[int, int]]] = []
+        for r in self.rep:
+            counts = Counter(self.edge[inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]].tolist())
+            self.incoming.append((list(counts), list(counts.values()), {e: i for i, e in enumerate(counts)}))
+        position = inc.rv_position
+        # the observed value of each observed RV class
+        self.observed = {int(self.rv_class[position[r]]): fg.rv(r).range.index(v) for r, v in ev.items()}
+        self.free_edge = None if free is None else free.edge[first].tolist()
+        self.free_log_mu = None if free is None else free.log_mu
+        self.log_mu: dict[int, np.ndarray] = {}
+        self.nu: dict[int, np.ndarray | None] = {}
+        # per edge class: its ``needs`` while open, then whether its message
+        # was computed (see ``solve``)
+        self.state: dict[int, tuple[list[int], bool] | bool] = {}
+        # per RV class: how many of the edge classes into it are known, and
+        # how many of those were computed
+        self.known: dict[int, int] = {}
+        self.computed: dict[int, int] = {}
+        self._sums: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
-    def rv_side(k: int, skip: int | None) -> np.ndarray | None:
-        """Log product of RV class k's incoming messages, one copy of edge
-        ``skip`` left out, shifted to maximum 0; None for a zero normaliser."""
-        if observed[k] is not None:
-            out = np.full(len(reps[k].range), -np.inf)
-            out[observed[k]] = 0.0
-            return out
-        out = np.zeros(len(reps[k].range))
-        for e, n in incoming(k, skip):
-            out = out + n * log_mu[e]
-        top = out.max()
-        return out - top if top > -np.inf else None
+    def needs(self, e: int) -> tuple[list[int], bool]:
+        """The edge classes whose messages edge class e's message reads (those
+        into each other argument's class, one copy of that argument's own
+        edge class left out; an observed class reads none), and whether
+        evidence already shows behind e: some other argument's class is
+        observed, or some message it reads is known and not free. A class
+        whose incoming messages are all known lists none of them."""
+        out, behind = [], False
+        for _, d in self.at[e][2]:
+            k = self.target[d]
+            if k in self.observed:
+                behind = True
+                continue
+            edges, counts, index = self.incoming[k]
+            if self.known.get(k, 0) < len(edges):
+                out += [x for x, n in zip(edges, counts) if n - (x == d)]
+            elif self.computed.get(k, 0) > (counts[index[d]] == 1 and self.state[d] is True):
+                behind = True
+        return out, behind
 
-    def message(e: int) -> bool:
-        """Compute ``log_mu[e]``: the factor's table with e's position
-        first, its other axes contracted with their RV-to-factor messages,
-        last first. A negative entry turns into NaN, which no belief passes."""
-        f, p, rest = at[e]
-        m = fg.factors[f].table.array.transpose([p] + [q for q, _ in rest])
-        for _, d in reversed(rest):
-            if d not in nu:
-                log_nu = rv_side(target[d], d)
-                nu[d] = None if log_nu is None else np.exp(log_nu)
-            if nu[d] is None:
-                return False
-            m = m @ nu[d]
-        top = m.max()
-        if not 0.0 < top < np.inf:
-            return False
-        log_mu[e] = np.log(m / top)
-        return True
+    def solve(self, roots: list[int]) -> bool:
+        """Know the message of every edge class in ``roots``, depth first,
+        dependencies first. False for an edge class met again while still
+        open, which closes a cycle of the quotient, or for a message with a
+        zero or non-finite normaliser.
 
-    def needs(e: int) -> list[int]:
-        return [e2 for _, d in at[e][2] for e2, _ in incoming(target[d], d)]
-
-    # depth first, dependencies first; an edge met again while still open
-    # closes a cycle of the quotient
-    done: dict[int, bool] = {}  # False while open
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        for root in range(len(target)):
-            if observed[target[root]] is not None:
+        An edge class is open while its ``needs`` are on the stack. Closed,
+        it is True if its message was computed and False if it is the free
+        one: that is so when no evidence shows behind it and every message it
+        reads is free too."""
+        state, free = self.state, self.free_edge
+        for root in roots:
+            if root in state:
                 continue
             stack = [root]
             while stack:
                 e = stack[-1]
-                if done.get(e):
-                    stack.pop()
-                elif e in done:
-                    if not message(e):
-                        return None
-                    done[e] = True
-                    stack.pop()
-                else:
-                    done[e] = False
-                    for d in needs(e):
-                        if d not in done:
+                s = state.get(e)
+                if s is None:
+                    state[e] = s = self.needs(e)
+                    for d in s[0]:
+                        t = state.get(d)
+                        if t is None:
                             stack.append(d)
-                        elif not done[d]:
-                            return None
-        for f in fac_rep.tolist():
-            values = [observed[k] for k in arg_cls[start[f] : start[f + 1]].tolist()]
-            if None not in values and not 0.0 < fg.factors[f].table.array[tuple(values)] < np.inf:
-                return None
-        out: list[tuple[float, ...]] = []
-        for k, rv in enumerate(reps):
-            if observed[k] is not None:
-                out.append(tuple(1.0 if i == observed[k] else 0.0 for i in range(len(rv.range))))
-                continue
-            belief = rv_side(k, None)
-            if belief is None:
-                return None
-            b = np.exp(belief)
-            out.append(tuple((b / b.sum()).tolist()))
-    return rv_cls, out
+                        elif isinstance(t, tuple):
+                            return False
+                    continue
+                stack.pop()
+                if not isinstance(s, tuple):
+                    continue
+                deps, behind = s
+                if free is None or behind or any(map(state.__getitem__, deps)):
+                    if not self.message(e):
+                        return False
+                    state[e] = True
+                else:
+                    self.log_mu[e] = self.free_log_mu[free[e]]
+                    state[e] = False
+                k = self.target[e]
+                self.known[k] = self.known.get(k, 0) + 1
+                self.computed[k] = self.computed.get(k, 0) + state[e]
+        return True
+
+    def message(self, e: int) -> bool:
+        """Compute ``log_mu[e]``: the factor's table with e's position
+        first, its other axes contracted with their RV-to-factor messages,
+        last first. A negative entry turns into NaN, which no belief passes."""
+        f, p, rest = self.at[e]
+        m = self.fg.factors[f].table.array.transpose([p] + [q for q, _ in rest])
+        for _, d in reversed(rest):
+            if d not in self.nu:
+                log_nu = self.rv_side(self.target[d], d)
+                self.nu[d] = None if log_nu is None else np.exp(log_nu)
+            if self.nu[d] is None:
+                return False
+            m = m @ self.nu[d]
+        top = m.max()
+        if not 0.0 < top < np.inf:
+            return False
+        self.log_mu[e] = np.log(m / top)
+        return True
+
+    def rv_side(self, k: int, skip: int | None) -> np.ndarray | None:
+        """Log product of RV class k's incoming messages, one copy of edge
+        ``skip`` left out, shifted to maximum 0; None for a zero normaliser.
+
+        Up to ``_SUM_IN_ORDER`` distinct edge classes, and for a belief, the
+        count-weighted terms are added in row order, from the first rather
+        than from zeros, which changes at most the sign of a zero that no
+        ``exp`` sees. Above it, a message is the kept sum of the terms
+        before its edge class, its edge class's further copies and the kept
+        sum of the terms after it."""
+        if k in self.observed:
+            out = np.full(len(self.fg.rvs[self.rep[k]].range), -np.inf)
+            out[self.observed[k]] = 0.0
+            return out
+        edges, counts, index = self.incoming[k]
+        if skip is None or len(edges) <= _SUM_IN_ORDER:
+            terms = [(n - (e == skip), self.log_mu[e]) for e, n in zip(edges, counts) if n - (e == skip)]
+        else:
+            i = index[skip]
+            terms = [(1, self.kept_sum(k, i, False))] if i else []
+            if counts[i] > 1:
+                terms.append((counts[i] - 1, self.log_mu[skip]))
+            if i + 1 < len(edges):
+                terms.append((1, self.kept_sum(k, i + 1, True)))
+        if not terms:
+            return np.zeros(len(self.fg.rvs[self.rep[k]].range))
+        out = None
+        for n, term in terms:
+            term = term if n == 1 else n * term
+            out = term if out is None else out + term
+        top = out.max()
+        return out - top if top > -np.inf else None
+
+    def kept_sum(self, k: int, i: int, after: bool) -> np.ndarray:
+        """Sum of the count-weighted log messages of class k's incoming edge
+        classes before index i, added left to right, or from i on, added
+        right to left; every partial sum is kept."""
+        edges, counts, _ = self.incoming[k]
+        sums = self._sums.setdefault(k, ([], []))[after]
+        want = len(edges) - i if after else i
+        while len(sums) < want:
+            j = len(edges) - 1 - len(sums) if after else len(sums)
+            term = counts[j] * self.log_mu[edges[j]]
+            sums.append(sums[-1] + term if sums else term)
+        return sums[want - 1]
+
+    def marginals(self, classes: Iterable[int]) -> list[tuple[float, ...]] | None:
+        """The marginal of each RV class in ``classes``: its indicator if
+        observed, else its normalised belief once the messages into it are
+        known; None for a cycle or where a normaliser is zero or non-finite."""
+        out: dict[int, tuple[float, ...]] = {}
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            for k in classes:
+                if k in out:
+                    continue
+                if k in self.observed:
+                    size = len(self.fg.rvs[self.rep[k]].range)
+                    out[k] = tuple(1.0 if i == self.observed[k] else 0.0 for i in range(size))
+                    continue
+                belief = self.rv_side(k, None) if self.solve(self.incoming[k][0]) else None
+                if belief is None:
+                    return None
+                b = np.exp(belief)
+                out[k] = tuple((b / b.sum()).tolist())
+        return list(map(out.__getitem__, classes))
+
+    def has_mass(self, k: int) -> bool:
+        """Whether the observed RV class k's belief at its observed value has
+        a positive finite normaliser: its component has mass under the
+        evidence. Its own evidence is left out of its belief."""
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            if not self.solve(self.incoming[k][0]):
+                return False
+            edges, counts, _ = self.incoming[k]
+            out = 0.0
+            for e, n in zip(edges, counts):
+                out = out + n * self.log_mu[e][self.observed[k]]
+            return out > -np.inf
+
+
+def _free(fg: FactorGraph) -> _Free | None:
+    """The evidence-free state of the forest ``fg``: every message and every
+    RV class's marginal on the quotient of its evidence-free stable
+    colouring. None for a cyclic quotient or a zero or non-finite
+    normaliser, where no call lifts."""
+    bp = _Counting(fg, _stable_colours(fg, {}), {})
+    marginals = bp.marginals(range(len(bp.rep)))
+    if marginals is None:
+        return None
+    return _Free(bp.rv_class.tolist(), bp.edge, [bp.log_mu[e] for e in range(len(bp.at))], marginals)
+
+
+def _quotient(
+    fg: FactorGraph, ev: Mapping[str, str]
+) -> tuple[list[int], Callable[[list[int]], list[tuple[float, ...]] | None]] | None:
+    """The class of each RV (by position in ``fg.rvs``) and a function from
+    a list of RV classes to their marginals under the evidence ``ev``, all
+    of it by RV id, stored evidence included, by counting belief propagation
+    on the quotient of the stable colouring of a fully known forest ``fg``
+    under ``ev`` (``colours._stable_colours``).
+    None for a graph that is not a forest, a cyclic quotient, or a zero or
+    non-finite normaliser.
+
+    The evidence-free state (``_Free``) is kept per graph: it is built the
+    first time, by every message and every class's belief, and an
+    evidence-free call only reads it. Under evidence, messages are computed
+    from the query classes and the observed classes, and only those whose
+    source side holds an observed class are computed again
+    (``_Counting``). Every observed class's belief at its observed value
+    must have mass, so that every component that holds evidence is checked
+    (the others were, by the free state); on a forest a zero one means a
+    component without mass, where the ground path raises. The function
+    returns None where a normaliser it meets is zero or non-finite, and the
+    call then answers on the ground path.
+    """
+    if not fg.incidence.is_forest:
+        return None
+    # the split first, so that the free colouring under it shares the
+    # adjacency the evidence is split on
+    colour = _stable_colours(fg, ev) if ev else None
+    free = fg.memo("inference.free", lambda: _free(fg))
+    if free is None:
+        return None
+    if not ev:
+        return free.rv_class, lambda classes: list(map(free.marginals.__getitem__, classes))
+    bp = _Counting(fg, colour, ev, free)
+    if not all(bp.has_mass(k) for k in bp.observed):
+        return None
+    return bp.rv_class.tolist(), bp.marginals
 
 
 def variable_elimination(

@@ -26,6 +26,7 @@ from fglift import (
     parse_model,
     run_colour_passing,
     run_experiment,
+    serialize_model,
     state_space_size,
     variable_elimination,
 )
@@ -679,14 +680,158 @@ def test_what_a_completed_graph_keeps():
     result = complete_and_lift(inst.incomplete, 0.0, None, 1e-6)
     fg = result.completed
     marginals(fg, inst.queries)
-    # complete_and_lift keeps the colouring at its rtol, marginals at rtol 0;
-    # neither keeps an adjacency, as the graph has seen no evidence
+    # complete_and_lift keeps the colouring at its rtol, marginals at rtol 0
+    # and the evidence-free counting BP on it; neither keeps an adjacency, as
+    # the graph has seen no evidence
     assert fg._memo.keys() == {
         "colours.ports",
         ("colours.table_classes", 1e-6),
         ("colours.stable", 1e-6, ()),
         ("colours.table_classes", 0.0),
         ("colours.stable", 0.0, ()),
+        "inference.free",
         "model.unknown_factor_ids",
     }
     assert _grouping(fg, kept(fg, ("colours.stable", 1e-6, ()))) == result.grouping
+
+
+# -- the evidence-free state, and messages computed on demand ---------------------
+
+
+def copied_forests(rng, n):
+    """``n`` forests, each two or three copies of one random tree plus one
+    tree of its own, so that the quotient folds the copies together. Factors
+    have arity 1 to 3 and take their tables from a small pool per shape, in
+    which about 30% of the entries are zero."""
+    for _ in range(n):
+        pools: dict[tuple[int, ...], list[PotentialTable]] = {}
+
+        def table(shape):
+            pool = pools.setdefault(shape, [])
+            if len(pool) < 2:
+                entries = rng.integers(1, 9, int(np.prod(shape))).astype(float)
+                entries[rng.random(entries.size) < 0.3] = 0.0
+                pool.append(PotentialTable(shape, entries.tolist()))
+            return pool[int(rng.integers(len(pool)))]
+
+        def tree(n_rvs):
+            sizes = [int(rng.integers(2, 4)) for _ in range(n_rvs)]
+            scopes, joined = [], 1
+            while joined < n_rvs:
+                new = list(range(joined, min(n_rvs, joined + int(rng.integers(1, 3)))))
+                scopes.append([int(rng.integers(joined))] + new)
+                joined += len(new)
+            scopes += [[int(v)] for v in rng.choice(n_rvs, int(rng.integers(1, n_rvs + 1)), replace=False)]
+            return sizes, [(scope, table(tuple(sizes[v] for v in scope))) for scope in scopes]
+
+        shared, own = tree(int(rng.integers(3, 7))), tree(int(rng.integers(2, 5)))
+        rvs, factors = [], []
+        for c, (sizes, tables) in enumerate([shared] * int(rng.integers(2, 4)) + [own]):
+            rvs += [RandomVariable(f"x{c}_{v}", range_of(k)) for v, k in enumerate(sizes)]
+            factors += [
+                Factor(f"f{c}_{i}", tuple(f"x{c}_{v}" for v in scope), t) for i, (scope, t) in enumerate(tables)
+            ]
+        yield FactorGraph(rvs, factors)
+
+
+def test_evidence_calls_on_the_kept_state_answer_as_the_ground_path():
+    """Random forests with zero entries, stored and passed evidence, and
+    observed queries mixed in; evidence also lies in copies that hold no
+    query. Every answer is the ground function's within 1e-12, and every
+    error its error; each call that answers lifts."""
+    rng = np.random.default_rng(839)
+    answered, failed = [0, 0, 0], 0
+    for g in copied_forests(rng, 240):
+        assert g.incidence.is_forest
+        ids = list(g.rv_ids)
+        first = [r for r in ids if r.startswith("x0_")]
+        stored = {
+            str(r): str(rng.choice(g.rv(str(r)).range.values))
+            for r in rng.choice(ids, int(rng.integers(0, 3)), replace=False)
+        }
+        fg = g.with_evidence(stored)
+        free = [r for r in ids if r not in stored]
+        # evidence in the queried copy, on a copy's only query and in a copy
+        # without a query; the first two are queried too
+        others = [r for r in free if not r.startswith("x0_")]
+        picked = [str(rng.choice(first))] + [str(r) for r in rng.choice(others, 2, replace=False)]
+        passed = {r: str(rng.choice(fg.rv(r).range.values)) for r in picked if r not in stored}
+        queries = [str(q) for q in rng.choice(first, min(3, len(first)), replace=False)] + picked[:2]
+        for i, ev in enumerate((None, passed, {r: v for r, v in passed.items() if not r.startswith("x0_")})):
+            expected = outcome(_ground_marginals, fg, queries, ev)
+            got = outcome(marginals, fg, queries, ev)
+            if isinstance(expected, tuple) and isinstance(expected[0], type):
+                assert got == expected
+                failed += 1
+                continue
+            assert lifts(fg, ev)
+            answered[i] += 1
+            for m, e in zip(got, expected, strict=True):
+                assert m.rv == e.rv and m.values == e.values
+                assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=1e-12)
+    # answers without evidence, under all of it, and under the evidence
+    # outside the queried copy
+    assert min(answered) > 60 and failed > 100
+
+
+def test_no_answer_depends_on_call_history():
+    """One graph is asked without evidence, under evidence A, under evidence
+    B and without evidence again; each answer is bit for bit that of the same
+    call on a fresh copy, which builds its evidence-free state in that call."""
+    rng = np.random.default_rng(853)
+    forests = list(copied_forests(rng, 60))
+    inst = generate_instance(ExperimentConfig(
+        d=64, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=2,
+    ))
+    lifted = 0
+    for g in forests + [inst.truth]:
+        text = serialize_model(g)
+        fg = parse_model(text)
+        ids = list(fg.rv_ids)
+        queries = [str(q) for q in rng.choice(ids, min(4, len(ids)), replace=False)]
+        a, b = ({str(r): fg.rv(str(r)).range.values[-1] for r in rng.choice(ids, 2, replace=False)} for _ in "ab")
+        for ev in (None, a, b, None):
+            assert outcome(marginals, fg, queries, ev) == outcome(marginals, parse_model(text), queries, ev)
+        lifted += kept(fg, "inference.free") is not None
+    assert lifted > 30
+
+
+def counted_log_additions(monkeypatch):
+    """Count every addition of two arrays derived from a log message: the
+    log messages are made by ``np.log``, which returns them as an array
+    type that counts the additions it takes part in."""
+    count = [0]
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.add and method == "__call__":
+                count[0] += 1
+            plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Counted) if isinstance(out, np.ndarray) else out
+
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda x: log(x).view(Counted))
+    return count
+
+
+def test_a_hub_sends_its_messages_in_work_linear_in_its_edges(monkeypatch):
+    """A hub with 200 leaves, each joined by a table of its own, has 200
+    distinct incoming edge classes. Its 200 outgoing messages together take
+    O(D) log-message additions, not D - 1 each."""
+    rng = np.random.default_rng(857)
+    leaves = 200
+    rvs = [RandomVariable("hub", BOOL_RANGE)] + [RandomVariable(f"l{i}", BOOL_RANGE) for i in range(leaves)]
+    factors = [
+        Factor(f"p{i}", ("hub", f"l{i}"), PotentialTable((2, 2), rng.uniform(0.5, 2.0, 4).tolist()))
+        for i in range(leaves)
+    ]
+    fg = FactorGraph(rvs, factors)
+    queries = ["hub", "l0", f"l{leaves - 1}"]
+    count = counted_log_additions(monkeypatch)
+    got = marginals(fg, queries)
+    assert count[0] < 10 * leaves, count[0]
+    monkeypatch.undo()
+    assert len(kept(fg, "inference.free").log_mu) == 2 * leaves
+    for m, e in zip(got, _ground_marginals(fg, queries), strict=True):
+        assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=1e-12)
