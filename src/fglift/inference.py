@@ -72,11 +72,13 @@ keeps for this path is evidence-free: its stable colouring and, from the
 first call that reaches the quotient, counting belief propagation on it
 (every message and every class's marginal, ``_Free``), so a call without
 evidence only reads marginals. A call with evidence splits the colouring
-and computes messages on demand from the query classes and the observed
-classes; a message whose source side holds no observed class is the
-evidence-free one, so only the messages on the paths between the evidence
-and the queries are computed again, as in sequential clamping (Hadiji,
-Ahmadi and Kersting, KI 2011). Nothing query- or evidence-specific is kept.
+and first marks the hot messages, one forward closure from the observed
+classes: a message is hot if it reads an observed class or a hot message.
+It then computes messages on demand from the query classes and the
+observed classes; a message that is not hot is the evidence-free one, so
+only the hot messages on the paths between the evidence and the queries
+are computed again, as in sequential clamping (Hadiji, Ahmadi and
+Kersting, KI 2011). Nothing query- or evidence-specific is kept.
 
 The quotient's edge key is the colouring's own: an edge class is a (factor
 class, port, argument RV class), where a port is a block of argument
@@ -95,8 +97,8 @@ on a forest, so one message per edge class, raised to the power of the
 number of edges it stands for, answers every query exactly. Messages are
 kept as logs and shifted to maximum 0 before every ``exp``; observed RVs
 send indicators. An RV class's message along one of its D distinct
-incoming edge classes sums the others' log messages: in order up to eight
-of them, and above that from kept prefix and suffix sums, so that all its
+incoming edge classes sums the others' log messages from kept prefix and
+suffix sums, and its belief is the full prefix sum, so that all its
 messages together cost O(D). The quotient of a forest cannot be cyclic, and
 a zero normaliser means a component without mass, where the ground path
 raises; either sends the call to bucket elimination, so errors are the
@@ -404,11 +406,9 @@ class _Free(NamedTuple):
     marginals: list[tuple[float, ...]]
 
 
-# An RV class with more distinct incoming edge classes than this sends its
-# messages from prefix and suffix sums of its incoming log messages, so all
-# of them cost O(D) together; up to it, each message sums its inputs in
-# order, and answers are those of the plain sum bit for bit.
-_SUM_IN_ORDER = 8
+def _plus(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """``a + b``, where None is an empty sum."""
+    return b if a is None else a if b is None else a + b
 
 
 class _Counting:
@@ -424,11 +424,10 @@ class _Counting:
     count-weighted sum of the RV's incoming log messages less one copy of
     the edge's own; an observed RV sends its indicator.
 
-    Given ``free``, the graph's evidence-free state (``_Free``), an edge
-    class whose source side holds no observed class is not computed: its
-    message is that of the free edge class of its first row. Its
-    dependencies are still visited, as that is how the source side is known
-    to be free of evidence, but no message among them is computed.
+    Given ``free``, the graph's evidence-free state (``_Free``), only the
+    hot edge classes, those with an observed class behind them, are
+    computed; any other takes the message of the free edge class of its
+    first row, and its reads are not listed. Without ``free`` all are hot.
     """
 
     def __init__(
@@ -448,95 +447,93 @@ class _Counting:
         )
         self.fg, self.rep, self.target = fg, rep.tolist(), arg_cls[first].tolist()
         # per edge class: the factor and position its message is computed
-        # at, and the (position, edge class) of every other argument of it
+        # at, and the (position, edge class) of every other argument of it;
+        # per RV class: the (edge class, argument edge class) slots reading it
         self.at: list[tuple[int, int, list[tuple[int, int]]]] = []
-        for f, row in zip(inc.factor[first].tolist(), first.tolist()):
-            a, b = int(inc.start[f]), int(inc.start[f + 1])
+        readers: list[list[tuple[int, int]]] = [[] for _ in self.rep]
+        factor = inc.factor[first]
+        for e, (f, a, b, row) in enumerate(zip(
+            factor.tolist(), inc.start[factor].tolist(), inc.start[factor + 1].tolist(), first.tolist()
+        )):
             edges = self.edge[a:b].tolist()
             self.at.append((f, row - a, [(q, edges[q]) for q in range(b - a) if q != row - a]))
+            for _, d in self.at[e][2]:
+                readers[self.target[d]].append((e, d))
         # per RV class: the distinct edge classes into its representative in
         # row order, their counts, and the index of each
         self.incoming: list[tuple[list[int], list[int], dict[int, int]]] = []
-        for r in self.rep:
-            counts = Counter(self.edge[inc.by_rv[inc.rv_start[r] : inc.rv_start[r + 1]]].tolist())
+        for a, b in zip(inc.rv_start[rep].tolist(), inc.rv_start[rep + 1].tolist()):
+            counts = Counter(self.edge[inc.by_rv[a:b]].tolist())
             self.incoming.append((list(counts), list(counts.values()), {e: i for i, e in enumerate(counts)}))
-        position = inc.rv_position
         # the observed value of each observed RV class
-        self.observed = {int(self.rv_class[position[r]]): fg.rv(r).range.index(v) for r, v in ev.items()}
-        self.free_edge = None if free is None else free.edge[first].tolist()
-        self.free_log_mu = None if free is None else free.log_mu
+        self.observed = {int(self.rv_class[inc.rv_position[r]]): fg.rv(r).range.index(v) for r, v in ev.items()}
         self.log_mu: dict[int, np.ndarray] = {}
         self.nu: dict[int, np.ndarray | None] = {}
-        # per edge class: its ``needs`` while open, then whether its message
-        # was computed (see ``solve``)
-        self.state: dict[int, tuple[list[int], bool] | bool] = {}
-        # per RV class: how many of the edge classes into it are known, and
-        # how many of those were computed
-        self.known: dict[int, int] = {}
-        self.computed: dict[int, int] = {}
-        self._sums: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+        # per RV class: how many of the edge classes into it are known
+        self.known = [0] * len(self.rep)
+        self._sums: dict[tuple[int, bool], list[np.ndarray]] = {}
+        self.hot: range | set[int] = range(len(self.at))
+        if free is None:
+            return
+        self.free_edge, self.free_log_mu = free.edge[first].tolist(), free.log_mu
+        # one forward closure from the observed classes: a message is hot if
+        # it reads an observed class, or a hot message other than one copy
+        # of its own edge class. ``heat`` counts the hot edges into a class;
+        # from two on, every reader of the class is hot, so a class's
+        # readers are walked at most twice, also on a hub under much evidence.
+        self.hot, heat = set(), [0] * len(self.rep)
+        todo = [e for k in self.observed for e, _ in readers[k]]
+        while todo:
+            e = todo.pop()
+            if e in self.hot:
+                continue
+            self.hot.add(e)
+            k = self.target[e]
+            if k in self.observed or heat[k] > 1:
+                continue
+            _, counts, index = self.incoming[k]
+            heat[k] += counts[index[e]]
+            todo += [r for r, d in readers[k] if d != e or heat[k] > 1]
 
-    def needs(self, e: int) -> tuple[list[int], bool]:
-        """The edge classes whose messages edge class e's message reads (those
-        into each other argument's class, one copy of that argument's own
-        edge class left out; an observed class reads none), and whether
-        evidence already shows behind e: some other argument's class is
-        observed, or some message it reads is known and not free. A class
-        whose incoming messages are all known lists none of them."""
-        out, behind = [], False
+    def reads(self, e: int) -> list[int]:
+        """The edge classes not known yet whose messages edge class e's
+        message reads: those into each other argument's class, one copy of
+        that argument's own edge class left out. An observed class reads
+        none, and nor does a class whose incoming messages are all known."""
+        out = []
         for _, d in self.at[e][2]:
             k = self.target[d]
-            if k in self.observed:
-                behind = True
-                continue
-            edges, counts, index = self.incoming[k]
-            if self.known.get(k, 0) < len(edges):
-                out += [x for x, n in zip(edges, counts) if n - (x == d)]
-            elif self.computed.get(k, 0) > (counts[index[d]] == 1 and self.state[d] is True):
-                behind = True
-        return out, behind
+            edges, counts, _ = self.incoming[k]
+            if k not in self.observed and self.known[k] < len(edges):
+                out += [x for x, n in zip(edges, counts) if n - (x == d) and x not in self.log_mu]
+        return out
 
     def solve(self, roots: list[int]) -> bool:
         """Know the message of every edge class in ``roots``, depth first,
-        dependencies first. False for an edge class met again while still
-        open, which closes a cycle of the quotient, or for a message with a
-        zero or non-finite normaliser.
-
-        An edge class is open while its ``needs`` are on the stack. Closed,
-        it is True if its message was computed and False if it is the free
-        one: that is so when no evidence shows behind it and every message it
-        reads is free too."""
-        state, free = self.state, self.free_edge
-        for root in roots:
-            if root in state:
-                continue
-            stack = [root]
-            while stack:
-                e = stack[-1]
-                s = state.get(e)
-                if s is None:
-                    state[e] = s = self.needs(e)
-                    for d in s[0]:
-                        t = state.get(d)
-                        if t is None:
-                            stack.append(d)
-                        elif isinstance(t, tuple):
-                            return False
-                    continue
+        dependencies first: a hot one is computed once its reads are known,
+        any other is copied from the free state. False for an edge class met
+        again while its reads are open, which closes a cycle of the
+        quotient, or for a message with a zero or non-finite normaliser."""
+        log_mu, opened = self.log_mu, set()
+        stack = list(roots)
+        while stack:
+            e = stack[-1]
+            if e in log_mu:
                 stack.pop()
-                if not isinstance(s, tuple):
-                    continue
-                deps, behind = s
-                if free is None or behind or any(map(state.__getitem__, deps)):
-                    if not self.message(e):
+                continue
+            if e in self.hot and e not in opened:
+                opened.add(e)
+                for d in self.reads(e):
+                    if d in opened:
                         return False
-                    state[e] = True
-                else:
-                    self.log_mu[e] = self.free_log_mu[free[e]]
-                    state[e] = False
-                k = self.target[e]
-                self.known[k] = self.known.get(k, 0) + 1
-                self.computed[k] = self.computed.get(k, 0) + state[e]
+                    stack.append(d)
+                continue
+            stack.pop()
+            if e not in self.hot:
+                log_mu[e] = self.free_log_mu[self.free_edge[e]]
+            elif not self.message(e):
+                return False
+            self.known[self.target[e]] += 1
         return True
 
     def message(self, e: int) -> bool:
@@ -561,48 +558,46 @@ class _Counting:
     def rv_side(self, k: int, skip: int | None) -> np.ndarray | None:
         """Log product of RV class k's incoming messages, one copy of edge
         ``skip`` left out, shifted to maximum 0; None for a zero normaliser.
-
-        Up to ``_SUM_IN_ORDER`` distinct edge classes, and for a belief, the
-        count-weighted terms are added in row order, from the first rather
-        than from zeros, which changes at most the sign of a zero that no
-        ``exp`` sees. Above it, a message is the kept sum of the terms
-        before its edge class, its edge class's further copies and the kept
-        sum of the terms after it."""
+        A belief is the kept sum of all count-weighted terms, in row order; a
+        message is the kept sum before its edge class, that class's further
+        copies and the kept sum after it, so that all of k's messages cost
+        O(D) together. Sums start from their first term, not from zeros,
+        which changes at most the sign of a zero that no ``exp`` sees."""
+        size = len(self.fg.rvs[self.rep[k]].range)
         if k in self.observed:
-            out = np.full(len(self.fg.rvs[self.rep[k]].range), -np.inf)
+            out = np.full(size, -np.inf)
             out[self.observed[k]] = 0.0
             return out
         edges, counts, index = self.incoming[k]
-        if skip is None or len(edges) <= _SUM_IN_ORDER:
-            terms = [(n - (e == skip), self.log_mu[e]) for e, n in zip(edges, counts) if n - (e == skip)]
+        if skip is None:
+            out = self.kept_sum(k, len(edges), False)
         else:
             i = index[skip]
-            terms = [(1, self.kept_sum(k, i, False))] if i else []
-            if counts[i] > 1:
-                terms.append((counts[i] - 1, self.log_mu[skip]))
-            if i + 1 < len(edges):
-                terms.append((1, self.kept_sum(k, i + 1, True)))
-        if not terms:
-            return np.zeros(len(self.fg.rvs[self.rep[k]].range))
-        out = None
-        for n, term in terms:
-            term = term if n == 1 else n * term
-            out = term if out is None else out + term
+            before = _plus(self.kept_sum(k, i, False), self.term(skip, counts[i] - 1))
+            out = _plus(before, self.kept_sum(k, i + 1, True))
+        if out is None:
+            return np.zeros(size)
         top = out.max()
         return out - top if top > -np.inf else None
 
-    def kept_sum(self, k: int, i: int, after: bool) -> np.ndarray:
+    def kept_sum(self, k: int, i: int, after: bool) -> np.ndarray | None:
         """Sum of the count-weighted log messages of class k's incoming edge
         classes before index i, added left to right, or from i on, added
-        right to left; every partial sum is kept."""
+        right to left; None for no terms. Every partial sum is kept."""
         edges, counts, _ = self.incoming[k]
-        sums = self._sums.setdefault(k, ([], []))[after]
         want = len(edges) - i if after else i
+        if not want:
+            return None
+        sums = self._sums.setdefault((k, after), [])
         while len(sums) < want:
             j = len(edges) - 1 - len(sums) if after else len(sums)
-            term = counts[j] * self.log_mu[edges[j]]
-            sums.append(sums[-1] + term if sums else term)
+            sums.append(_plus(sums[-1] if sums else None, self.term(edges[j], counts[j])))
         return sums[want - 1]
+
+    def term(self, e: int, n: int) -> np.ndarray | None:
+        """n copies of edge class e's log message, None for none; one copy
+        is the message itself, not a product."""
+        return None if not n else self.log_mu[e] if n == 1 else n * self.log_mu[e]
 
     def marginals(self, classes: Iterable[int]) -> list[tuple[float, ...]] | None:
         """The marginal of each RV class in ``classes``: its indicator if
@@ -613,11 +608,8 @@ class _Counting:
             for k in classes:
                 if k in out:
                     continue
-                if k in self.observed:
-                    size = len(self.fg.rvs[self.rep[k]].range)
-                    out[k] = tuple(1.0 if i == self.observed[k] else 0.0 for i in range(size))
-                    continue
-                belief = self.rv_side(k, None) if self.solve(self.incoming[k][0]) else None
+                solved = k in self.observed or self.solve(self.incoming[k][0])
+                belief = self.rv_side(k, None) if solved else None
                 if belief is None:
                     return None
                 b = np.exp(belief)
@@ -628,14 +620,13 @@ class _Counting:
         """Whether the observed RV class k's belief at its observed value has
         a positive finite normaliser: its component has mass under the
         evidence. Its own evidence is left out of its belief."""
+        # per observed class, not per component: an observed RV cuts its
+        # component into parts, each of which sends it one message
+        edges = self.incoming[k][0]
         with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-            if not self.solve(self.incoming[k][0]):
+            if not self.solve(edges):
                 return False
-            edges, counts, _ = self.incoming[k]
-            out = 0.0
-            for e, n in zip(edges, counts):
-                out = out + n * self.log_mu[e][self.observed[k]]
-            return out > -np.inf
+            return not edges or self.kept_sum(k, len(edges), False)[self.observed[k]] > -np.inf
 
 
 def _free(fg: FactorGraph) -> _Free | None:
@@ -664,12 +655,12 @@ def _quotient(
     The evidence-free state (``_Free``) is kept per graph: it is built the
     first time, by every message and every class's belief, and an
     evidence-free call only reads it. Under evidence, messages are computed
-    from the query classes and the observed classes, and only those whose
-    source side holds an observed class are computed again
-    (``_Counting``). Every observed class's belief at its observed value
-    must have mass, so that every component that holds evidence is checked
-    (the others were, by the free state); on a forest a zero one means a
-    component without mass, where the ground path raises. The function
+    from the query classes and the observed classes, and only the hot ones,
+    with an observed class behind them, are computed again (``_Counting``).
+    Every observed class's belief at its observed value must have mass, so
+    that every component that holds evidence is checked (the others were,
+    by the free state); on a forest a zero one means a component without
+    mass, where the ground path raises. The function
     returns None where a normaliser it meets is zero or non-finite, and the
     call then answers on the ground path.
     """

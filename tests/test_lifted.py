@@ -831,7 +831,64 @@ def test_a_hub_sends_its_messages_in_work_linear_in_its_edges(monkeypatch):
     count = counted_log_additions(monkeypatch)
     got = marginals(fg, queries)
     assert count[0] < 10 * leaves, count[0]
+    # under evidence on one leaf, the messages into the hub and the hub's
+    # messages out again cost O(D) too
+    evidence = {"l1": "true"}
+    count[0] = 0
+    observed = marginals(fg, queries, evidence)
+    assert count[0] < 10 * leaves, count[0]
     monkeypatch.undo()
-    assert len(kept(fg, "inference.free").log_mu) == 2 * leaves
-    for m, e in zip(got, _ground_marginals(fg, queries), strict=True):
-        assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=1e-12)
+    assert len(kept(fg, "inference.free").log_mu) == 2 * leaves and lifts(fg, evidence)
+    for ev, answer in ((None, got), (evidence, observed)):
+        for m, e in zip(answer, _ground_marginals(fg, queries, ev), strict=True):
+            assert np.allclose(m.probabilities, e.probabilities, rtol=0.0, atol=1e-12)
+
+
+def evidence_behind(fg, row, evidence):
+    """Whether an RV in ``evidence`` lies behind incidence row ``row`` of the
+    forest ``fg``: reachable from the row's factor without crossing the
+    row's own edge, by a walk over the ground graph."""
+    factor = fg.factors[int(fg.incidence.factor[row])]
+    seen = {fg.rvs[int(fg.incidence.rv[row])].id}
+    walked, todo = {factor.id}, list(factor.args)
+    while todo:
+        r = todo.pop()
+        if r in seen:
+            continue
+        if r in evidence:
+            return True
+        seen.add(r)
+        for f in set(fg.factors_of(r)) - walked:
+            walked.add(f)
+            todo += fg.factor(f).args
+    return False
+
+
+def test_an_evidence_call_computes_only_messages_with_evidence_behind(monkeypatch):
+    """With the evidence-free state kept, an evidence call computes a
+    message, or lists the messages it reads, only for an edge class with an
+    observed RV behind its first row; every other message is the kept one."""
+    rng = np.random.default_rng(863)
+    inst = generate_instance(ExperimentConfig(
+        d=64, p=0.5, unknown_fraction=0.2, cohorts=3, queries_per_instance=3, theta=0.0, seed=2,
+    ))
+    touched = []
+    for name in ("message", "reads"):
+        method = getattr(inference._Counting, name)
+        monkeypatch.setattr(inference._Counting, name, lambda bp, e, m=method: touched.append((bp, e)) or m(bp, e))
+    checked, lifted = 0, 0
+    for fg in [inst.truth, *copied_forests(rng, 60)]:
+        ids = list(fg.rv_ids)
+        leaves = [r for r in ids if fg.degree(r) == 1]
+        if len(leaves) < 3 or len(ids) < 6:
+            continue
+        evidence = {str(r): str(rng.choice(fg.rv(str(r)).range.values)) for r in rng.choice(leaves, 3, replace=False)}
+        queries = [str(q) for q in rng.choice([r for r in ids if r not in evidence], 3, replace=False)]
+        outcome(marginals, fg, queries)
+        del touched[:]
+        outcome(marginals, fg, queries, evidence)
+        for bp, e in touched:
+            assert evidence_behind(fg, int(np.flatnonzero(bp.edge == e)[0]), evidence)
+        checked += len(touched)
+        lifted += kept(fg, "inference.free") is not None and lifts(fg, evidence)
+    assert lifted > 15 and checked > 100, (lifted, checked)
